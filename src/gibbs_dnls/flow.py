@@ -8,9 +8,12 @@ the variational derivatives of the two-field Hamiltonian
 
 On the physical slice v = conj(u) this is the dynamics whose invariant
 measure the density module describes.  The right-hand side is built two
-ways: as the literal composition K(grad H) (the source of truth for the
-integrator) and as the expanded single-equation form with its projection
-remainder (cross-validation only).
+ways: as the literal composition K(grad H) (the source of truth) and as
+the expanded single-equation form with its projection remainder
+(cross-validation only).  The integrator runs the composition on
+coefficient matrices, one field per row (batch_rhs_hamiltonian), so a
+whole ensemble moves through one RK4 loop; the FourierCoeffs versions
+stay as the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .spectral import (
     project,
 )
 from .functionals import DensityParams, energy, gauge_F, mass
-from .observables import batch_density_G
+from .observables import batch_density_G, batch_mass, batch_multiply
 from .sampling import bootstrap_indices, phi_block
 
 __all__ = [
@@ -40,6 +43,7 @@ __all__ = [
     "variational_derivatives",
     "apply_K",
     "rhs_hamiltonian",
+    "batch_rhs_hamiltonian",
     "rhs_expanded",
     "step",
     "evolve",
@@ -135,6 +139,58 @@ def rhs_hamiltonian(u: FourierCoeffs, N: int) -> FourierCoeffs:
     return project(z1, N)
 
 
+def _modes(rows: np.ndarray) -> np.ndarray:
+    band = (rows.shape[1] - 1) // 2
+    return np.arange(-band, band + 1)
+
+
+def _derivative(rows: np.ndarray) -> np.ndarray:
+    return 1j * _modes(rows) * rows
+
+
+def _antiderivative(rows: np.ndarray) -> np.ndarray:
+    n = _modes(rows)
+    out = np.zeros_like(rows)
+    nz = n != 0
+    out[:, nz] = rows[:, nz] / (1j * n[nz])
+    return out
+
+
+def _project(rows: np.ndarray, N: int) -> np.ndarray:
+    """Pi_N on rows of band >= N."""
+    band = (rows.shape[1] - 1) // 2
+    return rows[:, band - N:band + N + 1]
+
+
+def batch_rhs_hamiltonian(rows: np.ndarray, N: int) -> np.ndarray:
+    """rhs_hamiltonian of every row of a coefficient matrix at band N.
+
+    The same composition on arrays: gradients at (u, conj u), projected,
+    then the first row of K, projected; every product is a row-wise
+    direct convolution (batch_multiply), so a mode the flow cannot reach
+    stays exactly zero, as in the reference.
+    """
+    N = int(N)
+    if rows.shape[1] != 2 * N + 1:
+        raise ValueError(f"rows of width {rows.shape[1]} are not at band {N}")
+    mul = batch_multiply
+    u = rows
+    v = np.conj(u[:, ::-1])
+    u2 = mul(u, u)
+    v2 = mul(v, v)
+    # w1, w2 = Pi_N dH/du, Pi_N dH/dv, as in variational_derivatives
+    w1 = -_derivative(_derivative(v)) \
+        + _project(-1.5j * mul(u, _derivative(v2)), N) \
+        + _project(1.5 * mul(u2, mul(v2, v)), N)
+    w2 = -_derivative(_derivative(u)) \
+        + _project(1.5j * mul(v, _derivative(u2)), N) \
+        + _project(1.5 * mul(mul(u2, u), v2), N)
+    # Pi_N z1 of apply_K: z1 = u (D(v w2) - D(u w1)) - i w2
+    Duw1 = _antiderivative(mul(u, w1))
+    Dvw2 = _antiderivative(mul(v, w2))
+    return _project(mul(u, Dvw2 - Duw1), N) - 1j * w2
+
+
 def rhs_pair(u: FourierCoeffs, N: int) -> tuple:
     """Both components of the projected Hamiltonian vector field."""
     N = int(N)
@@ -205,57 +261,92 @@ def _log_invariants(u: FourierCoeffs, N: int, grid: QuadratureGrid) -> dict:
     }
 
 
-def _rk4(u: FourierCoeffs, N: int, h: float) -> FourierCoeffs:
-    k1 = rhs_hamiltonian(u, N)
-    k2 = rhs_hamiltonian(u + k1.scale(0.5 * h), N)
-    k3 = rhs_hamiltonian(u + k2.scale(0.5 * h), N)
-    k4 = rhs_hamiltonian(u + k3.scale(h), N)
-    incr = k1 + k2.scale(2.0) + k3.scale(2.0) + k4
-    return project(u + incr.scale(h / 6.0), N)
+def _rk4(rows: np.ndarray, N: int, h: float) -> np.ndarray:
+    k1 = batch_rhs_hamiltonian(rows, N)
+    k2 = batch_rhs_hamiltonian(rows + (0.5 * h) * k1, N)
+    k3 = batch_rhs_hamiltonian(rows + (0.5 * h) * k2, N)
+    k4 = batch_rhs_hamiltonian(rows + h * k3, N)
+    return rows + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _check(rows: np.ndarray, t: float, streams=None, mass0=None,
+           max_drift: float = None) -> None:
+    """Raise if a row went non-finite or, given mass0, drifted in mass.
+
+    The message names the time and, when streams labels the rows, the
+    offending row's stream.
+    """
+    def where(i):
+        return "" if streams is None else f" in stream {streams[i]}"
+
+    finite = np.all(np.isfinite(rows.view(np.float64)), axis=1)
+    if not np.all(finite):
+        raise RuntimeError(
+            f"state became non-finite at t = {t:g}{where(int(np.argmin(finite)))}")
+    if mass0 is not None:
+        drift = np.abs(batch_mass(rows) - mass0)
+        i = int(np.argmax(drift))
+        if drift[i] > max_drift:
+            raise RuntimeError(
+                f"mass drift {drift[i]:.3e} exceeds {max_drift:g} at t = {t:g}{where(i)}")
+
+
+def _step_sizes(T: float, step: float) -> list:
+    """[0, T] as full steps of the given size plus a trailing fractional step."""
+    h = math.copysign(step, T)
+    n_full = int(abs(T) / step + 1e-12)
+    rem = T - n_full * h
+    return [h] * n_full + ([rem] if abs(rem) > 1e-12 * max(1.0, abs(T)) else [])
+
+
+def _trajectory(rows: np.ndarray, N: int, T: float, config: IntegratorConfig,
+                streams=None):
+    """Yield (t, rows) after each RK4 step of every row from 0 to T.
+
+    Checks finiteness and the mass drift of every row after every step.
+    """
+    mass0 = batch_mass(rows)
+    t = 0.0
+    for h in _step_sizes(float(T), config.step):
+        rows = _rk4(rows, N, h)
+        t += h
+        _check(rows, t, streams, mass0, config.max_drift)
+        yield t, rows
 
 
 def step(state: FlowState, N: int, config: IntegratorConfig,
          h: float = None, grid: QuadratureGrid = None) -> FlowState:
-    """One explicit step; h defaults to config.step (sign gives direction)."""
+    """One explicit step; h defaults to config.step (sign gives direction).
+
+    Checks finiteness only: the mass-drift guard is evolve's, which knows
+    the starting mass.
+    """
+    N = int(N)
     if h is None:
         h = config.step
     if grid is None:
-        grid = QuadratureGrid.for_degree(6 * int(N))
-    u1 = _rk4(state.u, int(N), float(h))
-    if not np.all(np.isfinite(u1.coeffs.view(np.float64))):
-        raise RuntimeError(f"state became non-finite at t = {state.t + h:g}")
-    return FlowState(u1, state.t + h, _log_invariants(u1, int(N), grid))
+        grid = QuadratureGrid.for_degree(6 * N)
+    t = state.t + h
+    rows = _rk4(project(state.u, N).coeffs[None, :], N, float(h))
+    _check(rows, t)
+    u1 = FourierCoeffs(N, rows[0])
+    return FlowState(u1, t, _log_invariants(u1, N, grid))
 
 
 def evolve(u0: FourierCoeffs, N: int, T: float, config: IntegratorConfig) -> list:
     """Fixed-step trajectory from 0 to T (T < 0 integrates backward).
 
     Aborts with the offending time if the mass drifts further than
-    config.max_drift from its initial value; a trailing fractional step
-    covers T not divisible by the step.
+    config.max_drift from its initial value after any step, the trailing
+    fractional step (covering T not divisible by the step) included.
     """
     N = int(N)
-    T = float(T)
     grid = QuadratureGrid.for_degree(6 * N)
-    state = FlowState(project(u0, N), 0.0, _log_invariants(u0, N, grid))
-    traj = [state]
-    if T == 0.0:
-        return traj
-    h = math.copysign(config.step, T)
-    n_full = int(abs(T) / config.step + 1e-12)
-    mass0 = state.invariants_log["mass"]
-    for i in range(n_full):
-        state = step(state, N, config, h, grid)
-        if abs(state.invariants_log["mass"] - mass0) > config.max_drift:
-            raise RuntimeError(
-                f"mass drift {abs(state.invariants_log['mass'] - mass0):.3e} "
-                f"exceeds {config.max_drift:g} at t = {state.t:g}"
-            )
-        traj.append(state)
-    rem = T - n_full * h
-    if abs(rem) > 1e-12 * max(1.0, abs(T)):
-        state = step(state, N, config, rem, grid)
-        traj.append(state)
+    u0 = project(u0, N)
+    traj = [FlowState(u0, 0.0, _log_invariants(u0, N, grid))]
+    for t, rows in _trajectory(u0.coeffs[None, :], N, T, config):
+        u = FourierCoeffs(N, rows[0])
+        traj.append(FlowState(u, t, _log_invariants(u, N, grid)))
     return traj
 
 
@@ -291,9 +382,10 @@ def invariance_experiment(N: int, params: DensityParams, t: float, count: int,
     """Push a weighted ensemble through the flow and compare means.
 
     Draws count Gaussian field samples, weights them by the cutoff
-    density, evolves every sample with positive weight to time t, and
-    reports the self-normalized weighted mean of each observable before
-    and after, with a paired bootstrap standard error of the difference.
+    density, evolves the samples with positive weight to time t together
+    (one coefficient matrix through one RK4 loop), and reports the
+    self-normalized weighted mean of each observable before and after,
+    with a paired bootstrap standard error of the difference.
     Zero-weight samples never move (they contribute nothing to either
     mean).  Fails fast when the effective sample size (sum w)^2 / sum w^2
     is below 100: the cutoff is then too tight for this ensemble size.
@@ -314,10 +406,11 @@ def invariance_experiment(N: int, params: DensityParams, t: float, count: int,
 
     live = np.nonzero(w > 0)[0]
     config = IntegratorConfig(step=step_size, max_drift=1e-5)
+    moved = rows[live]
+    for _, moved in _trajectory(moved, N, t, config, streams=live):
+        pass
     evolved = np.zeros_like(rows)
-    for i in live:
-        traj = evolve(FourierCoeffs(N, rows[i]), N, t, config)
-        evolved[i] = traj[-1].u.coeffs
+    evolved[live] = moved
 
     names = list(observables)
     before = {k: np.zeros(count) for k in names}

@@ -10,10 +10,12 @@ is tested against it row by row.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .functionals import DensityParams, chi
 
 __all__ = [
+    "batch_multiply",
     "batch_square",
     "batch_cube",
     "batch_mass",
@@ -32,6 +34,24 @@ __all__ = [
 
 def _fft_len(n: int) -> int:
     return 1 << (n - 1).bit_length()
+
+
+def batch_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise product: coefficients of u v for paired rows, width da+db-1.
+
+    Direct convolution, as in spectral.multiply, not an FFT: every output
+    coefficient is a plain sum of products, so modes the product cannot
+    reach stay exactly zero (an FFT product leaves roundoff there), and
+    each row's result does not depend on the other rows.
+    """
+    if a.shape[1] > b.shape[1]:
+        a, b = b, a
+    da, db = a.shape[1], b.shape[1]
+    padded = np.zeros((b.shape[0], db + 2 * (da - 1)), dtype=np.complex128)
+    padded[:, da - 1:da - 1 + db] = b
+    # window k holds b_{k-da+1} .. b_k: its dot with reversed a is (ab)_k
+    windows = sliding_window_view(padded, da, axis=1)
+    return (windows @ a[:, ::-1, None])[:, :, 0]
 
 
 def batch_square(rows: np.ndarray) -> np.ndarray:

@@ -195,18 +195,27 @@ class Ensemble:
         first = int(manifest.get("first_stream", 0))
         rows = np.zeros((count, 2 * band + 1), dtype=np.complex128)
         weights = np.zeros(count) if manifest.get("weighted") else None
-        seen = 0
+        filled = np.zeros(count, dtype=bool)
         for line in text.splitlines():
             line = line.strip()
             if not line:
                 continue
             d = json.loads(line)
-            i = int(d["stream"]) - first
+            stream = int(d["stream"])
+            i = stream - first
+            if not 0 <= i < count:
+                raise ValueError(
+                    f"stream {stream} outside the manifest's streams "
+                    f"{first}..{first + count - 1}"
+                )
+            if filled[i]:
+                raise ValueError(f"stream {stream} appears twice")
             rows[i] = np.asarray(d["re"], dtype=np.float64) \
                 + 1j * np.asarray(d["im"], dtype=np.float64)
             if weights is not None:
                 weights[i] = float(d["weight"])
-            seen += 1
+            filled[i] = True
+        seen = int(np.sum(filled))
         if seen != count:
             raise ValueError(f"manifest promises {count} samples, found {seen}")
         return cls(band, rows, SeedSpec(int(manifest["master_seed"]), first),

@@ -254,10 +254,11 @@ def test_kernel_tail_sum_against_direct_loop():
 
 
 def test_kernel_tail_sum_frozen_values():
+    # correctly rounded sums: every bit is pinned
     got, _ = kernel_tail_sum(0, 4)
-    assert got == pytest.approx(0.013673950845816721, rel=1e-12)
+    assert got == 0.013673950845816721
     got, _ = kernel_tail_sum(5, 8)
-    assert got == pytest.approx(0.0007064630323090487, rel=1e-12)
+    assert got == 0.0007064630323090486
 
 
 def test_kernel_tail_sum_correctly_rounded():

@@ -15,6 +15,7 @@ from gibbs_dnls.flow import (
     FlowState,
     IntegratorConfig,
     apply_K,
+    batch_rhs_hamiltonian,
     evolve,
     gauge_transform,
     invariance_experiment,
@@ -24,7 +25,8 @@ from gibbs_dnls.flow import (
     step,
     variational_derivatives,
 )
-from gibbs_dnls.sampling import SeedSpec, sample_phi
+from gibbs_dnls.observables import batch_mass
+from gibbs_dnls.sampling import SeedSpec, phi_block, sample_phi
 
 E1 = FourierCoeffs.from_pairs({1: 1.0})
 ZERO1 = FourierCoeffs.zero(1)
@@ -125,6 +127,24 @@ def test_rhs_linear_regime():
     assert gap <= 4e-9
 
 
+@pytest.mark.parametrize("band", [0, 1, 4, 8])
+@pytest.mark.parametrize("count", [1, 12])
+def test_batch_rhs_matches_reference_per_row(band, count):
+    rows = phi_block(700 + band, 0, count, band)
+    # masses spread from the linear regime to past the cutoff radius
+    rows = rows * (np.linspace(0.1, 1.5, count) / batch_mass(rows))[:, None]
+    got = batch_rhs_hamiltonian(rows, band)
+    assert got.shape == rows.shape
+    for j in range(count):
+        want = rhs_hamiltonian(FourierCoeffs(band, rows[j]), band).coeffs
+        assert np.max(np.abs(got[j] - want)) <= 1e-13 * np.max(np.abs(want)), j
+
+
+def test_batch_rhs_rejects_other_band():
+    with pytest.raises(ValueError, match="band 4"):
+        batch_rhs_hamiltonian(phi_block(1, 0, 2, 3), 4)
+
+
 def test_rhs_pair_conjugacy():
     u = draw(33, 8, scale=0.7)
     z1, z2 = rhs_pair(u, 8)
@@ -185,6 +205,13 @@ def test_evolve_drift_abort_names_time():
     u0 = draw(3, 8, scale=0.5)
     with pytest.raises(RuntimeError, match="t ="):
         evolve(u0, 8, 1.0, IntegratorConfig(step=1e-2, max_drift=1e-18))
+
+
+def test_evolve_fractional_step_checks_drift():
+    # T below one step: the only step is the trailing fractional one
+    u0 = draw(3, 8, scale=0.5)
+    with pytest.raises(RuntimeError, match="t ="):
+        evolve(u0, 8, 0.005, IntegratorConfig(step=1e-2, max_drift=1e-18))
 
 
 def test_evolve_backward_returns():
@@ -264,3 +291,39 @@ def test_invariance_small_run_passes():
     assert rep["ess"] >= 100
     for name, r in rep["observables"].items():
         assert r["pass"], (name, r)
+
+
+def _reference_rk4(u, N, h):
+    k1 = rhs_hamiltonian(u, N)
+    k2 = rhs_hamiltonian(u + k1.scale(0.5 * h), N)
+    k3 = rhs_hamiltonian(u + k2.scale(0.5 * h), N)
+    k4 = rhs_hamiltonian(u + k3.scale(h), N)
+    incr = k1 + k2.scale(2.0) + k3.scale(2.0) + k4
+    return project(u + incr.scale(h / 6.0), N)
+
+
+def test_invariance_rows_match_reference_rk4():
+    # the parameters of test_invariance_small_run_passes; the observable
+    # records every field it sees, before and after, in sample order
+    seen = []
+    rep = invariance_experiment(2, DensityParams(kappa=1.2, band=2), 0.05,
+                                3000, 91, {"c": lambda u: seen.append(u) or 0.0})
+    assert len(seen) == 2 * rep["positive_weights"]
+    for before, after in zip(seen[::8], seen[1::8]):
+        u = before
+        for _ in range(10):      # t = 0.05 in steps of the default 0.005
+            u = _reference_rk4(u, 2, 0.005)
+        gap = np.max(np.abs(after.coeffs - u.coeffs))
+        assert gap <= 1e-13 * np.max(np.abs(u.coeffs))
+
+
+def test_invariance_drift_names_stream():
+    # at h = 0.005 this seed trips the 1e-5 mass-drift guard; the error
+    # names the stream, and that stream alone trips it at the same time
+    params = DensityParams(kappa=1.0, band=4)
+    with pytest.raises(RuntimeError, match=r"at t = 0\.04 in stream (\d+)$") as exc:
+        invariance_experiment(4, params, 0.05, 20000, 2046, {"m": mass})
+    stream = int(str(exc.value).split()[-1])
+    u0 = FourierCoeffs(4, phi_block(2046, stream, 1, 4)[0])
+    with pytest.raises(RuntimeError, match=r"at t = 0\.04$"):
+        evolve(u0, 4, 0.05, IntegratorConfig(step=0.005, max_drift=1e-5))

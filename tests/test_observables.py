@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gibbs_dnls.spectral import FourierCoeffs, QuadratureGrid, lp_norm
+from gibbs_dnls.spectral import FourierCoeffs, QuadratureGrid, lp_norm, multiply
 from gibbs_dnls.functionals import DensityParams, density_G, f_quartic, mass
 from gibbs_dnls.observables import (
     batch_X,
@@ -14,6 +14,7 @@ from gibbs_dnls.observables import (
     batch_h1_seminorm_sq,
     batch_l4_norm,
     batch_mass,
+    batch_multiply,
     batch_re_coeff,
     batch_square,
 )
@@ -33,6 +34,15 @@ def test_batch_square_matches_convolution():
     for j in (0, 7, 39):
         want = np.convolve(ROWS[j], ROWS[j])
         assert np.max(np.abs(sq[j] - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_batch_multiply_matches_spectral_multiply():
+    other = phi_block(607, 0, 40, 2)
+    prod = batch_multiply(ROWS, other)
+    assert prod.shape == (40, 2 * (BAND + 2) + 1)
+    for j in (0, 7, 39):
+        want = multiply(row_field(j), FourierCoeffs(2, other[j])).coeffs
+        assert np.max(np.abs(prod[j] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_batch_mass():

@@ -130,6 +130,38 @@ def test_from_jsonl_rejects_wrong_generator():
         Ensemble.from_jsonl(man, ens.to_jsonl())
 
 
+def _relabel(text, streams):
+    """The jsonl records of text with their stream fields replaced in order."""
+    recs = [json.loads(line) for line in text.strip().split("\n")]
+    for rec, s in zip(recs, streams):
+        rec["stream"] = s
+    return "\n".join(json.dumps(r) for r in recs) + "\n"
+
+
+def _ensemble_at_stream_5():
+    rows = phi_block(9, 5, 3, 2)
+    return Ensemble(2, rows, SeedSpec(9, 5))
+
+
+def test_from_jsonl_accepts_offset_streams():
+    ens = _ensemble_at_stream_5()
+    back = Ensemble.from_jsonl(ens.manifest(), _relabel(ens.to_jsonl(), [7, 5, 6]))
+    assert np.array_equal(back.coeff_matrix, ens.coeff_matrix[[1, 2, 0]])
+
+
+@pytest.mark.parametrize("streams, bad", [
+    ([5, 6, 6], 6),     # duplicate: stream 7 missing, its row left all zero
+    ([4, 6, 7], 4),     # below first_stream: would land in the last row
+    ([5, 6, 8], 8),     # at first_stream + count
+    ([5, 6, 40], 40),   # above
+])
+def test_from_jsonl_rejects_bad_stream(streams, bad):
+    ens = _ensemble_at_stream_5()
+    text = _relabel(ens.to_jsonl(), streams)
+    with pytest.raises(ValueError, match=f"stream {bad}\\b"):
+        Ensemble.from_jsonl(ens.manifest(), text)
+
+
 def test_weights_validation():
     ens = sample_ensemble(2, 4, 1)
     with pytest.raises(ValueError):
