@@ -20,6 +20,8 @@ import numpy as np
 
 from .observables import batch_f_quartic, batch_X
 from .sampling import (
+    _TABLE_INDEX_STREAM,
+    _TABLE_VALUE_STREAM,
     SeedSpec,
     _raw_uniforms,
     bootstrap_indices,
@@ -180,12 +182,6 @@ def chaos_ratio(k: int, d: int, coeffs: dict, p: float, sample_count: int,
     l2 = float(np.sqrt(np.mean(absS ** 2)))
     bound = float(np.sqrt(k + 1) * (p - 1.0) ** (k / 2.0))
     return lp / l2, bound
-
-
-# stream indices reserved for coefficient-table generation; the bootstrap
-# stream (2^64 - 1) lives in sampling
-_TABLE_INDEX_STREAM = 2 ** 64 - 2
-_TABLE_VALUE_STREAM = 2 ** 64 - 3
 
 
 def random_coeff_table(k: int, d: int, terms: int, seed: int) -> dict:

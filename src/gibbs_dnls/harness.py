@@ -141,6 +141,12 @@ def _int_at_least(lo):
     return check
 
 
+def _seed(v):
+    # a Philox key word: larger seeds would alias smaller ones mod 2^64
+    if not _is_int(v) or not 0 <= v < 2 ** 64:
+        return f"expected integer in 0 .. 2^64 - 1, got {v!r}"
+
+
 def _number(lo=None, hi=None, lo_strict=False):
     def check(v):
         if isinstance(v, bool) or not isinstance(v, (int, float)) \
@@ -203,19 +209,19 @@ _SCHEMAS = {
     "sample": {
         "N": (True, None, _int_at_least(0)),
         "count": (True, None, _int_at_least(1)),
-        "seed": (True, None, _int_at_least(0)),
+        "seed": (True, None, _seed),
     },
     "functionals": {
         "N": (True, None, _int_at_least(0)),
         "count": (True, None, _int_at_least(1)),
-        "seed": (True, None, _int_at_least(0)),
+        "seed": (True, None, _seed),
         "kappa": (False, 1.0, _number(lo=0, lo_strict=True)),
         "ramp": (False, "linear", _choice("linear", "cosine")),
     },
     "cauchy_rate": {
         "bands": (True, None, _int_list(2, 1, increasing=True)),
         "count": (True, None, _int_at_least(100)),
-        "seed": (True, None, _int_at_least(0)),
+        "seed": (True, None, _seed),
         "mode": (False, "f_full", _choice("f_full", "X_only")),
     },
     "chaos": {
@@ -223,17 +229,17 @@ _SCHEMAS = {
         "d": (True, None, _int_at_least(1)),
         "p": (True, None, _number(lo=2)),
         "count": (True, None, _int_at_least(1000)),
-        "seed": (True, None, _int_at_least(0)),
+        "seed": (True, None, _seed),
         "batches": (False, 10, _int_at_least(2)),
         "terms": (False, 8, _int_at_least(1)),
-        "coeffs_seed": (False, None, _int_at_least(0)),
+        "coeffs_seed": (False, None, _seed),
     },
     "tails": {
         "observable": (True, None, _choice("l4_norm", "grid_sup_dsq", "re_c0")),
         "N": (True, None, _int_at_least(0)),
         "lambdas": (True, None, _number_list(2, lo=0, increasing=True)),
         "count": (True, None, _int_at_least(1000)),
-        "seed": (True, None, _int_at_least(0)),
+        "seed": (True, None, _seed),
         "theta": (False, 2.0, _choice(0.5, 1, 1.0, 2, 2.0)),
         "condition_kappa": (False, None, _number(lo=0, lo_strict=True)),
         "r2_min": (False, 0.9, _number(lo=0, hi=1)),
@@ -250,7 +256,7 @@ _SCHEMAS = {
         "max_drift": (False, 1e-6, _number(lo=0, lo_strict=True)),
         "energy_tol": (False, 1e-6, _number(lo=0, lo_strict=True)),
         "u0": (False, None, _coeffs_dict),
-        "u0_seed": (False, None, _int_at_least(0)),
+        "u0_seed": (False, None, _seed),
         "u0_norm": (False, None, _number(lo=0, lo_strict=True)),
         "snapshot_every": (False, None, _int_at_least(1)),
     },
@@ -259,7 +265,7 @@ _SCHEMAS = {
         "kappa": (True, None, _number(lo=0, lo_strict=True)),
         "t": (True, None, _number()),
         "count": (True, None, _int_at_least(100)),
-        "seed": (True, None, _int_at_least(0)),
+        "seed": (True, None, _seed),
         "h": (False, 0.005, _number(lo=0, lo_strict=True)),
         "observables": (False, ["l4", "re_c1", "h1", "f_N"], None),
     },
@@ -268,7 +274,7 @@ _SCHEMAS = {
         "kappa": (True, None, _number(lo=0, lo_strict=True)),
         "bands": (True, None, _int_list(1, 1, increasing=True)),
         "count": (True, None, _int_at_least(100)),
-        "seed": (True, None, _int_at_least(0)),
+        "seed": (True, None, _seed),
         "eps_grid": (False, [0.001, 0.01, 0.1], _number_list(1, lo=0, increasing=True)),
     },
 }
@@ -344,6 +350,10 @@ def _cross_checks(name: str, p: dict, raw: dict) -> list:
     if name == "chaos" and all(k in p for k in ("count", "batches")):
         if p["count"] // p["batches"] < 100:
             out.append("count/batches below 100 samples per batch")
+    if name == "chaos" and all(k in p for k in ("seed", "batches")):
+        # batch j draws under master seed seed + 1 + j
+        if p["seed"] + p["batches"] >= 2 ** 64:
+            out.append("parameter 'seed': seed + batches must be below 2^64")
     return out
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "batch_quartic_integral",
     "batch_sextic_integral",
     "batch_l4_norm",
-    "batch_h1_seminorm",
     "batch_grid_sup_dsq",
     "batch_density_G",
     "batch_re_coeff",
@@ -124,10 +123,6 @@ def batch_h1_seminorm_sq(rows: np.ndarray) -> np.ndarray:
     band = (rows.shape[1] - 1) // 2
     n = np.arange(-band, band + 1, dtype=np.float64)
     return np.sum(n * n * (rows.real ** 2 + rows.imag ** 2), axis=1)
-
-
-# keep the more natural name too
-batch_h1_seminorm = batch_h1_seminorm_sq
 
 
 def batch_evaluate(rows: np.ndarray, x: np.ndarray) -> np.ndarray:

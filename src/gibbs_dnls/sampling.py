@@ -37,9 +37,29 @@ GENERATOR_NAME = "philox4x64-boxmuller-v1"
 
 _MASK64 = (1 << 64) - 1
 
-#: stream index reserved for auxiliary randomness (bootstrap resampling);
-#: ordinary sample streams count up from 0 and never reach it
+#: stream index reserved for auxiliary randomness (bootstrap resampling)
 RESERVED_STREAM = _MASK64
+#: stream indices reserved for chaos coefficient tables (indices, values)
+_TABLE_INDEX_STREAM = _MASK64 - 1
+_TABLE_VALUE_STREAM = _MASK64 - 2
+#: ordinary sample streams count up from 0 and stay below this one
+_FIRST_RESERVED_STREAM = _TABLE_VALUE_STREAM
+
+# Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
+# 3", SC'11): round multipliers, and the Weyl increments of the key
+_PHILOX_M0 = 0xD2E7470EE14C6C93
+_PHILOX_M1 = 0xCA5A826395121157
+_PHILOX_W0 = np.uint64(0x9E3779B97F4A7C15)
+_PHILOX_W1 = np.uint64(0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+
+# gaussian_block draws stream by stream below _BLOCK_MIN_ROWS rows, where
+# one numpy Philox per stream measured faster; otherwise it runs the
+# vectorized kernel on chunks of about _CHUNK_COUNTERS Philox counters
+# (496 rows at band 32), so the temporaries stay cache-sized
+_BLOCK_MIN_ROWS = 16
+_CHUNK_COUNTERS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -47,7 +67,8 @@ class SeedSpec:
     """Addresses one deterministic Gaussian stream.
 
     master_seed scopes the whole experiment; stream_index scopes one
-    sample within it.  Both are reduced mod 2^64 into the Philox key.
+    sample within it.  Together they are the 128-bit Philox key, so each
+    must lie in 0 .. 2^64 - 1; larger values would alias smaller ones.
     """
 
     master_seed: int
@@ -56,36 +77,96 @@ class SeedSpec:
     def __post_init__(self):
         if self.master_seed < 0 or self.stream_index < 0:
             raise ValueError("seed components must be non-negative")
+        if self.master_seed > _MASK64 or self.stream_index > _MASK64:
+            raise ValueError("seed components must be below 2^64")
+
+
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    """Uniforms on (0, 1], each from the 53 high bits of a Philox word."""
+    # shift to 53 bits, then +1 so 0 is excluded: safe inside log()
+    return ((raw >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0 ** -53
 
 
 def _raw_uniforms(spec: SeedSpec, count: int) -> np.ndarray:
-    """count uniforms on (0, 1], each from 53 high bits of a Philox word."""
+    """count uniforms from the stream spec, through numpy's own Philox."""
     # exact uint64 key; a plain list would round-trip through float64 and
     # mangle indices near 2^64
-    key = np.array(
-        [spec.master_seed & _MASK64, spec.stream_index & _MASK64],
-        dtype=np.uint64,
-    )
-    bg = np.random.Philox(key=key)
-    raw = bg.random_raw(count)
-    # shift to 53 bits, then +1 so 0 is excluded: safe inside log()
-    return ((raw >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0 ** -53
+    key = np.array([spec.master_seed, spec.stream_index], dtype=np.uint64)
+    return _uniforms(np.random.Philox(key=key).random_raw(count))
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple:
+    """Low and high 64-bit words of the 128-bit products m * x.
+
+    numpy has no 128-bit integers, so the high word is assembled from
+    products of 32-bit halves, none of which overflows 64 bits.
+    """
+    m_lo = np.uint64(m & 0xFFFFFFFF)
+    m_hi = np.uint64(m >> 32)
+    x_lo = x & _LO32
+    x_hi = x >> _S32
+    t = m_lo * x_hi
+    t += (m_lo * x_lo) >> _S32
+    x_lo *= m_hi
+    x_lo += t & _LO32
+    x_hi *= m_hi
+    t >>= _S32
+    x_hi += t
+    x_lo >>= _S32
+    x_hi += x_lo
+    return x * np.uint64(m), x_hi
+
+
+def _philox_words(master_seed: int, first_stream: int, rows: int,
+                  count: int) -> np.ndarray:
+    """rows x count Philox4x64-10 words, row i keyed (master_seed, first_stream + i).
+
+    Row i equals np.random.Philox(key=(master_seed, first_stream + i))
+    .random_raw(count) bit for bit: counters 1, 2, ... in word 0 of the
+    counter, four output words per counter, ten rounds with the key
+    bumped between them.  All keys and counters go through each round at
+    once; the 4-word state broadcasts from (1, 1) up to (rows, blocks) as
+    the rounds mix in the stream key.
+    """
+    blocks = -(-count // 4)
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
+    c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
+    k0 = np.full((1, 1), master_seed, dtype=np.uint64)
+    k1 = (np.uint64(first_stream) + np.arange(rows, dtype=np.uint64))[:, None]
+    for r in range(10):
+        if r:
+            k0 = k0 + _PHILOX_W0
+            k1 = k1 + _PHILOX_W1
+        lo0, hi0 = _mulhilo(_PHILOX_M0, c0)
+        lo1, hi1 = _mulhilo(_PHILOX_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    out = np.empty((rows, blocks, 4), dtype=np.uint64)
+    for j, c in enumerate((c0, c1, c2, c3)):
+        out[..., j] = c
+    return out.reshape(rows, 4 * blocks)[:, :count]
+
+
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Complex Gaussians from uniform pairs along the last axis of u.
+
+    Radius from the even entries, angle from the odd ones.  The two real
+    coordinates are independent N(0, 1/2), i.e. standard real normals
+    scaled by 1/sqrt(2).
+    """
+    r = np.sqrt(-np.log(u[..., 0::2]))
+    theta = 2.0 * np.pi * u[..., 1::2]
+    return r * (np.cos(theta) + 1j * np.sin(theta))
 
 
 def sample_gaussian(seed: SeedSpec, count: int) -> np.ndarray:
     """count iid complex Gaussians with E g = 0, E|g|^2 = 1.
 
     Box-Muller on two uniforms per draw: radius from u1, angle from u2.
-    The two real coordinates are independent N(0, 1/2), i.e. standard
-    real normals scaled by 1/sqrt(2).
     """
     count = int(count)
     if count < 1:
         raise ValueError("count must be positive")
-    u = _raw_uniforms(seed, 2 * count)
-    r = np.sqrt(-np.log(u[0::2]))
-    theta = 2.0 * np.pi * u[1::2]
-    return r * (np.cos(theta) + 1j * np.sin(theta))
+    return _box_muller(_raw_uniforms(seed, 2 * count))
 
 
 def sample_phi(N: int, seed: SeedSpec) -> FourierCoeffs:
@@ -100,10 +181,32 @@ def sample_phi(N: int, seed: SeedSpec) -> FourierCoeffs:
 
 def gaussian_block(master_seed: int, first_stream: int, rows: int,
                    count: int) -> np.ndarray:
-    """Matrix of draws, row i from stream first_stream + i."""
+    """Matrix of draws, row i from stream first_stream + i.
+
+    Bit for bit the rows of sample_gaussian on each stream, whichever
+    path draws them.  Sample streams must stay below the reserved ones.
+    """
+    rows = int(rows)
+    count = int(count)
+    if count < 1:
+        raise ValueError("count must be positive")
+    SeedSpec(master_seed, first_stream)     # both in 0 .. 2^64 - 1
+    if first_stream + rows > _FIRST_RESERVED_STREAM:
+        raise ValueError(
+            f"streams {first_stream}..{first_stream + rows - 1} reach the "
+            f"reserved streams from 2^64 - 3")
     out = np.empty((rows, count), dtype=np.complex128)
-    for i in range(rows):
-        out[i] = sample_gaussian(SeedSpec(master_seed, first_stream + i), count)
+    if rows < _BLOCK_MIN_ROWS:
+        for i in range(rows):
+            out[i] = sample_gaussian(SeedSpec(master_seed, first_stream + i),
+                                     count)
+        return out
+    # 2 * count words per row, four per Philox counter
+    step = max(1, _CHUNK_COUNTERS // -(-count // 2))
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        raw = _philox_words(master_seed, first_stream + lo, hi - lo, 2 * count)
+        out[lo:hi] = _box_muller(_uniforms(raw))
     return out
 
 
@@ -119,7 +222,7 @@ class Ensemble:
     """A seeded collection of field samples at one band.
 
     Stores the coefficients as one matrix row per sample for fast batch
-    work; the samples property materializes FourierCoeffs views.  weights,
+    work; sample(i) materializes one row as FourierCoeffs.  weights,
     when present, are non-negative importance weights aligned with the
     samples (absent means unweighted).  seed records the provenance:
     sample i came from stream seed.stream_index + i.
@@ -149,10 +252,6 @@ class Ensemble:
 
     def __len__(self) -> int:
         return self.count
-
-    @property
-    def samples(self) -> list:
-        return [FourierCoeffs(self.band, row) for row in self.coeff_matrix]
 
     def sample(self, i: int) -> FourierCoeffs:
         return FourierCoeffs(self.band, self.coeff_matrix[i])

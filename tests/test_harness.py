@@ -112,6 +112,34 @@ def test_parse_chaos_batch_floor():
                               seed=1, batches=20))
 
 
+_TOP = 2 ** 64 - 1      # largest seed a 64-bit Philox key word holds
+_CHAOS = dict(k=1, d=4, p=4, count=1000)
+_FLOW = dict(N=1, T=0.01, h=0.001, u0_norm=0.1)
+
+
+@pytest.mark.parametrize("experiment, params, field", [
+    ("sample", dict(N=2, count=5), "seed"),
+    ("chaos", dict(_CHAOS, seed=1), "coeffs_seed"),
+    ("flow", _FLOW, "u0_seed"),
+])
+def test_parse_rejects_seeds_that_alias(experiment, params, field):
+    # seed 2^64 would draw exactly seed 0's numbers
+    for bad in (_TOP + 1, 2 ** 70):
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg_text(experiment, **params, **{field: bad}))
+        assert any(v.startswith(f"parameter {field!r}") and "2^64" in v
+                   for v in err.value.violations)
+    c = parse_config(cfg_text(experiment, **params, **{field: _TOP}))
+    assert c.parameters[field] == _TOP
+
+
+def test_parse_chaos_batch_seeds_stay_below_2_64():
+    # batch j draws under master seed seed + 1 + j
+    with pytest.raises(ConfigError, match="seed \\+ batches"):
+        parse_config(cfg_text("chaos", **_CHAOS, seed=_TOP - 9, batches=10))
+    parse_config(cfg_text("chaos", **_CHAOS, seed=_TOP - 10, batches=10))
+
+
 # --- run determinism -------------------------------------------------------
 
 def test_run_twice_identical():

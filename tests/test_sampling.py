@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from gibbs_dnls import chaos, sampling
 from gibbs_dnls.sampling import (
     GENERATOR_NAME,
+    RESERVED_STREAM,
     Ensemble,
     SeedSpec,
     bootstrap_indices,
@@ -21,12 +23,37 @@ from gibbs_dnls.sampling import (
 # exact second moment of the band-4 field: sum over |n| <= 4 of <n>^{-2}
 SIGMA_4 = 231.0 / 85.0
 
+TOP = 2 ** 64 - 1
+#: the last stream a sample may use: 2^64 - 3 .. 2^64 - 1 are reserved
+LAST_SAMPLE_STREAM = TOP - 3
+#: fewest rows gaussian_block draws through the vectorized kernel
+MIN_ROWS = sampling._BLOCK_MIN_ROWS
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _assert_rows_match_streams(rows, master_seed, first_stream, band):
+    """Every row bit for bit the per-stream sample_phi of its stream."""
+    for j, row in enumerate(rows):
+        u = sample_phi(band, SeedSpec(master_seed, first_stream + j))
+        assert np.array_equal(_bits(row), _bits(u.coeffs)), (first_stream, j)
+
 
 def test_seed_spec_validation():
     with pytest.raises(ValueError):
         SeedSpec(-1, 0)
     with pytest.raises(ValueError):
         SeedSpec(0, -2)
+
+
+def test_seed_spec_rejects_components_that_alias():
+    # both components are 64-bit key words: 2^64 would alias 0
+    for bad in ((TOP + 1, 0), (0, TOP + 1), (2 ** 70, 3)):
+        with pytest.raises(ValueError, match="2\\^64"):
+            SeedSpec(*bad)
+    SeedSpec(TOP, TOP)
 
 
 def test_generator_name_is_pinned():
@@ -85,6 +112,68 @@ def test_gaussian_block_matches_per_stream():
     rows = gaussian_block(42, 2, 3, 10)
     for j in range(3):
         assert np.array_equal(rows[j], sample_gaussian(SeedSpec(42, 2 + j), 10))
+
+
+@pytest.mark.parametrize("master_seed, first_stream, rows, count", [
+    (0, 0, 1, 1),
+    (77, 5, 3, 7),              # count not a multiple of 4 words
+    (2 ** 63 + 5, 2 ** 40, 9, 130),
+    (TOP, 0, 4, 64),
+    (TOP, LAST_SAMPLE_STREAM - 4, 5, 18),
+    (12345, TOP - 2, 3, 9),     # keys up to 2^64 - 1
+])
+def test_philox_words_match_numpy_philox(master_seed, first_stream, rows, count):
+    words = sampling._philox_words(master_seed, first_stream, rows, count)
+    assert words.shape == (rows, count) and words.dtype == np.uint64
+    for j in range(rows):
+        key = np.array([master_seed, first_stream + j], dtype=np.uint64)
+        want = np.random.Philox(key=key).random_raw(count)
+        assert np.array_equal(words[j], want), j
+
+
+@pytest.mark.parametrize("rows", [MIN_ROWS - 1, MIN_ROWS, 3 * MIN_ROWS + 1])
+@pytest.mark.parametrize("band", [0, 4, 32, 256])
+def test_phi_block_both_paths_match_per_stream(rows, band):
+    _assert_rows_match_streams(phi_block(2718, 11, rows, band), 2718, 11, band)
+
+
+@pytest.mark.parametrize("master_seed, first_stream", [
+    (TOP, 0),
+    (2 ** 63 + 5, 2 ** 40),
+    (9, LAST_SAMPLE_STREAM - MIN_ROWS + 1),     # ends on the last sample stream
+])
+def test_phi_block_extreme_keys_match_per_stream(master_seed, first_stream):
+    rows = phi_block(master_seed, first_stream, MIN_ROWS, 4)
+    _assert_rows_match_streams(rows, master_seed, first_stream, 4)
+
+
+def test_phi_block_rows_not_a_multiple_of_the_chunk():
+    band = 32
+    step = sampling._CHUNK_COUNTERS // ((2 * (2 * band + 1) + 3) // 4)
+    count = 2 * step + 13
+    assert count % step != 0
+    _assert_rows_match_streams(phi_block(5, 3, count, band), 5, 3, band)
+
+
+@pytest.mark.parametrize("rows", [3, MIN_ROWS])
+def test_blocks_stop_before_the_reserved_streams(rows):
+    first = LAST_SAMPLE_STREAM - rows + 1
+    assert gaussian_block(1, first, rows, 2).shape == (rows, 2)
+    for fn in (gaussian_block, phi_block):
+        with pytest.raises(ValueError, match="reserved"):
+            fn(1, first + 1, rows, 2)
+        with pytest.raises(ValueError, match="reserved"):
+            fn(1, TOP, rows, 2)
+    with pytest.raises(ValueError, match="2\\^64"):
+        gaussian_block(TOP + 1, 0, rows, 2)
+
+
+def test_reserved_streams_defined_together():
+    assert RESERVED_STREAM == TOP
+    assert chaos._TABLE_INDEX_STREAM is sampling._TABLE_INDEX_STREAM
+    assert chaos._TABLE_VALUE_STREAM is sampling._TABLE_VALUE_STREAM
+    assert {RESERVED_STREAM, sampling._TABLE_INDEX_STREAM,
+            sampling._TABLE_VALUE_STREAM} == {TOP, TOP - 1, TOP - 2}
 
 
 def test_field_second_moments():
