@@ -40,6 +40,7 @@ __all__ = [
     "y3_sum",
     "cauchy_rate",
     "tail_survival",
+    "erfc_fit_r2",
     "kernel_tail_sum",
 ]
 
@@ -352,9 +353,12 @@ def cauchy_rate(bands, sample_count: int, seed: int, mode: str = "f_full",
     return RateFit(tuple(bands), tuple(values), slope, float(lo), float(hi))
 
 
+#: rows per phi_block call in tail_survival
+_TAIL_BLOCK = 8000
+
+
 def tail_survival(observable, N: int, lambdas, sample_count: int, seed: int,
-                  condition=None, theta: float = 2.0,
-                  block: int = 8000) -> TailFit:
+                  condition=None, theta: float = 2.0) -> TailFit:
     """Empirical survival of a field observable with a lambda^theta fit.
 
     observable and condition act on coefficient blocks (rows at band N)
@@ -370,8 +374,8 @@ def tail_survival(observable, N: int, lambdas, sample_count: int, seed: int,
     count = int(sample_count)
     exceed = np.zeros(len(lambdas), dtype=np.int64)
     kept = 0
-    for lo in range(0, count, block):
-        hi = min(lo + block, count)
+    for lo in range(0, count, _TAIL_BLOCK):
+        hi = min(lo + _TAIL_BLOCK, count)
         rows = phi_block(int(seed), lo, hi - lo, int(N))
         if condition is not None:
             rows = rows[condition(rows)]
@@ -408,6 +412,22 @@ def tail_survival(observable, N: int, lambdas, sample_count: int, seed: int,
         r_squared=r2,
         total=kept,
     )
+
+
+def erfc_fit_r2(fit: TailFit) -> float:
+    """r^2 of log survival against log erfc(lambda) over the fit window.
+
+    |Re c_0| at band 0 survives past lambda with probability exactly
+    erfc(lambda), so a sampler with the right tail gives r^2 near 1.
+    """
+    lam = np.asarray(fit.lambdas)
+    win = np.asarray(fit.counts) >= 50
+    y = np.log(np.asarray(fit.survival)[win])
+    x = np.log(np.array([math.erfc(v) for v in lam[win]]))
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    sstot = float(np.sum((y - np.mean(y)) ** 2))
+    return 1.0 - float(np.sum(resid ** 2)) / sstot if sstot > 0 else 0.0
 
 
 def kernel_tail_sum(n: int, N: int, eps: float = 0.25) -> tuple:

@@ -33,9 +33,14 @@ from .spectral import (
     multiply,
     project,
 )
-from .functionals import DensityParams, energy, gauge_F, mass
-from .observables import batch_density_G, batch_mass, batch_multiply
-from .sampling import bootstrap_indices, phi_block
+from .functionals import energy, gauge_F, mass
+from .observables import DensityParams, batch_density_G, batch_mass, batch_multiply
+from .sampling import (
+    _BOOTSTRAP_RESAMPLES,
+    _weighted_mean_se,
+    bootstrap_indices,
+    phi_block,
+)
 
 __all__ = [
     "FlowState",
@@ -67,21 +72,18 @@ class FlowState:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step explicit integrator settings.
+    """Fixed-step RK4 integrator settings.
 
     max_drift bounds the allowed |mass(t) - mass(0)|; the run aborts when
     the integrator error grows past it.
     """
 
     step: float
-    scheme: str = "rk4"
     max_drift: float = 1e-6
 
     def __post_init__(self):
         if not self.step > 0:
             raise ValueError("step must be positive")
-        if self.scheme != "rk4":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 def variational_derivatives(u: FourierCoeffs, v: FourierCoeffs) -> tuple:
@@ -377,15 +379,16 @@ def gauge_transform(traj: list) -> list:
 
 def invariance_experiment(N: int, params: DensityParams, t: float, count: int,
                           seed: int, observables: dict,
-                          step_size: float = 0.005,
-                          resamples: int = 200) -> dict:
+                          step_size: float = 0.005) -> dict:
     """Push a weighted ensemble through the flow and compare means.
 
     Draws count Gaussian field samples, weights them by the cutoff
     density, evolves the samples with positive weight to time t together
     (one coefficient matrix through one RK4 loop), and reports the
     self-normalized weighted mean of each observable before and after,
-    with a paired bootstrap standard error of the difference.
+    with a paired bootstrap standard error of the difference.  Each
+    observable maps a coefficient matrix to one value per row; it is
+    called once on the live rows before the flow and once after.
     Zero-weight samples never move (they contribute nothing to either
     mean).  Fails fast when the effective sample size (sum w)^2 / sum w^2
     is below 100: the cutoff is then too tight for this ensemble size.
@@ -406,25 +409,11 @@ def invariance_experiment(N: int, params: DensityParams, t: float, count: int,
 
     live = np.nonzero(w > 0)[0]
     config = IntegratorConfig(step=step_size, max_drift=1e-5)
-    moved = rows[live]
-    for _, moved in _trajectory(moved, N, t, config, streams=live):
+    moved = start = rows[live]
+    for _, moved in _trajectory(start, N, t, config, streams=live):
         pass
-    evolved = np.zeros_like(rows)
-    evolved[live] = moved
 
-    names = list(observables)
-    before = {k: np.zeros(count) for k in names}
-    after = {k: np.zeros(count) for k in names}
-    for i in live:
-        ub = FourierCoeffs(N, rows[i])
-        ua = FourierCoeffs(N, evolved[i])
-        for k in names:
-            before[k][i] = float(observables[k](ub))
-            after[k][i] = float(observables[k](ua))
-
-    idx = bootstrap_indices(int(seed), count, int(resamples))
-    wb = w[idx]
-    denom = wb.sum(axis=1)
+    idx = bootstrap_indices(int(seed), count, _BOOTSTRAP_RESAMPLES)
     report = {
         "band": N,
         "kappa": params.kappa,
@@ -434,14 +423,15 @@ def invariance_experiment(N: int, params: DensityParams, t: float, count: int,
         "positive_weights": int(len(live)),
         "observables": {},
     }
-    for k in names:
-        mb = float(np.sum(w * before[k]) / total)
-        ma = float(np.sum(w * after[k]) / total)
-        # paired resampling: same draw for both means, SE of the difference
-        good = denom > 0
-        db = np.sum(wb * before[k][idx], axis=1)[good] / denom[good]
-        da = np.sum(wb * after[k][idx], axis=1)[good] / denom[good]
-        se = float(np.std(da - db, ddof=1))
+    before = np.zeros(count)
+    after = np.zeros(count)
+    for k, observable in observables.items():
+        before[live] = observable(start)
+        after[live] = observable(moved)
+        mb = float(np.sum(w * before) / total)
+        ma = float(np.sum(w * after) / total)
+        # paired resampling: the SE of the difference, one draw for both
+        _, se = _weighted_mean_se(w, after - before, idx)
         delta = ma - mb
         report["observables"][k] = {
             "before": mb,

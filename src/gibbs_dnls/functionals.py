@@ -4,15 +4,21 @@ Everything here is a plain function of a truncated Fourier series.  The
 measure-side objects (the quartic functional f, the density G) and the
 flow-side objects (mass, momentum, energy, the gauge phase rate) live
 together because the tests constantly play them against each other.
+mass, density_G and the kinetic term of energy call the observables
+kernels on one row; DensityParams and chi are re-exported from there.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
+from .observables import (
+    DensityParams,
+    batch_density_G,
+    batch_h1_seminorm_sq,
+    batch_mass,
+    chi,
+)
 from .spectral import (
     FourierCoeffs,
     QuadratureGrid,
@@ -37,32 +43,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DensityParams:
-    """Cutoff radius, truncation band, and ramp shape of the density.
-
-    ramp selects the profile of the radial cutoff chi between the
-    plateau and the support edge: "linear" (default, exactly testable)
-    or "cosine" (C^1, for checking results do not depend on the ramp).
-    """
-
-    kappa: float
-    band: int
-    ramp: str = "linear"
-
-    def __post_init__(self):
-        if not self.kappa > 0:
-            raise ValueError("kappa must be positive")
-        if self.band < 0:
-            raise ValueError("band must be non-negative")
-        if self.ramp not in ("linear", "cosine"):
-            raise ValueError(f"unknown ramp {self.ramp!r}")
-
-
 def mass(u: FourierCoeffs) -> float:
     """L^2 norm by Parseval: sqrt(sum |c_n|^2)."""
-    c = u.coeffs
-    return float(np.sqrt(np.sum(c.real ** 2 + c.imag ** 2)))
+    return float(batch_mass(u.coeffs[None, :])[0])
 
 
 def momentum(u: FourierCoeffs, grid: QuadratureGrid) -> float:
@@ -112,50 +95,15 @@ def energy(u: FourierCoeffs, grid: QuadratureGrid) -> float:
     Kinetic term by Parseval, quartic term in spectral closed form at
     the field's own band, sextic term by grid mean (needs degree 6*band).
     """
-    n = u.modes().astype(np.float64)
-    kinetic = float(np.sum(n * n * (u.coeffs.real ** 2 + u.coeffs.imag ** 2)))
+    kinetic = float(batch_h1_seminorm_sq(u.coeffs[None, :])[0])
     sextic = lp_norm(u, 6, grid) ** 6
     return kinetic - 0.75 * f_quartic(u, u.band) + 0.5 * sextic
 
 
-def chi(x: float, params: DensityParams) -> float:
-    """Radial cutoff: 1 on [0, kappa/2], ramps to 0 at kappa, even in x."""
-    t = abs(float(x))
-    half = 0.5 * params.kappa
-    if t <= half:
-        return 1.0
-    if t >= params.kappa:
-        return 0.0
-    if params.ramp == "linear":
-        return (params.kappa - t) / half
-    # cosine ramp: same endpoints and midpoint, C^1 at both ends
-    return 0.5 * (1.0 + math.cos(math.pi * (t - half) / half))
-
-
-#: largest exponent density_G will feed to exp() before declaring a fault
-_EXP_CAP = 700.0
-
-
-def density_G(u: FourierCoeffs, params: DensityParams,
-              grid: QuadratureGrid) -> float:
-    """Cutoff Gibbs density chi(||u_N||_L2) exp((3/4) f_N(u) - 1/2 int |u_N|^6).
-
-    Returns 0 as soon as the cutoff vanishes, without touching the
-    exponential.  An exponent beyond 700 cannot happen inside the
-    kappa-ball at reasonable kappa; if it does, that is a usage fault
-    and is reported as OverflowError instead of returning inf.
-    """
+def density_G(u: FourierCoeffs, params: DensityParams) -> float:
+    """Cutoff Gibbs density of Pi_N u: batch_density_G on one row."""
     uN = project(u, params.band)
-    cut = chi(mass(uN), params)
-    if cut == 0.0:
-        return 0.0
-    exponent = 0.75 * f_quartic(u, params.band) - 0.5 * lp_norm(uN, 6, grid) ** 6
-    if exponent > _EXP_CAP:
-        raise OverflowError(
-            f"density exponent {exponent:.3g} exceeds {_EXP_CAP:g}; "
-            f"field inside the cutoff ball is implausibly large"
-        )
-    return cut * math.exp(exponent)
+    return float(batch_density_G(uN.coeffs[None, :], params)[0])
 
 
 def gauge_F(u: FourierCoeffs, grid: QuadratureGrid) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import FourierCoeffs, QuadratureGrid, lp_norm, project
+from .spectral import FourierCoeffs, QuadratureGrid
 from .functionals import (
     DensityParams,
     density_G,
@@ -40,14 +40,18 @@ from .sampling import (
 )
 from .observables import (
     batch_density_G,
+    batch_f_quartic,
     batch_grid_sup_dsq,
+    batch_h1_seminorm_sq,
     batch_l4_norm,
     batch_mass,
+    batch_quartic_integral,
     batch_re_coeff,
 )
 from .chaos import (
     cauchy_rate,
     chaos_ratio,
+    erfc_fit_r2,
     kernel_tail_sum,
     random_coeff_table,
     tail_survival,
@@ -204,6 +208,15 @@ def _coeffs_dict(v):
             return f"{key} must be a list of {want} finite numbers"
 
 
+#: invariance observables by config name, one value per coefficient row
+_INVARIANCE_OBSERVABLES = {
+    "l4": batch_quartic_integral,
+    "re_c1": lambda rows: batch_re_coeff(rows, 1),
+    "h1": batch_h1_seminorm_sq,
+    "f_N": batch_f_quartic,
+}
+_OBSERVABLE_NAMES = tuple(_INVARIANCE_OBSERVABLES)
+
 # each entry: name -> (required?, default, checker)
 _SCHEMAS = {
     "sample": {
@@ -267,7 +280,7 @@ _SCHEMAS = {
         "count": (True, None, _int_at_least(100)),
         "seed": (True, None, _seed),
         "h": (False, 0.005, _number(lo=0, lo_strict=True)),
-        "observables": (False, ["l4", "re_c1", "h1", "f_N"], None),
+        "observables": (False, list(_OBSERVABLE_NAMES), None),
     },
     "gn_lp": {
         "p": (True, None, _number(lo=1)),
@@ -278,8 +291,6 @@ _SCHEMAS = {
         "eps_grid": (False, [0.001, 0.01, 0.1], _number_list(1, lo=0, increasing=True)),
     },
 }
-
-_OBSERVABLE_NAMES = ("l4", "re_c1", "h1", "f_N")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -409,7 +420,7 @@ def _run_functionals(p: dict):
         pm = momentum(u, grid4)
         fq = f_quartic(u, N)
         en = energy(u, grid6)
-        gn = density_G(u, params, grid6)
+        gn = density_G(u, params)
         fu = gauge_F(u, grid4)
         oracle = f_quadrature_oracle(u, N, grid4)
         denom = max(abs(fq), abs(oracle))
@@ -498,14 +509,7 @@ def _run_tails(p: dict):
                  f"rate = {fit.rate:.4f} (must be positive)"),
     ]
     if name == "re_c0":
-        lam = np.asarray(fit.lambdas)
-        win = np.asarray(fit.counts) >= 50
-        y = np.log(np.asarray(fit.survival)[win])
-        x = np.log(np.array([math.erfc(v) for v in lam[win]]))
-        slope, intercept = np.polyfit(x, y, 1)
-        resid = y - (slope * x + intercept)
-        sstot = float(np.sum((y - np.mean(y)) ** 2))
-        r2 = 1.0 - float(np.sum(resid ** 2)) / sstot if sstot > 0 else 0.0
+        r2 = erfc_fit_r2(fit)
         payload["erfc_r2"] = r2
         verdicts.append(_verdict(
             "erfc_oracle_match", r2 >= 0.98,
@@ -526,12 +530,12 @@ def _run_kernel(p: dict):
     med = float(np.median(ratios))
     ok = mx <= 2.0 * med
     payload = {"eps": p["eps"], "max_ratio": mx, "median_ratio": med,
-               "spread": mx / med if med > 0 else float("inf")}
+               "spread": mx / med}
     tables = {"kernel.csv": _csv("n,N,sum,bound_ratio", rows)}
     verdicts = [_verdict(
         "ratio_spread", ok,
         f"max ratio {mx:.4f} vs 2 x median {2 * med:.4f} "
-        f"(spread {mx / med:.1f}x)" if med > 0 else "degenerate sweep")]
+        f"(spread {mx / med:.1f}x)")]
     return payload, tables, {}, verdicts
 
 
@@ -578,23 +582,10 @@ def _run_flow(p: dict):
     return payload, tables, files, verdicts
 
 
-def _invariance_observables(N: int, names) -> dict:
-    grid4 = QuadratureGrid.for_degree(4 * N)
-    table = {
-        "l4": lambda u: lp_norm(u, 4, grid4) ** 4,
-        "re_c1": lambda u: u.coeff(1).real,
-        "h1": lambda u: float(np.sum(
-            u.modes().astype(float) ** 2
-            * (u.coeffs.real ** 2 + u.coeffs.imag ** 2))),
-        "f_N": lambda u: f_quartic(u, N),
-    }
-    return {k: table[k] for k in names}
-
-
 def _run_invariance(p: dict):
     N = p["N"]
     params = DensityParams(kappa=p["kappa"], band=N)
-    obs = _invariance_observables(N, p["observables"])
+    obs = {k: _INVARIANCE_OBSERVABLES[k] for k in p["observables"]}
     report = invariance_experiment(N, params, p["t"], p["count"], p["seed"],
                                    obs, step_size=p["h"])
     rows = []
@@ -666,8 +657,9 @@ def _run_gn_lp(p: dict):
         triv_ok = triv_ok and ok
         triv_detail.append(f"N={N}: |{f:.4f}-{b:.4f}| vs 3s={3 * sigma:.4f}")
 
+    # JSON has no infinity: an unbounded variation is recorded as null
     payload = {"per_band": per_band, "p": pw, "kappa": kappa,
-               "top_half_variation": variation}
+               "top_half_variation": None if math.isinf(variation) else variation}
     tables = {
         "gn_lp.csv": _csv("N,moment,frac_positive,ball_mass", rows_main),
         "gn_diffs.csv": _csv(
@@ -727,7 +719,8 @@ def emit(record: RunRecord, out_dir: str) -> list:
     paths = []
     record_path = os.path.join(out_dir, "record.json")
     with open(record_path, "w", encoding="utf-8") as fh:
-        json.dump(record.to_json_dict(), fh, indent=2, sort_keys=True)
+        json.dump(record.to_json_dict(), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
     paths.append(record_path)
     for name in sorted(record.tables):

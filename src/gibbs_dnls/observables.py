@@ -1,20 +1,25 @@
-"""Vectorized observables over sample blocks.
+"""Vectorized observables over sample blocks: the package's array layer.
 
 Monte Carlo runs at 10^5..10^6 samples cannot afford one FourierCoeffs
-object per draw, so the hot paths work directly on coefficient matrices
-(one sample per row, columns ordered n = -band..band).  Every kernel
-here has an exact single-sample counterpart in spectral/functionals and
-is tested against it row by row.
+object per draw, so every observable here maps a coefficient matrix (one
+sample per row, columns n = -band..band) to one value per row.  This
+module imports nothing from the package; functionals calls its kernels
+on a batch of one row, except where f_quartic and spectral.lp_norm stay
+the references batch_f_quartic and batch_quartic_integral are tested
+against (the functionals golden pins their last bits).
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .functionals import DensityParams, chi
-
 __all__ = [
+    "DensityParams",
+    "chi",
     "batch_multiply",
     "batch_square",
     "batch_cube",
@@ -24,11 +29,54 @@ __all__ = [
     "batch_quartic_integral",
     "batch_sextic_integral",
     "batch_l4_norm",
+    "batch_h1_seminorm_sq",
     "batch_grid_sup_dsq",
     "batch_density_G",
     "batch_re_coeff",
     "batch_evaluate",
 ]
+
+
+@dataclass(frozen=True)
+class DensityParams:
+    """Cutoff radius, truncation band, and ramp shape of the density.
+
+    ramp selects the profile of the radial cutoff chi between the
+    plateau and the support edge: "linear" (default, exactly testable)
+    or "cosine" (C^1, for checking results do not depend on the ramp).
+    """
+
+    kappa: float
+    band: int
+    ramp: str = "linear"
+
+    def __post_init__(self):
+        if not self.kappa > 0:
+            raise ValueError("kappa must be positive")
+        if self.band < 0:
+            raise ValueError("band must be non-negative")
+        if self.ramp not in ("linear", "cosine"):
+            raise ValueError(f"unknown ramp {self.ramp!r}")
+
+
+def chi(x, params: DensityParams):
+    """Radial cutoff: 1 on [0, kappa/2], ramps to 0 at kappa, even in x.
+
+    Elementwise on arrays; a scalar x gives a float.
+    """
+    t = np.abs(np.asarray(x, dtype=np.float64))
+    half = 0.5 * params.kappa
+    if params.ramp == "linear":
+        ramp = (params.kappa - t) / half
+    else:
+        # cosine ramp: same endpoints and midpoint, C^1 at both ends
+        ramp = 0.5 * (1.0 + np.cos(math.pi * (t - half) / half))
+    out = np.where(t <= half, 1.0, np.where(t >= params.kappa, 0.0, ramp))
+    return out if out.ndim else float(out)
+
+
+#: largest exponent the density will feed to exp() before declaring a fault
+_EXP_CAP = 700.0
 
 
 def _fft_len(n: int) -> int:
@@ -150,25 +198,26 @@ def batch_grid_sup_dsq(rows: np.ndarray, oversample: int = 8) -> np.ndarray:
 
 
 def batch_density_G(rows: np.ndarray, params: DensityParams) -> np.ndarray:
-    """Cutoff Gibbs density per row; rows must live at params.band.
+    """Density chi(||u||_L2) exp((3/4) f_N(u) - 1/2 int |u|^6) per row.
 
-    Zero outside the cutoff ball without touching the exponential, same
-    guard as the scalar version: an exponent beyond 700 inside the ball
-    raises instead of overflowing.
+    Rows must live at params.band.  Zero outside the cutoff ball without
+    touching the exponential.  An exponent beyond _EXP_CAP cannot happen
+    inside the kappa-ball at reasonable kappa; if it does, that is a
+    usage fault and is reported as OverflowError instead of returning inf.
     """
     band = (rows.shape[1] - 1) // 2
     if band != params.band:
         raise ValueError(f"rows at band {band}, density wants {params.band}")
-    m = batch_mass(rows)
-    cut = np.array([chi(v, params) for v in m])
+    cut = chi(batch_mass(rows), params)
     out = np.zeros(rows.shape[0])
     inside = cut > 0.0
     if np.any(inside):
         sub = rows[inside]
         expo = 0.75 * batch_f_quartic(sub) - 0.5 * batch_sextic_integral(sub)
-        if np.max(expo) > 700.0:
+        if np.max(expo) > _EXP_CAP:
             raise OverflowError(
-                f"density exponent {np.max(expo):.3g} exceeds 700 inside the ball"
+                f"density exponent {np.max(expo):.3g} exceeds {_EXP_CAP:g} "
+                f"inside the cutoff ball; the field is implausibly large"
             )
         out[inside] = cut[inside] * np.exp(expo)
     return out

@@ -45,6 +45,9 @@ _TABLE_VALUE_STREAM = _MASK64 - 2
 #: ordinary sample streams count up from 0 and stay below this one
 _FIRST_RESERVED_STREAM = _TABLE_VALUE_STREAM
 
+#: resamples behind every weighted-mean standard error
+_BOOTSTRAP_RESAMPLES = 200
+
 # Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
 # 3", SC'11): round multipliers, and the Weyl increments of the key
 _PHILOX_M0 = 0xD2E7470EE14C6C93
@@ -341,30 +344,38 @@ def bootstrap_indices(master_seed: int, count: int, resamples: int) -> np.ndarra
     return idx.reshape(resamples, count)
 
 
+def _weighted_mean_se(w: np.ndarray, vals: np.ndarray,
+                      idx: np.ndarray) -> tuple:
+    """Self-normalized mean sum(w h) / sum(w) and its bootstrap SE.
+
+    Each row of idx is one resample of the sample indices; resamples
+    whose weights sum to zero are left out.
+    """
+    wh = w * vals
+    mean = float(np.sum(wh) / np.sum(w))
+    denom = w[idx].sum(axis=1)
+    good = denom > 0
+    reps = wh[idx].sum(axis=1)[good] / denom[good]
+    se = float(np.std(reps, ddof=1)) if len(reps) > 1 else 0.0
+    return mean, se
+
+
 def ensemble_stats(e: Ensemble, observable) -> tuple:
     """Mean of an observable over the ensemble, with its standard error.
 
+    observable maps the coefficient matrix to one value per sample.
     Unweighted: plain mean, SE = sample std / sqrt(count).  Weighted:
     self-normalized estimator sum(w h) / sum(w), SE by bootstrap over
     200 resamples drawn from the ensemble's reserved auxiliary stream.
     """
     if e.count == 0:
         raise ValueError("empty ensemble")
-    vals = np.array([float(observable(e.sample(i))) for i in range(e.count)])
+    vals = np.asarray(observable(e.coeff_matrix), dtype=np.float64)
     if e.weights is None:
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / np.sqrt(e.count)) if e.count > 1 else 0.0
         return mean, se
-    w = e.weights
-    total = np.sum(w)
-    if total == 0:
+    if np.sum(e.weights) == 0:
         raise ValueError("all importance weights are zero; ensemble is degenerate")
-    mean = float(np.sum(w * vals) / total)
-    idx = bootstrap_indices(e.seed.master_seed, e.count, 200)
-    wb = w[idx]
-    hb = vals[idx]
-    denom = wb.sum(axis=1)
-    good = denom > 0
-    reps = np.sum(wb * hb, axis=1)[good] / denom[good]
-    se = float(np.std(reps, ddof=1)) if len(reps) > 1 else 0.0
-    return mean, se
+    idx = bootstrap_indices(e.seed.master_seed, e.count, _BOOTSTRAP_RESAMPLES)
+    return _weighted_mean_se(e.weights, vals, idx)

@@ -45,6 +45,7 @@ from gibbs_dnls.observables import (
 from gibbs_dnls.chaos import (
     cauchy_rate,
     chaos_ratio,
+    erfc_fit_r2,
     f_decompose,
     kernel_tail_sum,
     random_coeff_table,
@@ -60,6 +61,7 @@ from gibbs_dnls.flow import (
     rhs_expanded,
     variational_derivatives,
 )
+from gibbs_dnls.harness import _INVARIANCE_OBSERVABLES
 
 
 def rel_gap(a, b):
@@ -241,13 +243,7 @@ def test_criterion_06_gaussian_tails(acceptance_report):
     control = tail_survival(lambda rows: np.abs(batch_re_coeff(rows, 0)), 0,
                             [0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5],
                             10 ** 6, 23, theta=2.0)
-    lam = np.asarray(control.lambdas)
-    win = np.asarray(control.counts) >= 50
-    y = np.log(np.asarray(control.survival)[win])
-    x = np.log(np.array([math.erfc(v) for v in lam[win]]))
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    r2 = 1.0 - float(np.sum(resid ** 2) / np.sum((y - np.mean(y)) ** 2))
+    r2 = erfc_fit_r2(control)
     ok = fit.r_squared >= 0.9 and fit.rate > 0 and r2 >= 0.98
     acceptance_report("06", ok,
                       f"quartic-norm tail at band 32, 1e6 samples: "
@@ -454,18 +450,8 @@ def test_criterion_10_conservation(acceptance_report, reference_trajectory):
 def test_criterion_11_invariance(acceptance_report):
     t0 = time.perf_counter()
     N = 4
-    grid4 = QuadratureGrid.for_degree(4 * N)
-    x4 = grid4.nodes
-    obs = {
-        "l4": lambda u: float(np.mean(np.abs(u.evaluate(x4)) ** 4)),
-        "re_c1": lambda u: u.coeff(1).real,
-        "h1": lambda u: float(np.sum(
-            u.modes().astype(float) ** 2
-            * (u.coeffs.real ** 2 + u.coeffs.imag ** 2))),
-        "f_N": lambda u: f_quartic(u, N),
-    }
     rep = invariance_experiment(N, DensityParams(kappa=1.0, band=N),
-                                0.5, 20000, 2024, obs)
+                                0.5, 20000, 2024, _INVARIANCE_OBSERVABLES)
     wall = time.perf_counter() - t0
     ok = rep["ess"] >= 100.0 and wall <= 600.0
     pieces = []

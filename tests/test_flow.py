@@ -25,8 +25,14 @@ from gibbs_dnls.flow import (
     step,
     variational_derivatives,
 )
-from gibbs_dnls.observables import batch_mass
-from gibbs_dnls.sampling import SeedSpec, phi_block, sample_phi
+from gibbs_dnls.observables import batch_mass, batch_quartic_integral
+from gibbs_dnls.sampling import (
+    SeedSpec,
+    ensemble_stats,
+    phi_block,
+    sample_ensemble,
+    sample_phi,
+)
 
 E1 = FourierCoeffs.from_pairs({1: 1.0})
 ZERO1 = FourierCoeffs.zero(1)
@@ -172,8 +178,6 @@ def test_rhs_expanded_single_mode_correction_vanishes():
 def test_integrator_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(step=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(step=1e-3, scheme="euler")
 
 
 def test_evolve_zero_time():
@@ -268,14 +272,14 @@ def test_gauge_empty_trajectory():
 
 def test_invariance_ess_error():
     params = DensityParams(kappa=1.0, band=4)
-    obs = {"m": lambda u: mass(u)}
+    obs = {"m": batch_mass}
     with pytest.raises(ValueError, match="effective sample size"):
         invariance_experiment(4, params, 0.1, 300, 77, obs)
 
 
 def test_invariance_zero_weights_error():
     params = DensityParams(kappa=1e-6, band=4)
-    obs = {"m": lambda u: mass(u)}
+    obs = {"m": batch_mass}
     with pytest.raises(ValueError):
         invariance_experiment(4, params, 0.1, 200, 78, obs)
 
@@ -284,13 +288,33 @@ def test_invariance_small_run_passes():
     # moderate cutoff at a small band: decent acceptance, quick flow
     params = DensityParams(kappa=1.2, band=2)
     obs = {
-        "l4": lambda u: float(np.sum(np.abs(np.convolve(u.coeffs, u.coeffs)) ** 2)),
-        "re_c1": lambda u: u.coeff(1).real,
+        "l4": batch_quartic_integral,
+        "re_c1": lambda rows: rows[:, 3].real,
     }
     rep = invariance_experiment(2, params, 0.05, 3000, 91, obs)
     assert rep["ess"] >= 100
     for name, r in rep["observables"].items():
         assert r["pass"], (name, r)
+
+
+def test_ensemble_observables_build_no_fourier_coeffs(monkeypatch):
+    built = []
+    init = FourierCoeffs.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FourierCoeffs, "__init__", counting_init)
+    invariance_experiment(2, DensityParams(kappa=1.2, band=2), 0.05, 3000, 91,
+                          {"m": batch_mass})
+    ens = sample_ensemble(2, 400, 8)
+    ensemble_stats(ens.with_weights(batch_mass(ens.coeff_matrix) < 2.0),
+                   batch_mass)
+    ensemble_stats(ens, batch_mass)
+    assert built == []
+    FourierCoeffs(0, np.zeros(1))
+    assert built == [1]          # the counter itself works
 
 
 def _reference_rk4(u, N, h):
@@ -304,16 +328,18 @@ def _reference_rk4(u, N, h):
 
 def test_invariance_rows_match_reference_rk4():
     # the parameters of test_invariance_small_run_passes; the observable
-    # records every field it sees, before and after, in sample order
+    # records the live rows it sees, before and after the flow
     seen = []
-    rep = invariance_experiment(2, DensityParams(kappa=1.2, band=2), 0.05,
-                                3000, 91, {"c": lambda u: seen.append(u) or 0.0})
-    assert len(seen) == 2 * rep["positive_weights"]
-    for before, after in zip(seen[::8], seen[1::8]):
-        u = before
+    rep = invariance_experiment(
+        2, DensityParams(kappa=1.2, band=2), 0.05, 3000, 91,
+        {"c": lambda rows: seen.append(rows.copy()) or np.zeros(len(rows))})
+    before, after = seen
+    assert before.shape == after.shape == (rep["positive_weights"], 5)
+    for b, a in zip(before[::4], after[::4]):
+        u = FourierCoeffs(2, b)
         for _ in range(10):      # t = 0.05 in steps of the default 0.005
             u = _reference_rk4(u, 2, 0.005)
-        gap = np.max(np.abs(after.coeffs - u.coeffs))
+        gap = np.max(np.abs(a - u.coeffs))
         assert gap <= 1e-13 * np.max(np.abs(u.coeffs))
 
 
@@ -322,7 +348,7 @@ def test_invariance_drift_names_stream():
     # names the stream, and that stream alone trips it at the same time
     params = DensityParams(kappa=1.0, band=4)
     with pytest.raises(RuntimeError, match=r"at t = 0\.04 in stream (\d+)$") as exc:
-        invariance_experiment(4, params, 0.05, 20000, 2046, {"m": mass})
+        invariance_experiment(4, params, 0.05, 20000, 2046, {"m": batch_mass})
     stream = int(str(exc.value).split()[-1])
     u0 = FourierCoeffs(4, phi_block(2046, stream, 1, 4)[0])
     with pytest.raises(RuntimeError, match=r"at t = 0\.04$"):

@@ -125,15 +125,15 @@ def test_density_value():
     p = DensityParams(kappa=1.0, band=1)
     u = E1.scale(0.1)
     want = np.exp(0.75 * f_quartic(u, 1) - 0.5 * 0.1 ** 6)
-    assert density_G(u, p, G6) == pytest.approx(want)
-    assert density_G(u, p, G6) == pytest.approx(1.000149511175682)
+    assert density_G(u, p) == pytest.approx(want)
+    assert density_G(u, p) == pytest.approx(1.000149511175682)
 
 
 def test_density_zero_without_exp():
     # mass far beyond the cutoff: the exponent would overflow if evaluated
     p = DensityParams(kappa=1.0, band=16)
     u = FourierCoeffs.from_pairs({15: 40.0, 16: 40.0})
-    assert density_G(u, p, QuadratureGrid.for_degree(96)) == 0.0
+    assert density_G(u, p) == 0.0
 
 
 def test_density_overflow_diagnostic():
@@ -142,7 +142,7 @@ def test_density_overflow_diagnostic():
     a = np.sqrt(9.6)
     u = FourierCoeffs.from_pairs({15: a, 16: a})
     with pytest.raises(OverflowError, match="exponent"):
-        density_G(u, p, QuadratureGrid.for_degree(96))
+        density_G(u, p)
 
 
 def test_gauge_F_closed_forms():

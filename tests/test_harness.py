@@ -202,6 +202,31 @@ def test_emit_idempotent(tmp_path):
     assert doc["config"]["parameters"]["seed"] == 3
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON token {name}")
+
+
+def test_emit_writes_strict_json_for_unbounded_variation(tmp_path):
+    # one band's moment estimate is 0 and another's is not, so the
+    # top-half variation is unbounded: recorded as null, verdict fails
+    rec = run(parse_config(cfg_text(
+        "gn_lp", p=2, kappa=0.9, bands=[1, 2, 16], count=100, seed=3)))
+    emit(rec, str(tmp_path))
+    with open(tmp_path / "record.json") as fh:
+        doc = json.load(fh, parse_constant=_reject_constant)
+    assert doc["payload"]["top_half_variation"] is None
+    verdict = {v["name"]: v for v in doc["verdicts"]}["uniform_boundedness"]
+    assert not verdict["passed"]
+    assert verdict["detail"] == "top-half variation factor inf (limit 2)"
+
+
+def test_emit_refuses_non_finite_values(tmp_path):
+    rec = run(parse_config(cfg_text("sample", N=2, count=5, seed=3)))
+    rec.payload["bad"] = float("nan")
+    with pytest.raises(ValueError):
+        emit(rec, str(tmp_path))
+
+
 # --- CLI -------------------------------------------------------------------
 
 def write_config(tmp_path, text, name="c.json"):

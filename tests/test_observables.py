@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from gibbs_dnls.spectral import FourierCoeffs, QuadratureGrid, lp_norm, multiply
-from gibbs_dnls.functionals import DensityParams, density_G, f_quartic, mass
+from gibbs_dnls.functionals import (
+    DensityParams,
+    chi,
+    f_quadrature_oracle,
+    f_quartic,
+)
 from gibbs_dnls.observables import (
     batch_X,
     batch_density_G,
@@ -47,7 +52,7 @@ def test_batch_multiply_matches_spectral_multiply():
 
 def test_batch_mass():
     got = batch_mass(ROWS)
-    want = [mass(row_field(j)) for j in range(40)]
+    want = np.linalg.norm(ROWS, axis=1)
     assert np.allclose(got, want, rtol=1e-13, atol=0)
 
 
@@ -101,10 +106,15 @@ def test_batch_grid_sup_dsq():
 
 
 def test_batch_density_matches_scalar():
+    # reference composition through the quadrature oracle and grid norms;
+    # it shares only the cutoff chi with batch_density_G
     params = DensityParams(kappa=2.0, band=BAND)
-    grid = QuadratureGrid.for_degree(6 * BAND)
+    grid4 = QuadratureGrid.for_degree(4 * BAND)
+    grid6 = QuadratureGrid.for_degree(6 * BAND)
     got = batch_density_G(ROWS, params)
-    want = [density_G(row_field(j), params, grid) for j in range(40)]
+    want = [chi(np.linalg.norm(ROWS[j]), params) * np.exp(
+        0.75 * f_quadrature_oracle(row_field(j), BAND, grid4)
+        - 0.5 * lp_norm(row_field(j), 6, grid6) ** 6) for j in range(40)]
     assert np.allclose(got, want, rtol=1e-11, atol=0)
     # some weight must be positive at this kappa, some zero
     assert np.any(got > 0) and np.any(got == 0)

@@ -262,7 +262,7 @@ def test_weights_validation():
 def test_ensemble_stats_unweighted():
     ens = sample_ensemble(2, 500, 7)
     vals = np.abs(ens.coeff_matrix[:, 2]) ** 2  # |c_0|^2 per sample
-    mean, se = ensemble_stats(ens, lambda u: abs(u.coeff(0)) ** 2)
+    mean, se = ensemble_stats(ens, lambda rows: np.abs(rows[:, 2]) ** 2)
     assert mean == pytest.approx(np.mean(vals))
     assert se == pytest.approx(np.std(vals, ddof=1) / np.sqrt(500))
 
@@ -272,18 +272,18 @@ def test_ensemble_stats_weighted():
     w = (np.abs(ens.coeff_matrix[:, 2]) < 1.0).astype(float)
     wens = ens.with_weights(w)
     vals = np.abs(ens.coeff_matrix[:, 3]) ** 2
-    mean, se = ensemble_stats(wens, lambda u: abs(u.coeff(1)) ** 2)
+    mean, se = ensemble_stats(wens, lambda rows: np.abs(rows[:, 3]) ** 2)
     assert mean == pytest.approx(np.sum(w * vals) / np.sum(w))
     assert se > 0
     # deterministic bootstrap
-    mean2, se2 = ensemble_stats(wens, lambda u: abs(u.coeff(1)) ** 2)
+    mean2, se2 = ensemble_stats(wens, lambda rows: np.abs(rows[:, 3]) ** 2)
     assert (mean, se) == (mean2, se2)
 
 
 def test_ensemble_stats_zero_weights_error():
     ens = sample_ensemble(2, 10, 9).with_weights(np.zeros(10))
     with pytest.raises(ValueError):
-        ensemble_stats(ens, lambda u: 1.0)
+        ensemble_stats(ens, lambda rows: np.ones(len(rows)))
 
 
 def test_bootstrap_indices():
