@@ -18,8 +18,6 @@ from .spectral import (
     multiply,
     pairing_bilinear,
     project,
-    sobolev_norm,
-    zero_mean,
 )
 from .sampling import (
     GENERATOR_NAME,
@@ -48,7 +46,6 @@ from .chaos import (
     cauchy_rate,
     chaos_ratio,
     f_decompose,
-    hermite_P,
     kernel_tail_sum,
     random_coeff_table,
     tail_survival,
@@ -88,8 +85,6 @@ __all__ = [
     "multiply",
     "pairing_bilinear",
     "project",
-    "sobolev_norm",
-    "zero_mean",
     "GENERATOR_NAME",
     "Ensemble",
     "SeedSpec",
@@ -112,7 +107,6 @@ __all__ = [
     "cauchy_rate",
     "chaos_ratio",
     "f_decompose",
-    "hermite_P",
     "kernel_tail_sum",
     "random_coeff_table",
     "tail_survival",

@@ -33,7 +33,6 @@ from .sampling import (
 __all__ = [
     "TailFit",
     "RateFit",
-    "hermite_P",
     "chaos_ratio",
     "random_coeff_table",
     "f_decompose",
@@ -121,28 +120,6 @@ class RateFit:
         for b, v in zip(self.bands, self.values):
             lines.append(f"{b},{v!r}")
         return "\n".join(lines) + "\n"
-
-
-def hermite_P(n: int, x):
-    """Physicists' Hermite polynomial by the two-term recurrence.
-
-    P_0 = 1, P_1 = 2x, P_{n+1} = 2x P_n - 2n P_{n-1}.  Guarded to
-    n <= 30: coefficients grow like 2^n n! and lose meaning in float64
-    well past that.
-    """
-    n = int(n)
-    if n < 0:
-        raise ValueError("order must be non-negative")
-    if n > 30:
-        raise ValueError("order above 30 not supported (coefficient overflow)")
-    x = np.asarray(x, dtype=np.float64)
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p = 2.0 * x
-    for m in range(1, n):
-        p, p_prev = 2.0 * x * p - 2.0 * m * p_prev, p
-    return p if p.ndim else float(p)
 
 
 def chaos_ratio(k: int, d: int, coeffs: dict, p: float, sample_count: int,
@@ -303,6 +280,17 @@ def y3_sum(N: int) -> complex:
 
 _RATE_MODES = ("f_full", "X_only")
 
+#: coefficients per phi_block call in the Monte Carlo loops (2 MB of rows),
+#: so the kernels' FFT temporaries stay in cache at every band
+_BLOCK_COEFFS = 1 << 17
+
+
+def _blocks(count: int, width: int):
+    """(lo, hi) row ranges covering count rows of `width` coefficients."""
+    step = max(1, _BLOCK_COEFFS // width)
+    for lo in range(0, count, step):
+        yield lo, min(lo + step, count)
+
 
 def cauchy_rate(bands, sample_count: int, seed: int, mode: str = "f_full",
                 resamples: int = 200) -> RateFit:
@@ -327,12 +315,10 @@ def cauchy_rate(bands, sample_count: int, seed: int, mode: str = "f_full",
 
     evaluate = batch_f_quartic if mode == "f_full" else batch_X
     sq_diffs = []
-    block = 1000
     for j, N in enumerate(bands):
         first = j * count  # disjoint stream range per band pair
         d2 = np.empty(count)
-        for lo in range(0, count, block):
-            hi = min(lo + block, count)
+        for lo, hi in _blocks(count, 4 * N + 1):
             rows = phi_block(int(seed), first + lo, hi - lo, 2 * N)
             inner = rows[:, N: 3 * N + 1]  # columns |n| <= N
             d = evaluate(rows) - evaluate(inner)
@@ -353,10 +339,6 @@ def cauchy_rate(bands, sample_count: int, seed: int, mode: str = "f_full",
     return RateFit(tuple(bands), tuple(values), slope, float(lo), float(hi))
 
 
-#: rows per phi_block call in tail_survival
-_TAIL_BLOCK = 8000
-
-
 def tail_survival(observable, N: int, lambdas, sample_count: int, seed: int,
                   condition=None, theta: float = 2.0) -> TailFit:
     """Empirical survival of a field observable with a lambda^theta fit.
@@ -374,8 +356,7 @@ def tail_survival(observable, N: int, lambdas, sample_count: int, seed: int,
     count = int(sample_count)
     exceed = np.zeros(len(lambdas), dtype=np.int64)
     kept = 0
-    for lo in range(0, count, _TAIL_BLOCK):
-        hi = min(lo + _TAIL_BLOCK, count)
+    for lo, hi in _blocks(count, 2 * int(N) + 1):
         rows = phi_block(int(seed), lo, hi - lo, int(N))
         if condition is not None:
             rows = rows[condition(rows)]

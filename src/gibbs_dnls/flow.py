@@ -193,16 +193,6 @@ def batch_rhs_hamiltonian(rows: np.ndarray, N: int) -> np.ndarray:
     return _project(mul(u, Dvw2 - Duw1), N) - 1j * w2
 
 
-def rhs_pair(u: FourierCoeffs, N: int) -> tuple:
-    """Both components of the projected Hamiltonian vector field."""
-    N = int(N)
-    uN = project(u, N)
-    vN = conjugate(uN)
-    du, dv = variational_derivatives(uN, vN)
-    z1, z2 = apply_K(uN, vN, project(du, N), project(dv, N))
-    return project(z1, N), project(z2, N)
-
-
 def _perp(w: FourierCoeffs, N: int) -> FourierCoeffs:
     """High-frequency part: w minus its band-N projection."""
     return w - project(w, N)

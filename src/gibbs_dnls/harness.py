@@ -713,25 +713,27 @@ def emit(record: RunRecord, out_dir: str) -> list:
     """Persist a record: record.json plus its side tables and files.
 
     Every file ends with a newline; writing the same record twice yields
-    identical bytes except for the wall_time field of record.json.
+    identical bytes except for the wall_time field of record.json.  All
+    files are serialised before any is written, and each is written to a
+    temporary name and renamed over its target, so a refused record
+    (non-finite values) or a failed write leaves earlier files whole.
     """
+    texts = [("record.json", json.dumps(record.to_json_dict(), indent=2,
+                                        sort_keys=True, allow_nan=False) + "\n")]
+    texts += [(name, record.tables[name]) for name in sorted(record.tables)]
+    texts += [(name, record.files[name]) for name in sorted(record.files)]
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    record_path = os.path.join(out_dir, "record.json")
-    with open(record_path, "w", encoding="utf-8") as fh:
-        json.dump(record.to_json_dict(), fh, indent=2, sort_keys=True,
-                  allow_nan=False)
-        fh.write("\n")
-    paths.append(record_path)
-    for name in sorted(record.tables):
+    for name, text in texts:
         path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(record.tables[name])
-        paths.append(path)
-    for name in sorted(record.files):
-        path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(record.files[name])
+        tmp = path + ".tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
         paths.append(path)
     return paths
 

@@ -15,7 +15,6 @@ __all__ = [
     "FourierCoeffs",
     "QuadratureGrid",
     "project",
-    "zero_mean",
     "derivative",
     "antiderivative",
     "multiply",
@@ -23,7 +22,6 @@ __all__ = [
     "inner_product_hermitian",
     "pairing_bilinear",
     "lp_norm",
-    "sobolev_norm",
 ]
 
 
@@ -207,10 +205,6 @@ class QuadratureGrid:
         """Dense grid for sup norms and non-even p: M = 8*band + 8."""
         return cls(cls.OVERSAMPLE * int(band) + cls.OVERSAMPLE)
 
-    def integrate_values(self, values) -> complex:
-        """Normalized integral of sampled values: the node mean."""
-        return complex(np.mean(np.asarray(values)))
-
     def __repr__(self):
         return f"QuadratureGrid(size={self.size})"
 
@@ -227,13 +221,6 @@ def project(u: FourierCoeffs, M: int) -> FourierCoeffs:
                          else u.coeffs[u.band - M:u.band + M + 1])
 
 
-def zero_mean(u: FourierCoeffs) -> FourierCoeffs:
-    """Remove the constant mode, keep everything else."""
-    c = u.coeffs.copy()
-    c[u.band] = 0.0
-    return FourierCoeffs(u.band, c)
-
-
 def derivative(u: FourierCoeffs) -> FourierCoeffs:
     """d/dx on the Fourier side: c_n -> i n c_n."""
     return FourierCoeffs(u.band, 1j * u.modes() * u.coeffs)
@@ -242,7 +229,7 @@ def derivative(u: FourierCoeffs) -> FourierCoeffs:
 def antiderivative(u: FourierCoeffs) -> FourierCoeffs:
     """Mean-zero antiderivative: c_n -> c_n / (i n) for n != 0, mean killed.
 
-    Satisfies antiderivative(derivative(u)) == zero_mean(u) exactly.
+    antiderivative(derivative(u)) is u with its constant mode set to 0.
     """
     n = u.modes()
     out = np.zeros_like(u.coeffs)
@@ -302,9 +289,3 @@ def lp_norm(u: FourierCoeffs, p, grid: QuadratureGrid) -> float:
             f"norm at band {u.band}; need more than {int(p) * u.band}"
         )
     return float(np.mean(vals ** p) ** (1.0 / p))
-
-
-def sobolev_norm(u: FourierCoeffs, sigma: float) -> float:
-    """H^sigma norm (sum <n>^{2 sigma} |c_n|^2)^{1/2}, <n> = sqrt(n^2 + 1)."""
-    w = (u.modes().astype(np.float64) ** 2 + 1.0) ** float(sigma)
-    return float(np.sqrt(np.sum(w * (u.coeffs.real ** 2 + u.coeffs.imag ** 2))))

@@ -11,43 +11,20 @@ from gibbs_dnls.chaos import (
     cauchy_rate,
     chaos_ratio,
     f_decompose,
-    hermite_P,
     kernel_tail_sum,
     random_coeff_table,
     tail_survival,
     y3_sum,
 )
-from gibbs_dnls.observables import batch_f_quartic, batch_mass, batch_re_coeff, batch_X
+from gibbs_dnls.observables import (
+    batch_f_quartic,
+    batch_l4_norm,
+    batch_mass,
+    batch_re_coeff,
+    batch_X,
+)
 from gibbs_dnls.sampling import SeedSpec, phi_block, sample_phi
 from gibbs_dnls.functionals import f_quartic
-
-
-# --- Hermite recurrence ----------------------------------------------------
-
-def test_hermite_low_orders():
-    assert hermite_P(0, 0.3) == 1.0
-    assert hermite_P(1, 0.3) == pytest.approx(0.6)
-    assert hermite_P(2, 1.0) == pytest.approx(2.0)      # 4x^2 - 2
-    assert hermite_P(3, 2.0) == pytest.approx(40.0)     # 8x^3 - 12x
-
-
-def test_hermite_array_and_guards():
-    x = np.linspace(-1, 1, 5)
-    assert hermite_P(2, x).shape == (5,)
-    with pytest.raises(ValueError):
-        hermite_P(-1, 0.0)
-    with pytest.raises(ValueError):
-        hermite_P(31, 0.0)
-
-
-def test_hermite_orthogonality_quadrature():
-    # 40-node Gauss-Hermite quadrature under weight e^{-x^2}
-    x, w = np.polynomial.hermite.hermgauss(40)
-    inner = np.sum(w * hermite_P(2, x) * hermite_P(3, x))
-    assert abs(inner) <= 1e-8
-    # squared norm of P_2 under the same weight: 2^2 2! sqrt(pi)
-    norm2 = np.sum(w * hermite_P(2, x) ** 2)
-    assert norm2 == pytest.approx(8.0 * np.sqrt(np.pi), rel=1e-10)
 
 
 # --- chaos moment ratios ---------------------------------------------------
@@ -221,6 +198,27 @@ def test_tail_survival_monotone_and_serialized():
     assert csv.endswith("\n")
     d = fit.to_json_dict()
     assert d["total"] == 20000
+
+
+def test_block_partition_does_not_change_results(monkeypatch):
+    import gibbs_dnls.chaos as chaos
+
+    lambdas = [0.6, 0.8, 1.0, 1.2]
+
+    def results():
+        return (
+            tail_survival(batch_l4_norm, 4, lambdas, 5000, 19),
+            tail_survival(batch_l4_norm, 4, lambdas, 5000, 19,
+                          condition=lambda rows: batch_mass(rows) < 1.5),
+            cauchy_rate([2, 4], 1000, 5, resamples=20),
+        )
+
+    one_block = results()
+    # 37 rows per block at width 9 and 19 at width 17: every loop above
+    # ends on a remainder block (5000 = 135*37 + 5, 1000 = 27*37 + 1 and
+    # 52*19 + 12)
+    monkeypatch.setattr(chaos, "_BLOCK_COEFFS", 9 * 37)
+    assert results() == one_block
 
 
 def test_tail_survival_errors():

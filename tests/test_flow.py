@@ -21,7 +21,6 @@ from gibbs_dnls.flow import (
     invariance_experiment,
     rhs_expanded,
     rhs_hamiltonian,
-    rhs_pair,
     step,
     variational_derivatives,
 )
@@ -152,8 +151,13 @@ def test_batch_rhs_rejects_other_band():
 
 
 def test_rhs_pair_conjugacy():
-    u = draw(33, 8, scale=0.7)
-    z1, z2 = rhs_pair(u, 8)
+    # both components of the projected vector field: z2 = conj(z1)
+    N = 8
+    uN = project(draw(33, N, scale=0.7), N)
+    vN = conjugate(uN)
+    du, dv = variational_derivatives(uN, vN)
+    z1, z2 = apply_K(uN, vN, project(du, N), project(dv, N))
+    z1, z2 = project(z1, N), project(z2, N)
     gap = np.max(np.abs(z2.coeffs - np.conj(z1.coeffs[::-1])))
     assert gap <= 1e-12
 

@@ -227,6 +227,30 @@ def test_emit_refuses_non_finite_values(tmp_path):
         emit(rec, str(tmp_path))
 
 
+def test_refused_emit_leaves_earlier_files(tmp_path):
+    rec = run(parse_config(cfg_text("sample", N=2, count=5, seed=3)))
+    paths = emit(rec, str(tmp_path))
+    before = {p: open(p, "rb").read() for p in paths}
+    rec.payload["bad"] = float("nan")
+    with pytest.raises(ValueError):
+        emit(rec, str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == sorted(map(os.path.basename, paths))
+    for p, blob in before.items():
+        assert open(p, "rb").read() == blob
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    rec = run(parse_config(cfg_text("sample", N=2, count=5, seed=3)))
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        emit(rec, str(tmp_path))
+    assert os.listdir(tmp_path) == []
+
+
 # --- CLI -------------------------------------------------------------------
 
 def write_config(tmp_path, text, name="c.json"):

@@ -1,5 +1,7 @@
 """Batch kernels must agree with the scalar functional implementations."""
 
+import bisect
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from gibbs_dnls.functionals import (
     f_quartic,
 )
 from gibbs_dnls.observables import (
+    _fft_len,
     batch_X,
+    batch_cube,
     batch_density_G,
     batch_evaluate,
     batch_f_quartic,
@@ -20,6 +24,7 @@ from gibbs_dnls.observables import (
     batch_l4_norm,
     batch_mass,
     batch_multiply,
+    batch_quartic_integral,
     batch_re_coeff,
     batch_square,
 )
@@ -39,6 +44,29 @@ def test_batch_square_matches_convolution():
     for j in (0, 7, 39):
         want = np.convolve(ROWS[j], ROWS[j])
         assert np.max(np.abs(sq[j] - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_fft_len_is_next_5_smooth():
+    smooth = sorted(2 ** a * 3 ** b * 5 ** c
+                    for a in range(14) for b in range(9) for c in range(6))
+    for n in range(1, 4097):
+        assert _fft_len(n) == smooth[bisect.bisect_left(smooth, n)], n
+
+
+@pytest.mark.parametrize("band", list(range(41)) + [64, 128])
+def test_fft_kernels_match_direct_convolution(band):
+    # band 6 squares and band 4 cubes have width 25 = L: no padding at all
+    rows = phi_block(608 + band, 0, 3, band)
+    sq = batch_square(rows)
+    cube = batch_cube(rows)
+    quartic = batch_quartic_integral(rows)
+    for j, r in enumerate(rows):
+        want2 = np.convolve(r, r)
+        want3 = np.convolve(want2, r)
+        assert np.max(np.abs(sq[j] - want2)) <= 1e-13 * np.max(np.abs(want2))
+        assert np.max(np.abs(cube[j] - want3)) <= 1e-13 * np.max(np.abs(want3))
+        want4 = np.sum(want2.real ** 2 + want2.imag ** 2)
+        assert abs(quartic[j] - want4) <= 1e-13 * want4
 
 
 def test_batch_multiply_matches_spectral_multiply():
