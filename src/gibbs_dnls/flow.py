@@ -37,8 +37,9 @@ from .functionals import energy, gauge_F, mass
 from .observables import DensityParams, batch_density_G, batch_mass, batch_multiply
 from .sampling import (
     _BOOTSTRAP_RESAMPLES,
+    _finite_values,
     _weighted_mean_se,
-    bootstrap_indices,
+    bootstrap_counts,
     phi_block,
 )
 
@@ -378,10 +379,13 @@ def invariance_experiment(N: int, params: DensityParams, t: float, count: int,
     self-normalized weighted mean of each observable before and after,
     with a paired bootstrap standard error of the difference.  Each
     observable maps a coefficient matrix to one value per row; it is
-    called once on the live rows before the flow and once after.
+    called once on the live rows before the flow and once after, and a
+    non-finite value on a live row raises ValueError naming it.
     Zero-weight samples never move (they contribute nothing to either
-    mean).  Fails fast when the effective sample size (sum w)^2 / sum w^2
-    is below 100: the cutoff is then too tight for this ensemble size.
+    mean), and the SE is reduced over the live samples' resample counts
+    (bootstrap_counts), not over an index matrix of every sample.  Fails
+    fast when the effective sample size (sum w)^2 / sum w^2 is below 100:
+    the cutoff is then too tight for this ensemble size.
     """
     N = int(N)
     count = int(count)
@@ -403,7 +407,7 @@ def invariance_experiment(N: int, params: DensityParams, t: float, count: int,
     for _, moved in _trajectory(start, N, t, config, streams=live):
         pass
 
-    idx = bootstrap_indices(int(seed), count, _BOOTSTRAP_RESAMPLES)
+    counts = bootstrap_counts(int(seed), count, _BOOTSTRAP_RESAMPLES, live)
     report = {
         "band": N,
         "kappa": params.kappa,
@@ -413,15 +417,18 @@ def invariance_experiment(N: int, params: DensityParams, t: float, count: int,
         "positive_weights": int(len(live)),
         "observables": {},
     }
+    # the means are pairwise sums over all count samples, dead ones as
+    # zeros, so their bits do not depend on which samples are live
+    w_live = w[live]
     before = np.zeros(count)
     after = np.zeros(count)
     for k, observable in observables.items():
-        before[live] = observable(start)
-        after[live] = observable(moved)
+        b = before[live] = _finite_values(k, observable(start), live)
+        a = after[live] = _finite_values(k, observable(moved), live)
         mb = float(np.sum(w * before) / total)
         ma = float(np.sum(w * after) / total)
         # paired resampling: the SE of the difference, one draw for both
-        _, se = _weighted_mean_se(w, after - before, idx)
+        _, se = _weighted_mean_se(w_live, a - b, counts)
         delta = ma - mb
         report["observables"][k] = {
             "before": mb,

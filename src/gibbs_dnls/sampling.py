@@ -12,7 +12,9 @@ regenerated in isolation and draw order never matters.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +32,8 @@ __all__ = [
     "gaussian_block",
     "phi_block",
     "bootstrap_indices",
+    "bootstrap_counts",
+    "ball_probability",
 ]
 
 #: identifies the exact bit pipeline; bump the suffix on any change
@@ -47,6 +51,9 @@ _FIRST_RESERVED_STREAM = _TABLE_VALUE_STREAM
 
 #: resamples behind every weighted-mean standard error
 _BOOTSTRAP_RESAMPLES = 200
+#: resamples drawn per chunk of the bootstrap stream, so the index
+#: temporaries stay a few MB however many samples are resampled
+_BOOTSTRAP_CHUNK = 16
 
 # Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
 # 3", SC'11): round multipliers, and the Weyl increments of the key
@@ -90,12 +97,17 @@ def _uniforms(raw: np.ndarray) -> np.ndarray:
     return ((raw >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0 ** -53
 
 
-def _raw_uniforms(spec: SeedSpec, count: int) -> np.ndarray:
-    """count uniforms from the stream spec, through numpy's own Philox."""
+def _philox(spec: SeedSpec) -> np.random.Philox:
+    """numpy's own Philox on the stream spec."""
     # exact uint64 key; a plain list would round-trip through float64 and
     # mangle indices near 2^64
     key = np.array([spec.master_seed, spec.stream_index], dtype=np.uint64)
-    return _uniforms(np.random.Philox(key=key).random_raw(count))
+    return np.random.Philox(key=key)
+
+
+def _raw_uniforms(spec: SeedSpec, count: int) -> np.ndarray:
+    """count uniforms from the stream spec, through numpy's own Philox."""
+    return _uniforms(_philox(spec).random_raw(count))
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple:
@@ -333,49 +345,175 @@ def sample_ensemble(N: int, count: int, master_seed: int) -> Ensemble:
     return Ensemble(int(N), rows, SeedSpec(int(master_seed), 0))
 
 
+def _bootstrap_chunks(master_seed: int, count: int, resamples: int):
+    """(first resample, index matrix) for consecutive chunks of resamples.
+
+    The one definition of the bootstrap: resample r, sample j is
+    min(floor(u * count), count - 1) for the next uniform u of the
+    reserved auxiliary stream, in row-major order, drawn _BOOTSTRAP_CHUNK
+    resamples at a time.
+    """
+    bits = _philox(SeedSpec(master_seed, RESERVED_STREAM))
+    # u * count with u = m 2^-53 from _uniforms, in one rounding: m 2^-53
+    # and count 2^-53 are exact, so m (count 2^-53) rounds to the same float
+    scale = count * 2.0 ** -53
+    for lo in range(0, resamples, _BOOTSTRAP_CHUNK):
+        rows = min(_BOOTSTRAP_CHUNK, resamples - lo)
+        m = bits.random_raw(rows * count)
+        m >>= np.uint64(11)
+        m += np.uint64(1)
+        x = m.astype(np.float64)
+        x *= scale
+        idx = x.astype(np.int64)
+        np.minimum(idx, count - 1, out=idx)
+        yield lo, idx.reshape(rows, count)
+
+
 def bootstrap_indices(master_seed: int, count: int, resamples: int) -> np.ndarray:
     """resamples x count index matrix from the reserved auxiliary stream.
 
     Deterministic given master_seed, independent of every sample stream.
     """
-    u = _raw_uniforms(SeedSpec(master_seed, RESERVED_STREAM),
-                      resamples * count)
-    idx = np.minimum((u * count).astype(np.int64), count - 1)
-    return idx.reshape(resamples, count)
+    out = np.empty((resamples, count), dtype=np.int64)
+    for lo, idx in _bootstrap_chunks(master_seed, count, resamples):
+        out[lo:lo + len(idx)] = idx
+    return out
+
+
+def bootstrap_counts(master_seed: int, count: int, resamples: int,
+                     live) -> np.ndarray:
+    """resamples x len(live) matrix: how often each live sample is drawn.
+
+    Entry (r, j) counts the occurrences of sample live[j] in row r of
+    bootstrap_indices(master_seed, count, resamples), from the same
+    words, without building that matrix.  live holds distinct sample
+    indices; samples outside it are counted in a spill bin and dropped.
+    """
+    live = np.asarray(live, dtype=np.int64)
+    spill = len(live)
+    rank = np.full(count, spill, dtype=np.int64)
+    rank[live] = np.arange(spill)
+    width = spill + 1
+    out = np.empty((resamples, spill), dtype=np.int64)
+    for lo, idx in _bootstrap_chunks(master_seed, count, resamples):
+        rows = len(idx)
+        # one bincount over the chunk: resample r's bins start at r * width
+        bins = rank[idx]
+        bins += np.arange(0, rows * width, width)[:, None]
+        tally = np.bincount(bins.ravel(), minlength=rows * width)
+        out[lo:lo + rows] = tally.reshape(rows, width)[:, :spill]
+    return out
 
 
 def _weighted_mean_se(w: np.ndarray, vals: np.ndarray,
-                      idx: np.ndarray) -> tuple:
+                      counts: np.ndarray) -> tuple:
     """Self-normalized mean sum(w h) / sum(w) and its bootstrap SE.
 
-    Each row of idx is one resample of the sample indices; resamples
-    whose weights sum to zero are left out.
+    w and vals are the weights and values of the live samples, and row r
+    of counts says how often resample r draws each of them (see
+    bootstrap_counts); resamples whose weights sum to zero are left out.
+    The resample sums are numpy pairwise sums, not BLAS products, so
+    their bits do not depend on the BLAS kernel.
     """
     wh = w * vals
     mean = float(np.sum(wh) / np.sum(w))
-    denom = w[idx].sum(axis=1)
+    denom = (counts * w).sum(axis=1)
     good = denom > 0
-    reps = wh[idx].sum(axis=1)[good] / denom[good]
+    reps = (counts * wh).sum(axis=1)[good] / denom[good]
     se = float(np.std(reps, ddof=1)) if len(reps) > 1 else 0.0
     return mean, se
+
+
+def _finite_values(name, vals, streams) -> np.ndarray:
+    """vals as float64; ValueError naming the observable if one is not finite.
+
+    streams[i] is the stream that value i was computed from.
+    """
+    vals = np.asarray(vals, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if len(bad):
+        raise ValueError(f"observable {name!r} is {vals[bad[0]]} on the "
+                         f"sample of stream {streams[bad[0]]}")
+    return vals
 
 
 def ensemble_stats(e: Ensemble, observable) -> tuple:
     """Mean of an observable over the ensemble, with its standard error.
 
-    observable maps the coefficient matrix to one value per sample.
-    Unweighted: plain mean, SE = sample std / sqrt(count).  Weighted:
-    self-normalized estimator sum(w h) / sum(w), SE by bootstrap over
-    200 resamples drawn from the ensemble's reserved auxiliary stream.
+    observable maps the coefficient matrix to one value per sample; a
+    non-finite value on any sample raises ValueError.  Unweighted: plain
+    mean, SE = sample std / sqrt(count).  Weighted: self-normalized
+    estimator sum(w h) / sum(w) over the samples of nonzero weight, SE by
+    bootstrap over 200 resamples drawn from the ensemble's reserved
+    auxiliary stream, reduced over those samples' resample counts.
     """
     if e.count == 0:
         raise ValueError("empty ensemble")
-    vals = np.asarray(observable(e.coeff_matrix), dtype=np.float64)
+    first = e.seed.stream_index
+    vals = _finite_values(getattr(observable, "__name__", repr(observable)),
+                          observable(e.coeff_matrix),
+                          range(first, first + e.count))
     if e.weights is None:
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / np.sqrt(e.count)) if e.count > 1 else 0.0
         return mean, se
-    if np.sum(e.weights) == 0:
+    live = np.flatnonzero(e.weights)
+    if len(live) == 0:
         raise ValueError("all importance weights are zero; ensemble is degenerate")
-    idx = bootstrap_indices(e.seed.master_seed, e.count, _BOOTSTRAP_RESAMPLES)
-    return _weighted_mean_se(e.weights, vals, idx)
+    counts = bootstrap_counts(e.seed.master_seed, e.count,
+                              _BOOTSTRAP_RESAMPLES, live)
+    return _weighted_mean_se(e.weights[live], vals[live], counts)
+
+
+def ball_probability(N: int, radius: float) -> float:
+    """Exact P(||phi_N|| <= radius) under the Gaussian field, stdlib only.
+
+    ||phi_N||^2 = sum_n E_n / lambda_n with E_n iid Exp(1) and
+    lambda_n = n^2 + 1, |n| <= N: a hypoexponential variable whose CDF
+    is the entire series
+
+        prod(lambda) sum_k (-1)^k h_k(lambda) x^(d+k) / (d+k)!,
+
+    x = radius^2, d = 2N + 1, h_k the complete homogeneous symmetric
+    polynomial of degree k.  It is summed in exact integer arithmetic
+    (the terms cancel heavily) until the tail is below 2^-60 of the
+    partial sum, and rounded once to float.  The number of terms grows
+    with radius^2 * max(lambda), so this is an oracle for small balls.
+    """
+    N = int(N)
+    if N < 0:
+        raise ValueError("band must be non-negative")
+    if not 0 <= radius < math.inf:
+        raise ValueError("radius must be finite and non-negative")
+    lams = [n * n + 1 for n in range(-N, N + 1)]
+    d = len(lams)
+    p, q = float(radius).as_integer_ratio()
+    p, q = p * p, q * q                         # x = p / q exactly
+    if p == 0:
+        return 0.0
+    # sum_k h_k t^k = 1 / prod(1 - lambda t) = 1 / sum_i c_i t^i, so
+    # h_k = -sum_{i >= 1} c_i h_{k-i}
+    c = [1]
+    for lam in lams:
+        c = [a - lam * b for a, b in zip(c + [0], [0] + c)]
+    h = [1]
+    # the partial sum is num / den with den = q^(d+k) (d+k)!; the term
+    # h_k x^(d+k) / (d+k)! is h_k p^(d+k) / den
+    power = p ** d
+    den = q ** d * math.factorial(d)
+    num = power
+    for k in itertools.count(1):
+        h.append(-sum(c[i] * h[k - i] for i in range(1, min(k, d) + 1)))
+        grow = q * (d + k)
+        power *= p
+        den *= grow
+        num *= grow
+        term = h[k] * power
+        num += -term if k % 2 else term
+        # h_k is log-concave (a convolution of geometric sequences), so
+        # the term ratio rho = h_k p / (h_{k-1} q (d+k)) never increases:
+        # once rho = a / b < 1 the tail is at most |term| rho / (1 - rho)
+        a, b = h[k] * p, h[k - 1] * grow
+        if a < b and (term * a) << 60 <= (b - a) * abs(num):
+            break
+    return math.prod(lams) * num / den

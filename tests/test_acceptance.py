@@ -34,7 +34,7 @@ from gibbs_dnls.functionals import (
     hamiltonian_H2,
     mass,
 )
-from gibbs_dnls.sampling import SeedSpec, phi_block, sample_phi
+from gibbs_dnls.sampling import SeedSpec, ball_probability, phi_block, sample_phi
 from gibbs_dnls.observables import (
     batch_density_G,
     batch_grid_sup_dsq,
@@ -258,17 +258,18 @@ def test_criterion_06_gaussian_tails(acceptance_report):
 # -- 7: conditional derivative tail --------------------------------------------
 
 @pytest.mark.xfail(strict=True, reason=(
-    "the conditioning event mass <= 0.4 at band 16 has probability around "
-    "1e-9 under the field (its squared mass concentrates near 3.04), so "
-    "one million samples contain no qualifying draw and the stated "
-    "protocol cannot produce a fit"))
+    "the conditioning event mass <= 0.4 at band 16 has probability "
+    "7.42e-15 under the field (exact, ball_probability; its squared mass "
+    "concentrates near 3.04), so one million samples contain no "
+    "qualifying draw and the stated protocol cannot produce a fit"))
 def test_criterion_07_conditional_tail(acceptance_report):
     acceptance_report("07", False,
                       "conditional derivative tail at band 16 with cutoff "
                       "0.4: 0 of 1e6 samples satisfy the condition (ball "
-                      "probability ~1e-9, squared mass concentrates near "
-                      "3.04); protocol unrealizable at this sample size; "
-                      "machinery validated at cutoff 2.0 instead")
+                      f"probability {ball_probability(16, 0.4):.2e} exact, "
+                      "squared mass concentrates near 3.04); protocol "
+                      "unrealizable at this sample size; machinery "
+                      "validated at cutoff 2.0 instead")
     try:
         fit = tail_survival(
             batch_grid_sup_dsq, 16, [1.0, 2.0, 4.0, 8.0], 10 ** 6, 71,

@@ -24,7 +24,11 @@ from gibbs_dnls.flow import (
     step,
     variational_derivatives,
 )
-from gibbs_dnls.observables import batch_mass, batch_quartic_integral
+from gibbs_dnls.observables import (
+    batch_density_G,
+    batch_mass,
+    batch_quartic_integral,
+)
 from gibbs_dnls.sampling import (
     SeedSpec,
     ensemble_stats,
@@ -299,6 +303,26 @@ def test_invariance_small_run_passes():
     assert rep["ess"] >= 100
     for name, r in rep["observables"].items():
         assert r["pass"], (name, r)
+
+
+def test_invariance_rejects_non_finite_values():
+    # the observable turns NaN on one live row after the flow only
+    calls = []
+
+    def after_flow_nan(rows):
+        v = rows[:, 2].real.copy()
+        if calls:
+            v[3] = np.nan
+        calls.append(len(rows))
+        return v
+
+    params = DensityParams(kappa=1.2, band=2)
+    live = np.flatnonzero(batch_density_G(phi_block(91, 0, 3000, 2), params))
+    with pytest.raises(ValueError, match=rf"observable 'l' is nan on the "
+                                         rf"sample of stream {live[3]}$"):
+        invariance_experiment(2, params, 0.05, 3000, 91,
+                              {"m": batch_mass, "l": after_flow_nan})
+    assert len(calls) == 2
 
 
 def test_ensemble_observables_build_no_fourier_coeffs(monkeypatch):

@@ -11,6 +11,8 @@ from gibbs_dnls.sampling import (
     RESERVED_STREAM,
     Ensemble,
     SeedSpec,
+    ball_probability,
+    bootstrap_counts,
     bootstrap_indices,
     ensemble_stats,
     gaussian_block,
@@ -291,6 +293,123 @@ def test_bootstrap_indices():
     assert idx.shape == (20, 300)
     assert idx.min() >= 0 and idx.max() <= 299
     assert np.array_equal(idx, bootstrap_indices(55, 300, 20))
+
+
+def test_bootstrap_indices_match_uniform_formula():
+    # floor(u * count) of the reserved stream's uniforms, in one draw
+    for count, resamples in ((300, 20), (1, 5), (20000, 3)):
+        u = sampling._raw_uniforms(SeedSpec(55, RESERVED_STREAM),
+                                   resamples * count)
+        ref = np.minimum((u * count).astype(np.int64), count - 1)
+        assert np.array_equal(bootstrap_indices(55, count, resamples),
+                              ref.reshape(resamples, count))
+
+
+_LIVE_SETS = {
+    "none": [],
+    "one": [7],
+    "sparse": [0, 3, 4, 41, 98, 250, 299],
+    "all": list(range(300)),
+}
+
+
+@pytest.mark.parametrize("resamples", [20, 37])
+@pytest.mark.parametrize("live", _LIVE_SETS.values(), ids=_LIVE_SETS.keys())
+def test_bootstrap_counts_match_indices(live, resamples):
+    idx = bootstrap_indices(55, 300, resamples)
+    ref = np.array([np.bincount(row, minlength=300)[live] for row in idx],
+                   dtype=np.int64).reshape(resamples, len(live))
+    counts = bootstrap_counts(55, 300, resamples, live)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, ref)
+
+
+def test_bootstrap_chunking_does_not_change_results(monkeypatch):
+    live = _LIVE_SETS["sparse"]
+
+    def results():
+        return (bootstrap_indices(55, 300, 37),
+                bootstrap_counts(55, 300, 37, live),
+                bootstrap_counts(55, 300, 20, live))
+
+    default = results()
+    # 37 and 20 resamples end on a remainder chunk at the default size
+    assert 37 % sampling._BOOTSTRAP_CHUNK and 20 % sampling._BOOTSTRAP_CHUNK
+    monkeypatch.setattr(sampling, "_BOOTSTRAP_CHUNK", 1)
+    for a, b in zip(results(), default):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("live_count", [2, 60])
+def test_weighted_mean_se_matches_gather(live_count):
+    count, resamples = 80, 200
+    rng = np.random.default_rng(live_count)
+    live = np.sort(rng.choice(count, live_count, replace=False))
+    w = np.zeros(count)
+    w[live] = rng.random(live_count) + 0.1
+    vals = rng.normal(size=count)
+    idx = bootstrap_indices(9, count, resamples)
+    # the gather formula over every sample
+    wh = w * vals
+    denom = w[idx].sum(axis=1)
+    good = denom > 0
+    if live_count == 2:          # some resamples miss both live samples
+        assert 0 < np.sum(~good) < resamples
+    reps = wh[idx].sum(axis=1)[good] / denom[good]
+    ref_mean = np.sum(wh) / np.sum(w)
+    ref_se = np.std(reps, ddof=1)
+
+    counts = bootstrap_counts(9, count, resamples, live)
+    mean, se = sampling._weighted_mean_se(w[live], vals[live], counts)
+    assert mean == pytest.approx(ref_mean, rel=1e-13)
+    assert se == pytest.approx(ref_se, rel=1e-13)
+
+
+def test_ensemble_stats_rejects_non_finite_values():
+    ens = sample_ensemble(2, 40, 8)
+
+    def spiky(rows):
+        v = np.abs(rows[:, 2]) ** 2
+        v[5] = np.nan
+        return v
+
+    with pytest.raises(ValueError, match=r"observable 'spiky' is nan .* stream 5$"):
+        ensemble_stats(ens, spiky)
+    w = np.zeros(40)
+    w[[1, 5, 9]] = 1.0
+    with pytest.raises(ValueError, match="'spiky'"):
+        ensemble_stats(ens.with_weights(w), spiky)
+
+
+def test_ball_probability_band_0():
+    # ||phi_0||^2 = |g_0|^2 is Exp(1)
+    for r in (0.25, 0.5, 1.0, 2.0, 3.0):
+        assert ball_probability(0, r) == pytest.approx(-np.expm1(-r * r),
+                                                       rel=1e-14)
+    assert ball_probability(0, 0.0) == 0.0
+
+
+def test_ball_probability_band_1():
+    # Exp(1) + Gamma(2, rate 2): P = 1 - 4 e^-x + (3 + 2x) e^-2x, x = r^2
+    for r in (0.5, 1.0, 2.0):
+        x = r * r
+        exact = 1 - 4 * np.exp(-x) + (3 + 2 * x) * np.exp(-2 * x)
+        assert ball_probability(1, r) == pytest.approx(exact, rel=1e-12)
+
+
+def test_ball_probability_band_16():
+    # A07's conditioning event; a numerical inverse Laplace transform of
+    # prod lambda / (s prod (lambda + s)) at 60 digits gives 7.42207284608266e-15
+    assert ball_probability(16, 0.4) == pytest.approx(7.42207284608266e-15,
+                                                      rel=1e-12)
+
+
+def test_ball_probability_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        ball_probability(-1, 0.4)
+    for r in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ball_probability(2, r)
 
 
 def test_jsonl_weight_field():
