@@ -19,12 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .observables import batch_f_quartic, batch_X
+from .spectral import _project
 from .sampling import (
+    _BOOTSTRAP_RESAMPLES,
     _TABLE_INDEX_STREAM,
     _TABLE_VALUE_STREAM,
     SeedSpec,
     _raw_uniforms,
-    bootstrap_indices,
+    bootstrap_counts,
     phi_block,
     sample_gaussian,
     sample_phi,
@@ -292,15 +294,17 @@ def _blocks(count: int, width: int):
         yield lo, min(lo + step, count)
 
 
-def cauchy_rate(bands, sample_count: int, seed: int, mode: str = "f_full",
-                resamples: int = 200) -> RateFit:
+def cauchy_rate(bands, sample_count: int, seed: int,
+                mode: str = "f_full") -> RateFit:
     """Coupled-draw L^2(d mu) distance between truncations at N and 2N.
 
     For each N the same Gaussian draw at band 2N is evaluated at both
-    truncations (restriction = column slice), the root mean square of the
+    truncations (restriction Pi_N), the root mean square of the
     difference estimates the norm, and the log-log slope over the bands
-    is fitted with a bootstrap confidence interval.  mode selects the
-    full functional or only its diagonal X part.
+    is fitted with a bootstrap confidence interval: each of the
+    _BOOTSTRAP_RESAMPLES resamples of the sample indices, shared by all
+    bands, gives one slope.  mode selects the full functional or only
+    its diagonal X part.
     """
     bands = [int(b) for b in bands]
     if len(bands) < 2:
@@ -320,8 +324,7 @@ def cauchy_rate(bands, sample_count: int, seed: int, mode: str = "f_full",
         d2 = np.empty(count)
         for lo, hi in _blocks(count, 4 * N + 1):
             rows = phi_block(int(seed), first + lo, hi - lo, 2 * N)
-            inner = rows[:, N: 3 * N + 1]  # columns |n| <= N
-            d = evaluate(rows) - evaluate(inner)
+            d = evaluate(rows) - evaluate(_project(rows, N))
             d2[lo:hi] = d * d
         sq_diffs.append(d2)
 
@@ -329,11 +332,11 @@ def cauchy_rate(bands, sample_count: int, seed: int, mode: str = "f_full",
     logb = np.log(np.asarray(bands, dtype=np.float64))
     slope = float(np.polyfit(logb, np.log(values), 1)[0])
 
-    idx = bootstrap_indices(int(seed), count, int(resamples))
-    slopes = np.empty(idx.shape[0])
-    for r in range(idx.shape[0]):
-        vals_r = [np.sqrt(np.mean(d2[idx[r]])) for d2 in sq_diffs]
-        slopes[r] = np.polyfit(logb, np.log(vals_r), 1)[0]
+    counts = bootstrap_counts(int(seed), count, _BOOTSTRAP_RESAMPLES,
+                              np.arange(count))
+    # one column per resample: polyfit fits every column at once
+    rms = np.sqrt([(counts * d2).sum(axis=1) / count for d2 in sq_diffs])
+    slopes = np.polyfit(logb, np.log(rms), 1)[0]
     lo, hi = np.percentile(slopes, [2.5, 97.5])
 
     return RateFit(tuple(bands), tuple(values), slope, float(lo), float(hi))
@@ -411,6 +414,10 @@ def erfc_fit_r2(fit: TailFit) -> float:
     return 1.0 - float(np.sum(resid ** 2)) / sstot if sstot > 0 else 0.0
 
 
+#: largest |n| and N kernel_tail_sum accepts
+_KERNEL_MAX = 64
+
+
 def kernel_tail_sum(n: int, N: int, eps: float = 0.25) -> tuple:
     """Exact two-sided tail of the convolution kernel, with its scaled ratio.
 
@@ -418,8 +425,10 @@ def kernel_tail_sum(n: int, N: int, eps: float = 0.25) -> tuple:
     <n_1>^{-2} <n - n_1>^{-2} as the correctly rounded sum (math.fsum) of
     the float64 terms, so the result does not depend on numpy's reduction
     order, build or SIMD dispatch; the terms themselves use only IEEE
-    +, * and / on exact integers. The range cutoff leaves out only terms
-    below 1e-15 each (total well under 1e-14).
+    +, * and / on exact integers.  The sum runs over the fixed window
+    |n_1| <= 100000 + |n|.  The terms outside it are below 1e-9 of the
+    sum for |n|, N <= _KERNEL_MAX and grow with N, so larger inputs are
+    rejected.
     Returns (sum, sum * N^{3/2-eps} * <n>^{3/2+eps}); the scaled ratio
     staying bounded over (n, N) sweeps is the content of the kernel bound.
     """
@@ -427,6 +436,9 @@ def kernel_tail_sum(n: int, N: int, eps: float = 0.25) -> tuple:
     N = int(N)
     if N < 1:
         raise ValueError("N must be at least 1")
+    if abs(n) > _KERNEL_MAX or N > _KERNEL_MAX:
+        raise ValueError(f"|n| and N must be at most {_KERNEL_MAX}, where the "
+                         f"summation window is accurate")
     if not 0.0 < eps <= 0.5:
         raise ValueError("eps must lie in (0, 1/2]")
     R = 100000 + abs(n)

@@ -26,6 +26,10 @@ import numpy as np
 from .spectral import (
     FourierCoeffs,
     QuadratureGrid,
+    _antiderivative,
+    _conjugate,
+    _derivative,
+    _project,
     antiderivative,
     conjugate,
     derivative,
@@ -65,10 +69,6 @@ class FlowState:
     u: FourierCoeffs
     t: float
     invariants_log: dict
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.u.coeffs.view(np.float64))):
-            raise ValueError("non-finite state")
 
 
 @dataclass(frozen=True)
@@ -142,29 +142,6 @@ def rhs_hamiltonian(u: FourierCoeffs, N: int) -> FourierCoeffs:
     return project(z1, N)
 
 
-def _modes(rows: np.ndarray) -> np.ndarray:
-    band = (rows.shape[1] - 1) // 2
-    return np.arange(-band, band + 1)
-
-
-def _derivative(rows: np.ndarray) -> np.ndarray:
-    return 1j * _modes(rows) * rows
-
-
-def _antiderivative(rows: np.ndarray) -> np.ndarray:
-    n = _modes(rows)
-    out = np.zeros_like(rows)
-    nz = n != 0
-    out[:, nz] = rows[:, nz] / (1j * n[nz])
-    return out
-
-
-def _project(rows: np.ndarray, N: int) -> np.ndarray:
-    """Pi_N on rows of band >= N."""
-    band = (rows.shape[1] - 1) // 2
-    return rows[:, band - N:band + N + 1]
-
-
 def batch_rhs_hamiltonian(rows: np.ndarray, N: int) -> np.ndarray:
     """rhs_hamiltonian of every row of a coefficient matrix at band N.
 
@@ -178,7 +155,7 @@ def batch_rhs_hamiltonian(rows: np.ndarray, N: int) -> np.ndarray:
         raise ValueError(f"rows of width {rows.shape[1]} are not at band {N}")
     mul = batch_multiply
     u = rows
-    v = np.conj(u[:, ::-1])
+    v = _conjugate(u)
     u2 = mul(u, u)
     v2 = mul(v, v)
     # w1, w2 = Pi_N dH/du, Pi_N dH/dv, as in variational_derivatives

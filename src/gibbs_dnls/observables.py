@@ -2,11 +2,13 @@
 
 Monte Carlo runs at 10^5..10^6 samples cannot afford one FourierCoeffs
 object per draw, so every observable here maps a coefficient matrix (one
-sample per row, columns n = -band..band) to one value per row.  This
-module imports nothing from the package; functionals calls its kernels
-on a batch of one row, except where f_quartic and spectral.lp_norm stay
-the references batch_f_quartic and batch_quartic_integral are tested
-against (the functionals golden pins their last bits).
+sample per row, columns n = -band..band) to one value per row.  The
+layout itself (mode grid, derivative, point evaluation) is spectral's
+array operators; from the package this module imports those and
+QuadratureGrid only.  functionals calls its kernels on a batch of one
+row, except where f_quartic and spectral.lp_norm stay the references
+batch_f_quartic and batch_quartic_integral are tested against (the
+functionals golden pins their last bits).
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .spectral import QuadratureGrid, _band, _derivative, _evaluate, _modes
 
 __all__ = [
     "DensityParams",
@@ -33,7 +37,6 @@ __all__ = [
     "batch_grid_sup_dsq",
     "batch_density_G",
     "batch_re_coeff",
-    "batch_evaluate",
 ]
 
 
@@ -148,10 +151,8 @@ def batch_f_quartic(rows: np.ndarray) -> np.ndarray:
     Rows must already be truncated to the band the functional is taken
     at; the k grid spans the squared field's band 2N.
     """
-    band = (rows.shape[1] - 1) // 2
     w = batch_square(rows)
-    k = np.arange(-2 * band, 2 * band + 1, dtype=np.float64)
-    return np.sum(k * (w.real ** 2 + w.imag ** 2), axis=1)
+    return np.sum(_modes(w) * (w.real ** 2 + w.imag ** 2), axis=1)
 
 
 def batch_X(rows: np.ndarray) -> np.ndarray:
@@ -160,10 +161,8 @@ def batch_X(rows: np.ndarray) -> np.ndarray:
     Real-valued convention: the decomposition's X term equals i times
     this (the full quartic sum is i times the functional).
     """
-    band = (rows.shape[1] - 1) // 2
-    n = np.arange(-band, band + 1, dtype=np.float64)
     a = rows.real ** 2 + rows.imag ** 2
-    return np.sum(2.0 * n * a * a, axis=1)
+    return np.sum(2.0 * _modes(rows) * a * a, axis=1)
 
 
 def batch_quartic_integral(rows: np.ndarray) -> np.ndarray:
@@ -184,33 +183,20 @@ def batch_l4_norm(rows: np.ndarray) -> np.ndarray:
 
 def batch_h1_seminorm_sq(rows: np.ndarray) -> np.ndarray:
     """int |u'|^2 per row: sum n^2 |c_n|^2."""
-    band = (rows.shape[1] - 1) // 2
-    n = np.arange(-band, band + 1, dtype=np.float64)
+    n = _modes(rows)
     return np.sum(n * n * (rows.real ** 2 + rows.imag ** 2), axis=1)
-
-
-def batch_evaluate(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Pointwise values of each row's series at angles x."""
-    band = (rows.shape[1] - 1) // 2
-    n = np.arange(-band, band + 1, dtype=np.float64)
-    phases = np.exp(1j * np.outer(n, np.asarray(x, dtype=np.float64)))
-    return rows @ phases
 
 
 def batch_grid_sup_dsq(rows: np.ndarray, oversample: int = 8) -> np.ndarray:
     """Grid sup of |d/dx (u^2)| per row.
 
     The squared field has band 2N; the sup is taken over an equispaced
-    grid with `oversample` nodes per mode (a grid sup, deliberately not
-    a certified true sup).
+    grid of oversample * (2N + 1) nodes (a grid sup, deliberately not a
+    certified true sup).
     """
-    band = (rows.shape[1] - 1) // 2
-    w = batch_square(rows)
-    k = np.arange(-2 * band, 2 * band + 1, dtype=np.float64)
-    dw = 1j * k * w
-    m = oversample * (2 * band) + oversample
-    x = 2.0 * np.pi * np.arange(m) / m
-    return np.max(np.abs(batch_evaluate(dw, x)), axis=1)
+    dw = _derivative(batch_square(rows))
+    x = QuadratureGrid(oversample * rows.shape[1]).nodes
+    return np.max(np.abs(_evaluate(dw, x)), axis=1)
 
 
 def batch_density_G(rows: np.ndarray, params: DensityParams) -> np.ndarray:
@@ -221,7 +207,7 @@ def batch_density_G(rows: np.ndarray, params: DensityParams) -> np.ndarray:
     inside the kappa-ball at reasonable kappa; if it does, that is a
     usage fault and is reported as OverflowError instead of returning inf.
     """
-    band = (rows.shape[1] - 1) // 2
+    band = _band(rows)
     if band != params.band:
         raise ValueError(f"rows at band {band}, density wants {params.band}")
     cut = chi(batch_mass(rows), params)
@@ -241,7 +227,7 @@ def batch_density_G(rows: np.ndarray, params: DensityParams) -> np.ndarray:
 
 def batch_re_coeff(rows: np.ndarray, n: int) -> np.ndarray:
     """Re c_n per row."""
-    band = (rows.shape[1] - 1) // 2
+    band = _band(rows)
     if abs(n) > band:
         return np.zeros(rows.shape[0])
     return rows[:, n + band].real.copy()

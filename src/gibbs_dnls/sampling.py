@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import FourierCoeffs
+from .spectral import FourierCoeffs, _modes
 
 __all__ = [
     "GENERATOR_NAME",
@@ -31,7 +31,6 @@ __all__ = [
     "ensemble_stats",
     "gaussian_block",
     "phi_block",
-    "bootstrap_indices",
     "bootstrap_counts",
     "ball_probability",
 ]
@@ -51,8 +50,8 @@ _FIRST_RESERVED_STREAM = _TABLE_VALUE_STREAM
 
 #: resamples behind every weighted-mean standard error
 _BOOTSTRAP_RESAMPLES = 200
-#: resamples drawn per chunk of the bootstrap stream, so the index
-#: temporaries stay a few MB however many samples are resampled
+#: resamples bootstrap_counts draws per chunk of the auxiliary stream, so
+#: the index temporaries stay a few MB however many samples are resampled
 _BOOTSTRAP_CHUNK = 16
 
 # Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
@@ -184,14 +183,18 @@ def sample_gaussian(seed: SeedSpec, count: int) -> np.ndarray:
     return _box_muller(_raw_uniforms(seed, 2 * count))
 
 
+def _phi(g: np.ndarray) -> np.ndarray:
+    """Field coefficients g_n / <n> from Gaussians g_n on the last axis."""
+    n = _modes(g)
+    return g / np.sqrt(n * n + 1.0)
+
+
 def sample_phi(N: int, seed: SeedSpec) -> FourierCoeffs:
     """One draw of the truncated field: c_n = g_n / <n>, n = -N..N in order."""
     N = int(N)
     if N < 0:
         raise ValueError("band must be non-negative")
-    g = sample_gaussian(seed, 2 * N + 1)
-    n = np.arange(-N, N + 1, dtype=np.float64)
-    return FourierCoeffs(N, g / np.sqrt(n * n + 1.0))
+    return FourierCoeffs(N, _phi(sample_gaussian(seed, 2 * N + 1)))
 
 
 def gaussian_block(master_seed: int, first_stream: int, rows: int,
@@ -228,9 +231,7 @@ def gaussian_block(master_seed: int, first_stream: int, rows: int,
 def phi_block(master_seed: int, first_stream: int, rows: int,
               band: int) -> np.ndarray:
     """rows x (2*band+1) matrix of field coefficients, one sample per row."""
-    g = gaussian_block(master_seed, first_stream, rows, 2 * band + 1)
-    n = np.arange(-band, band + 1, dtype=np.float64)
-    return g / np.sqrt(n * n + 1.0)
+    return _phi(gaussian_block(master_seed, first_stream, rows, 2 * band + 1))
 
 
 class Ensemble:
@@ -345,14 +346,24 @@ def sample_ensemble(N: int, count: int, master_seed: int) -> Ensemble:
     return Ensemble(int(N), rows, SeedSpec(int(master_seed), 0))
 
 
-def _bootstrap_chunks(master_seed: int, count: int, resamples: int):
-    """(first resample, index matrix) for consecutive chunks of resamples.
+def bootstrap_counts(master_seed: int, count: int, resamples: int,
+                     live) -> np.ndarray:
+    """resamples x len(live) matrix: how often each live sample is drawn.
 
-    The one definition of the bootstrap: resample r, sample j is
-    min(floor(u * count), count - 1) for the next uniform u of the
-    reserved auxiliary stream, in row-major order, drawn _BOOTSTRAP_CHUNK
-    resamples at a time.
+    The one definition of the bootstrap: resample after resample, each
+    of the count draws is sample min(floor(u * count), count - 1) for
+    the next uniform u of the master seed's reserved auxiliary stream,
+    so resamples are deterministic given master_seed and independent of
+    every sample stream.  Entry (r, j) counts the draws of sample live[j]
+    in resample r.  live holds distinct sample indices; draws of samples
+    outside it are counted in a spill bin and dropped.
     """
+    live = np.asarray(live, dtype=np.int64)
+    spill = len(live)
+    rank = np.full(count, spill, dtype=np.int64)
+    rank[live] = np.arange(spill)
+    width = spill + 1
+    out = np.empty((resamples, spill), dtype=np.int64)
     bits = _philox(SeedSpec(master_seed, RESERVED_STREAM))
     # u * count with u = m 2^-53 from _uniforms, in one rounding: m 2^-53
     # and count 2^-53 are exact, so m (count 2^-53) rounds to the same float
@@ -366,39 +377,8 @@ def _bootstrap_chunks(master_seed: int, count: int, resamples: int):
         x *= scale
         idx = x.astype(np.int64)
         np.minimum(idx, count - 1, out=idx)
-        yield lo, idx.reshape(rows, count)
-
-
-def bootstrap_indices(master_seed: int, count: int, resamples: int) -> np.ndarray:
-    """resamples x count index matrix from the reserved auxiliary stream.
-
-    Deterministic given master_seed, independent of every sample stream.
-    """
-    out = np.empty((resamples, count), dtype=np.int64)
-    for lo, idx in _bootstrap_chunks(master_seed, count, resamples):
-        out[lo:lo + len(idx)] = idx
-    return out
-
-
-def bootstrap_counts(master_seed: int, count: int, resamples: int,
-                     live) -> np.ndarray:
-    """resamples x len(live) matrix: how often each live sample is drawn.
-
-    Entry (r, j) counts the occurrences of sample live[j] in row r of
-    bootstrap_indices(master_seed, count, resamples), from the same
-    words, without building that matrix.  live holds distinct sample
-    indices; samples outside it are counted in a spill bin and dropped.
-    """
-    live = np.asarray(live, dtype=np.int64)
-    spill = len(live)
-    rank = np.full(count, spill, dtype=np.int64)
-    rank[live] = np.arange(spill)
-    width = spill + 1
-    out = np.empty((resamples, spill), dtype=np.int64)
-    for lo, idx in _bootstrap_chunks(master_seed, count, resamples):
-        rows = len(idx)
         # one bincount over the chunk: resample r's bins start at r * width
-        bins = rank[idx]
+        bins = rank[idx].reshape(rows, count)
         bins += np.arange(0, rows * width, width)[:, None]
         tally = np.bincount(bins.ravel(), minlength=rows * width)
         out[lo:lo + rows] = tally.reshape(rows, width)[:, :spill]

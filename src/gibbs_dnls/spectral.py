@@ -25,6 +25,61 @@ __all__ = [
 ]
 
 
+# -- the coefficient layout: n = -band..band on the last axis of an array ----
+#
+# The operators below act on every row of a coefficient matrix at once.
+# The FourierCoeffs operators further down wrap them, and the array layer
+# (observables, flow, sampling) calls them directly.  They stay out of
+# __all__, so the span tracer (perfbench/tracer.py) wraps none of them
+# and the RK4 loop records no spans.
+
+
+def _band(a: np.ndarray) -> int:
+    """Band of a coefficient axis of width 2*band + 1."""
+    return (a.shape[-1] - 1) // 2
+
+
+def _modes(a: np.ndarray) -> np.ndarray:
+    """Mode numbers n = -band..band of a's coefficient axis."""
+    band = _band(a)
+    return np.arange(-band, band + 1)
+
+
+def _project(a: np.ndarray, M: int) -> np.ndarray:
+    """Pi_M: keep modes |n| <= M, zero-filling those above a's band."""
+    band = _band(a)
+    if M <= band:
+        return a[..., band - M:band + M + 1]
+    out = np.zeros(a.shape[:-1] + (2 * M + 1,), dtype=np.complex128)
+    out[..., M - band:M + band + 1] = a
+    return out
+
+
+def _derivative(a: np.ndarray) -> np.ndarray:
+    """c_n -> i n c_n."""
+    return 1j * _modes(a) * a
+
+
+def _antiderivative(a: np.ndarray) -> np.ndarray:
+    """c_n -> c_n / (i n) for n != 0; the mean becomes 0."""
+    n = _modes(a)
+    out = np.zeros_like(a)
+    nz = n != 0
+    out[..., nz] = a[..., nz] / (1j * n[nz])
+    return out
+
+
+def _conjugate(a: np.ndarray) -> np.ndarray:
+    """c_n -> conj(c_{-n})."""
+    return np.conj(a[..., ::-1])
+
+
+def _evaluate(a: np.ndarray, x) -> np.ndarray:
+    """Values sum c_n e^{inx} at the angles x, one row per coefficient row."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    return a @ np.exp(1j * np.outer(_modes(a), x))
+
+
 class FourierCoeffs:
     """Immutable coefficient vector of a trigonometric polynomial.
 
@@ -89,20 +144,17 @@ class FourierCoeffs:
         return complex(self.coeffs[n + self.band])
 
     def modes(self) -> np.ndarray:
-        return np.arange(-self.band, self.band + 1)
+        return _modes(self.coeffs)
 
     def evaluate(self, x) -> np.ndarray:
         """Pointwise values sum c_n e^{inx} at the given angles."""
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        phases = np.exp(1j * np.outer(self.modes(), x))
-        return self.coeffs @ phases
+        return _evaluate(self.coeffs, x)
 
     # -- algebra helpers (coefficientwise; bands may differ) --------------
 
     def _binary(self, other: "FourierCoeffs", op) -> "FourierCoeffs":
         band = max(self.band, other.band)
-        a = _pad(self.coeffs, self.band, band)
-        b = _pad(other.coeffs, other.band, band)
+        a, b = _project(self.coeffs, band), _project(other.coeffs, band)
         return FourierCoeffs(band, op(a, b))
 
     def __add__(self, other):
@@ -118,8 +170,7 @@ class FourierCoeffs:
         if not isinstance(other, FourierCoeffs):
             return NotImplemented
         band = max(self.band, other.band)
-        a = _pad(self.coeffs, self.band, band)
-        b = _pad(other.coeffs, other.band, band)
+        a, b = _project(self.coeffs, band), _project(other.coeffs, band)
         return bool(np.array_equal(a, b))
 
     def __hash__(self):
@@ -127,8 +178,8 @@ class FourierCoeffs:
         return hash((trimmed.band, trimmed.coeffs.tobytes()))
 
     def __repr__(self):
-        nz = {int(n): complex(self.coeffs[n + self.band])
-              for n in self.modes() if self.coeffs[n + self.band] != 0}
+        nz = {int(n): complex(c)
+              for n, c in zip(self.modes(), self.coeffs) if c != 0}
         return f"FourierCoeffs(band={self.band}, nonzero={nz})"
 
     # -- serialization ----------------------------------------------------
@@ -153,14 +204,6 @@ class FourierCoeffs:
     @classmethod
     def from_json(cls, text: str) -> "FourierCoeffs":
         return cls.from_json_dict(json.loads(text))
-
-
-def _pad(arr: np.ndarray, band: int, target: int) -> np.ndarray:
-    if band == target:
-        return arr
-    out = np.zeros(2 * target + 1, dtype=np.complex128)
-    out[target - band:target + band + 1] = arr
-    return out
 
 
 def _effective_band(u: FourierCoeffs) -> int:
@@ -217,13 +260,12 @@ def project(u: FourierCoeffs, M: int) -> FourierCoeffs:
     M = int(M)
     if M < 0:
         raise ValueError("band must be non-negative")
-    return FourierCoeffs(M, _pad(u.coeffs, u.band, M) if M >= u.band
-                         else u.coeffs[u.band - M:u.band + M + 1])
+    return FourierCoeffs(M, _project(u.coeffs, M))
 
 
 def derivative(u: FourierCoeffs) -> FourierCoeffs:
     """d/dx on the Fourier side: c_n -> i n c_n."""
-    return FourierCoeffs(u.band, 1j * u.modes() * u.coeffs)
+    return FourierCoeffs(u.band, _derivative(u.coeffs))
 
 
 def antiderivative(u: FourierCoeffs) -> FourierCoeffs:
@@ -231,11 +273,7 @@ def antiderivative(u: FourierCoeffs) -> FourierCoeffs:
 
     antiderivative(derivative(u)) is u with its constant mode set to 0.
     """
-    n = u.modes()
-    out = np.zeros_like(u.coeffs)
-    nz = n != 0
-    out[nz] = u.coeffs[nz] / (1j * n[nz])
-    return FourierCoeffs(u.band, out)
+    return FourierCoeffs(u.band, _antiderivative(u.coeffs))
 
 
 def multiply(u: FourierCoeffs, v: FourierCoeffs) -> FourierCoeffs:
@@ -245,14 +283,13 @@ def multiply(u: FourierCoeffs, v: FourierCoeffs) -> FourierCoeffs:
 
 def conjugate(u: FourierCoeffs) -> FourierCoeffs:
     """Complex conjugate of the function: c_n -> conj(c_{-n})."""
-    return FourierCoeffs(u.band, np.conj(u.coeffs[::-1]))
+    return FourierCoeffs(u.band, _conjugate(u.coeffs))
 
 
 def inner_product_hermitian(f: FourierCoeffs, g: FourierCoeffs) -> complex:
     """<f, g> = int_T f conj(g) = sum_n f_n conj(g_n) over the union band."""
     band = max(f.band, g.band)
-    a = _pad(f.coeffs, f.band, band)
-    b = _pad(g.coeffs, g.band, band)
+    a, b = _project(f.coeffs, band), _project(g.coeffs, band)
     return complex(np.sum(a * np.conj(b)))
 
 
@@ -264,8 +301,7 @@ def pairing_bilinear(f: FourierCoeffs, g: FourierCoeffs) -> complex:
     -pairing(f, antiderivative(g)) for zero-mean f, g.
     """
     band = max(f.band, g.band)
-    a = _pad(f.coeffs, f.band, band)
-    b = _pad(g.coeffs, g.band, band)
+    a, b = _project(f.coeffs, band), _project(g.coeffs, band)
     return complex(np.sum(a * b[::-1]))
 
 

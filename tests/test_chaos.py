@@ -23,7 +23,13 @@ from gibbs_dnls.observables import (
     batch_re_coeff,
     batch_X,
 )
-from gibbs_dnls.sampling import SeedSpec, phi_block, sample_phi
+from gibbs_dnls.sampling import (
+    RESERVED_STREAM,
+    SeedSpec,
+    _raw_uniforms,
+    phi_block,
+    sample_phi,
+)
 from gibbs_dnls.functionals import f_quartic
 
 
@@ -143,13 +149,38 @@ def test_cauchy_rate_validation():
 
 
 def test_cauchy_rate_fit_shape():
-    fit = cauchy_rate([4, 8], 200, 5, mode="X_only", resamples=50)
+    fit = cauchy_rate([4, 8], 200, 5, mode="X_only")
     assert fit.bands == (4, 8)
     assert all(v > 0 for v in fit.values)
     assert fit.ci_low <= fit.slope <= fit.ci_high
     d = fit.to_json_dict()
     assert d["slope"] == fit.slope
     assert fit.to_csv().startswith("band,value\n")
+
+
+def test_cauchy_rate_matches_index_bootstrap():
+    # the fit rebuilt with a resample index matrix: each resample gathers
+    # its squared differences by index and gets its own polyfit
+    bands, count, seed, resamples = [2, 4, 8], 300, 5, 200
+    fit = cauchy_rate(bands, count, seed)
+    sq_diffs = []
+    for j, N in enumerate(bands):
+        rows = phi_block(seed, j * count, count, 2 * N)
+        d = batch_f_quartic(rows) - batch_f_quartic(rows[:, N: 3 * N + 1])
+        sq_diffs.append(d * d)
+    values = [float(np.sqrt(np.mean(d2))) for d2 in sq_diffs]
+    logb = np.log(np.asarray(bands, dtype=np.float64))
+    u = _raw_uniforms(SeedSpec(seed, RESERVED_STREAM), resamples * count)
+    idx = np.minimum((u * count).astype(np.int64), count - 1)
+    slopes = []
+    for r in idx.reshape(resamples, count):
+        vals_r = [np.sqrt(np.mean(d2[r])) for d2 in sq_diffs]
+        slopes.append(np.polyfit(logb, np.log(vals_r), 1)[0])
+    lo, hi = np.percentile(slopes, [2.5, 97.5])
+    assert fit.values == tuple(values)
+    assert fit.slope == float(np.polyfit(logb, np.log(values), 1)[0])
+    assert fit.ci_low == pytest.approx(lo, rel=1e-12)
+    assert fit.ci_high == pytest.approx(hi, rel=1e-12)
 
 
 def test_x_difference_second_moment_closed_form():
@@ -210,7 +241,7 @@ def test_block_partition_does_not_change_results(monkeypatch):
             tail_survival(batch_l4_norm, 4, lambdas, 5000, 19),
             tail_survival(batch_l4_norm, 4, lambdas, 5000, 19,
                           condition=lambda rows: batch_mass(rows) < 1.5),
-            cauchy_rate([2, 4], 1000, 5, resamples=20),
+            cauchy_rate([2, 4], 1000, 5),
         )
 
     one_block = results()
@@ -281,9 +312,24 @@ def test_kernel_symmetry_and_monotonicity():
     assert s8 < s4
 
 
+def test_kernel_tail_sum_window_at_largest_inputs():
+    # the terms a 20 times wider window adds stay below 1e-9 of the sum
+    for n in (64, -64):
+        got, _ = kernel_tail_sum(n, 64)
+        R = 100000 + abs(n)
+        extra = 0.0
+        for side in (1.0, -1.0):
+            n1 = side * np.arange(R + 1, 20 * R + 1, dtype=np.float64)
+            extra += np.sum(1.0 / ((n1 * n1 + 1.0) * ((n - n1) ** 2 + 1.0)))
+        assert got == pytest.approx(got + extra, rel=1e-9)
+
+
 def test_kernel_validation():
     with pytest.raises(ValueError):
         kernel_tail_sum(0, 0)
+    for n, N in ((65, 4), (-65, 4), (0, 65)):
+        with pytest.raises(ValueError, match="at most 64"):
+            kernel_tail_sum(n, N)
     with pytest.raises(ValueError):
         kernel_tail_sum(0, 4, eps=0.75)
     with pytest.raises(ValueError):

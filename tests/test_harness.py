@@ -78,6 +78,12 @@ def test_parse_type_checks():
     with pytest.raises(ConfigError):
         parse_config(cfg_text("tails", observable="mass", N=4,
                               lambdas=[1.0, 2.0], count=10000, seed=1))
+    # kernel sums are accurate for |n|, N <= 64 only
+    parse_config(cfg_text("kernel_sum", ns=[-64, 64], Ns=[64]))
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg_text("kernel_sum", ns=[0, -65], Ns=[4, 65]))
+    assert [v.split(":")[0] for v in err.value.violations] == \
+        ["parameter 'ns'", "parameter 'Ns'"]
 
 
 def test_parse_flow_initial_data_rules():

@@ -17,7 +17,6 @@ from gibbs_dnls.observables import (
     batch_X,
     batch_cube,
     batch_density_G,
-    batch_evaluate,
     batch_f_quartic,
     batch_grid_sup_dsq,
     batch_h1_seminorm_sq,
@@ -110,13 +109,6 @@ def test_batch_h1_seminorm():
     n = np.arange(-BAND, BAND + 1)
     want = np.sum(n * n * np.abs(ROWS) ** 2, axis=1)
     assert np.allclose(got, want, rtol=1e-13, atol=0)
-
-
-def test_batch_evaluate():
-    x = np.array([0.0, 0.9, 2.2])
-    got = batch_evaluate(ROWS, x)
-    for j in (0, 11):
-        assert np.allclose(got[j], row_field(j).evaluate(x), rtol=1e-12)
 
 
 def test_batch_grid_sup_dsq():

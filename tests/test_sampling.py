@@ -13,7 +13,6 @@ from gibbs_dnls.sampling import (
     SeedSpec,
     ball_probability,
     bootstrap_counts,
-    bootstrap_indices,
     ensemble_stats,
     gaussian_block,
     phi_block,
@@ -288,21 +287,28 @@ def test_ensemble_stats_zero_weights_error():
         ensemble_stats(ens, lambda rows: np.ones(len(rows)))
 
 
-def test_bootstrap_indices():
-    idx = bootstrap_indices(55, 300, 20)
-    assert idx.shape == (20, 300)
-    assert idx.min() >= 0 and idx.max() <= 299
-    assert np.array_equal(idx, bootstrap_indices(55, 300, 20))
+def _uniform_indices(master_seed, count, resamples):
+    """The bootstrap's resample indices by the uniform formula:
+    floor(u * count) of the reserved stream's uniforms, drawn in one go."""
+    u = sampling._raw_uniforms(SeedSpec(master_seed, RESERVED_STREAM),
+                               resamples * count)
+    idx = np.minimum((u * count).astype(np.int64), count - 1)
+    return idx.reshape(resamples, count)
 
 
-def test_bootstrap_indices_match_uniform_formula():
-    # floor(u * count) of the reserved stream's uniforms, in one draw
-    for count, resamples in ((300, 20), (1, 5), (20000, 3)):
-        u = sampling._raw_uniforms(SeedSpec(55, RESERVED_STREAM),
-                                   resamples * count)
-        ref = np.minimum((u * count).astype(np.int64), count - 1)
-        assert np.array_equal(bootstrap_indices(55, count, resamples),
-                              ref.reshape(resamples, count))
+def _tally(idx, live):
+    """How often each live sample occurs in each row of idx."""
+    count = idx.shape[1]
+    return np.array([np.bincount(row, minlength=count)[live] for row in idx],
+                    dtype=np.int64).reshape(len(idx), len(live))
+
+
+def test_bootstrap_counts_match_uniform_formula():
+    # one sample, and 20000 samples: the every-sample counts of cauchy_rate
+    for count, resamples in ((1, 5), (20000, 3)):
+        live = np.arange(count)
+        ref = _tally(_uniform_indices(55, count, resamples), live)
+        assert np.array_equal(bootstrap_counts(55, count, resamples, live), ref)
 
 
 _LIVE_SETS = {
@@ -316,9 +322,7 @@ _LIVE_SETS = {
 @pytest.mark.parametrize("resamples", [20, 37])
 @pytest.mark.parametrize("live", _LIVE_SETS.values(), ids=_LIVE_SETS.keys())
 def test_bootstrap_counts_match_indices(live, resamples):
-    idx = bootstrap_indices(55, 300, resamples)
-    ref = np.array([np.bincount(row, minlength=300)[live] for row in idx],
-                   dtype=np.int64).reshape(resamples, len(live))
+    ref = _tally(_uniform_indices(55, 300, resamples), live)
     counts = bootstrap_counts(55, 300, resamples, live)
     assert counts.dtype == np.int64
     assert np.array_equal(counts, ref)
@@ -328,7 +332,7 @@ def test_bootstrap_chunking_does_not_change_results(monkeypatch):
     live = _LIVE_SETS["sparse"]
 
     def results():
-        return (bootstrap_indices(55, 300, 37),
+        return (bootstrap_counts(55, 300, 37, _LIVE_SETS["all"]),
                 bootstrap_counts(55, 300, 37, live),
                 bootstrap_counts(55, 300, 20, live))
 
@@ -348,7 +352,7 @@ def test_weighted_mean_se_matches_gather(live_count):
     w = np.zeros(count)
     w[live] = rng.random(live_count) + 0.1
     vals = rng.normal(size=count)
-    idx = bootstrap_indices(9, count, resamples)
+    idx = _uniform_indices(9, count, resamples)
     # the gather formula over every sample
     wh = w * vals
     denom = w[idx].sum(axis=1)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gibbs_dnls import spectral
 from gibbs_dnls.spectral import (
     FourierCoeffs,
     QuadratureGrid,
@@ -25,6 +26,34 @@ def random_field(rng, band, scale=1.0):
     c = scale * (rng.standard_normal(2 * band + 1)
                  + 1j * rng.standard_normal(2 * band + 1))
     return FourierCoeffs(band, c)
+
+
+_ROW_OPERATORS = {
+    "derivative": (spectral._derivative, derivative),
+    "antiderivative": (spectral._antiderivative, antiderivative),
+    "conjugate": (spectral._conjugate, conjugate),
+    "project_down": (lambda a: spectral._project(a, 2), lambda u: project(u, 2)),
+    "project_up": (lambda a: spectral._project(a, 7), lambda u: project(u, 7)),
+}
+
+
+@pytest.mark.parametrize("name", _ROW_OPERATORS)
+def test_array_operator_matches_fourier_coeffs(name, rng):
+    on_array, on_coeffs = _ROW_OPERATORS[name]
+    a = rng.standard_normal((6, 11)) + 1j * rng.standard_normal((6, 11))
+    got = on_array(a)
+    for out, c in zip(got, a):
+        assert np.array_equal(out, on_coeffs(FourierCoeffs(5, c)).coeffs)
+
+
+def test_array_evaluate_matches_fourier_coeffs(rng):
+    a = rng.standard_normal((6, 11)) + 1j * rng.standard_normal((6, 11))
+    x = np.array([0.0, 0.9, 2.2, 5.1])
+    got = spectral._evaluate(a, x)
+    for out, c in zip(got, a):
+        want = FourierCoeffs(5, c).evaluate(x)
+        # sum |c_n| bounds every value
+        assert np.max(np.abs(out - want)) <= 1e-13 * np.sum(np.abs(c))
 
 
 def test_zero_and_shape():
