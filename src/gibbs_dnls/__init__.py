@@ -23,7 +23,6 @@ from .sampling import (
     GENERATOR_NAME,
     Ensemble,
     SeedSpec,
-    ensemble_stats,
     sample_ensemble,
     sample_gaussian,
     sample_phi,
@@ -88,7 +87,6 @@ __all__ = [
     "GENERATOR_NAME",
     "Ensemble",
     "SeedSpec",
-    "ensemble_stats",
     "sample_ensemble",
     "sample_gaussian",
     "sample_phi",

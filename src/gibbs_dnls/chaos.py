@@ -342,6 +342,18 @@ def cauchy_rate(bands, sample_count: int, seed: int,
     return RateFit(tuple(bands), tuple(values), slope, float(lo), float(hi))
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple:
+    """Least-squares line y ~ slope x + intercept: (slope, intercept, r^2).
+
+    r^2 is 0 when y is constant, where there is no variance to explain.
+    """
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    sstot = float(np.sum((y - np.mean(y)) ** 2))
+    r2 = 1.0 - float(np.sum(resid ** 2)) / sstot if sstot > 0 else 0.0
+    return slope, intercept, r2
+
+
 def tail_survival(observable, N: int, lambdas, sample_count: int, seed: int,
                   condition=None, theta: float = 2.0) -> TailFit:
     """Empirical survival of a field observable with a lambda^theta fit.
@@ -380,12 +392,8 @@ def tail_survival(observable, N: int, lambdas, sample_count: int, seed: int,
     survival = exceed / kept
     # fit window: thresholds that still have >= 50 exceedances
     win = exceed >= 50
-    z = lambdas[win] ** theta
-    y = np.log(survival[win])
-    slope, intercept = np.polyfit(z, y, 1)
-    resid = y - (slope * z + intercept)
-    sstot = np.sum((y - np.mean(y)) ** 2)
-    r2 = 1.0 - float(np.sum(resid ** 2) / sstot) if sstot > 0 else 0.0
+    slope, intercept, r2 = _line_fit(lambdas[win] ** theta,
+                                     np.log(survival[win]))
     return TailFit(
         lambdas=tuple(float(x) for x in lambdas),
         survival=tuple(float(s) for s in survival),
@@ -408,10 +416,7 @@ def erfc_fit_r2(fit: TailFit) -> float:
     win = np.asarray(fit.counts) >= 50
     y = np.log(np.asarray(fit.survival)[win])
     x = np.log(np.array([math.erfc(v) for v in lam[win]]))
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    sstot = float(np.sum((y - np.mean(y)) ** 2))
-    return 1.0 - float(np.sum(resid ** 2)) / sstot if sstot > 0 else 0.0
+    return _line_fit(x, y)[2]
 
 
 #: largest |n| and N kernel_tail_sum accepts

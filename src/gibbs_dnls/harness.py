@@ -88,8 +88,8 @@ class RunRecord:
     """Everything one run produced, ready to persist.
 
     tables maps CSV filenames to their full text; files holds non-CSV
-    artifacts (JSON Lines ensembles, snapshots).  wall_time is the only
-    non-deterministic field.
+    artifacts (the JSON Lines ensemble of a sample run).  wall_time is
+    the only non-deterministic field.
     """
 
     experiment: str
@@ -232,7 +232,6 @@ _SCHEMAS = {
         "count": (True, None, _int_at_least(1)),
         "seed": (True, None, _seed),
         "kappa": (False, 1.0, _number(lo=0, lo_strict=True)),
-        "ramp": (False, "linear", _choice("linear", "cosine")),
     },
     "cauchy_rate": {
         "bands": (True, None, _int_list(2, 1, increasing=True)),
@@ -274,7 +273,6 @@ _SCHEMAS = {
         "u0": (False, None, _coeffs_dict),
         "u0_seed": (False, None, _seed),
         "u0_norm": (False, None, _number(lo=0, lo_strict=True)),
-        "snapshot_every": (False, None, _int_at_least(1)),
     },
     "invariance": {
         "N": (True, None, _int_at_least(0)),
@@ -410,7 +408,7 @@ def _run_sample(p: dict):
 
 def _run_functionals(p: dict):
     N = p["N"]
-    params = DensityParams(kappa=p["kappa"], band=N, ramp=p["ramp"])
+    params = DensityParams(kappa=p["kappa"], band=N)
     grid4 = QuadratureGrid.for_degree(4 * N)
     grid6 = QuadratureGrid.for_degree(6 * N)
     ens = sample_ensemble(N, p["count"], p["seed"])
@@ -558,23 +556,13 @@ def _run_flow(p: dict):
         "energy_drift": energy_drift,
     }
     tables = {"trajectory.csv": _csv("t,mass,energy,F_u", rows)}
-    files = {}
-    every = p.get("snapshot_every")
-    if every:
-        lines = []
-        for k, st in enumerate(traj):
-            if k % every == 0 or k == len(traj) - 1:
-                d = st.u.to_json_dict()
-                d["t"] = st.t
-                lines.append(json.dumps(d, separators=(",", ":")))
-        files["snapshots.jsonl"] = "\n".join(lines) + "\n"
     verdicts = [
         _verdict("mass_conserved", mass_drift <= p["max_drift"],
                  f"drift {mass_drift:.3e} (limit {p['max_drift']:g})"),
         _verdict("energy_conserved", energy_drift <= p["energy_tol"],
                  f"drift {energy_drift:.3e} (limit {p['energy_tol']:g})"),
     ]
-    return payload, tables, files, verdicts
+    return payload, tables, {}, verdicts
 
 
 def _run_invariance(p: dict):
@@ -781,7 +769,11 @@ def main(argv=None) -> int:
         print("--threads must be at least 1", file=sys.stderr)
         return 2
     record = run(config)
-    paths = emit(record, args.out)
+    try:
+        paths = emit(record, args.out)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
     if args.verbose:
         print(json.dumps(record.payload, indent=2, sort_keys=True, default=str))
     for v in record.verdicts:

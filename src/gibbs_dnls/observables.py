@@ -13,7 +13,6 @@ functionals golden pins their last bits).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,38 +41,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DensityParams:
-    """Cutoff radius, truncation band, and ramp shape of the density.
-
-    ramp selects the profile of the radial cutoff chi between the
-    plateau and the support edge: "linear" (default, exactly testable)
-    or "cosine" (C^1, for checking results do not depend on the ramp).
-    """
+    """Cutoff radius and truncation band of the density."""
 
     kappa: float
     band: int
-    ramp: str = "linear"
 
     def __post_init__(self):
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
         if self.band < 0:
             raise ValueError("band must be non-negative")
-        if self.ramp not in ("linear", "cosine"):
-            raise ValueError(f"unknown ramp {self.ramp!r}")
 
 
 def chi(x, params: DensityParams):
-    """Radial cutoff: 1 on [0, kappa/2], ramps to 0 at kappa, even in x.
+    """Radial cutoff: 1 on [0, kappa/2], linear down to 0 at kappa, even in x.
 
     Elementwise on arrays; a scalar x gives a float.
     """
     t = np.abs(np.asarray(x, dtype=np.float64))
     half = 0.5 * params.kappa
-    if params.ramp == "linear":
-        ramp = (params.kappa - t) / half
-    else:
-        # cosine ramp: same endpoints and midpoint, C^1 at both ends
-        ramp = 0.5 * (1.0 + np.cos(math.pi * (t - half) / half))
+    ramp = (params.kappa - t) / half
     out = np.where(t <= half, 1.0, np.where(t >= params.kappa, 0.0, ramp))
     return out if out.ndim else float(out)
 
@@ -187,15 +174,15 @@ def batch_h1_seminorm_sq(rows: np.ndarray) -> np.ndarray:
     return np.sum(n * n * (rows.real ** 2 + rows.imag ** 2), axis=1)
 
 
-def batch_grid_sup_dsq(rows: np.ndarray, oversample: int = 8) -> np.ndarray:
+def batch_grid_sup_dsq(rows: np.ndarray) -> np.ndarray:
     """Grid sup of |d/dx (u^2)| per row.
 
     The squared field has band 2N; the sup is taken over an equispaced
-    grid of oversample * (2N + 1) nodes (a grid sup, deliberately not a
-    certified true sup).
+    grid of 8 (2N + 1) nodes (a grid sup, deliberately not a certified
+    true sup).
     """
     dw = _derivative(batch_square(rows))
-    x = QuadratureGrid(oversample * rows.shape[1]).nodes
+    x = QuadratureGrid(8 * rows.shape[1]).nodes
     return np.max(np.abs(_evaluate(dw, x)), axis=1)
 
 

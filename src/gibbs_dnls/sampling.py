@@ -28,7 +28,6 @@ __all__ = [
     "sample_gaussian",
     "sample_phi",
     "sample_ensemble",
-    "ensemble_stats",
     "gaussian_block",
     "phi_block",
     "bootstrap_counts",
@@ -63,10 +62,11 @@ _PHILOX_W1 = np.uint64(0xBB67AE8584CAA73B)
 _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 
-# gaussian_block draws stream by stream below _BLOCK_MIN_ROWS rows, where
-# one numpy Philox per stream measured faster; otherwise it runs the
-# vectorized kernel on chunks of about _CHUNK_COUNTERS Philox counters
-# (496 rows at band 32), so the temporaries stay cache-sized
+# gaussian_block runs the vectorized kernel on chunks of about
+# _CHUNK_COUNTERS Philox counters (496 rows at band 32), so the
+# temporaries stay cache-sized.  Below _BLOCK_MIN_ROWS rows it draws
+# stream by stream through numpy's Philox, whose fixed cost per call is
+# far below the kernel's
 _BLOCK_MIN_ROWS = 16
 _CHUNK_COUNTERS = 1 << 14
 
@@ -201,8 +201,11 @@ def gaussian_block(master_seed: int, first_stream: int, rows: int,
                    count: int) -> np.ndarray:
     """Matrix of draws, row i from stream first_stream + i.
 
-    Bit for bit the rows of sample_gaussian on each stream, whichever
-    path draws them.  Sample streams must stay below the reserved ones.
+    Bit for bit the rows of sample_gaussian on each stream: blocks of
+    _BLOCK_MIN_ROWS rows or more go through the vectorized Philox kernel
+    (_philox_words), smaller ones through sample_gaussian itself, and
+    both share one Box-Muller.  Sample streams must stay below the
+    reserved ones.
     """
     rows = int(rows)
     count = int(count)
@@ -308,7 +311,8 @@ class Ensemble:
         band = int(manifest["band"])
         count = int(manifest["count"])
         first = int(manifest.get("first_stream", 0))
-        rows = np.zeros((count, 2 * band + 1), dtype=np.complex128)
+        width = 2 * band + 1
+        rows = np.zeros((count, width), dtype=np.complex128)
         weights = np.zeros(count) if manifest.get("weighted") else None
         filled = np.zeros(count, dtype=bool)
         for line in text.splitlines():
@@ -325,9 +329,20 @@ class Ensemble:
                 )
             if filled[i]:
                 raise ValueError(f"stream {stream} appears twice")
-            rows[i] = np.asarray(d["re"], dtype=np.float64) \
-                + 1j * np.asarray(d["im"], dtype=np.float64)
+            re = np.asarray(d["re"], dtype=np.float64)
+            im = np.asarray(d["im"], dtype=np.float64)
+            if re.shape != (width,) or im.shape != (width,):
+                raise ValueError(
+                    f"stream {stream} has {re.size} re and {im.size} im "
+                    f"values, band {band} needs {width} of each")
+            if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+                raise ValueError(
+                    f"stream {stream} has a non-finite coefficient")
+            rows[i] = re + 1j * im
             if weights is not None:
+                if "weight" not in d:
+                    raise ValueError(f"stream {stream} has no weight, but the "
+                                     f"manifest says the ensemble is weighted")
                 weights[i] = float(d["weight"])
             filled[i] = True
         seen = int(np.sum(filled))
@@ -415,34 +430,6 @@ def _finite_values(name, vals, streams) -> np.ndarray:
         raise ValueError(f"observable {name!r} is {vals[bad[0]]} on the "
                          f"sample of stream {streams[bad[0]]}")
     return vals
-
-
-def ensemble_stats(e: Ensemble, observable) -> tuple:
-    """Mean of an observable over the ensemble, with its standard error.
-
-    observable maps the coefficient matrix to one value per sample; a
-    non-finite value on any sample raises ValueError.  Unweighted: plain
-    mean, SE = sample std / sqrt(count).  Weighted: self-normalized
-    estimator sum(w h) / sum(w) over the samples of nonzero weight, SE by
-    bootstrap over 200 resamples drawn from the ensemble's reserved
-    auxiliary stream, reduced over those samples' resample counts.
-    """
-    if e.count == 0:
-        raise ValueError("empty ensemble")
-    first = e.seed.stream_index
-    vals = _finite_values(getattr(observable, "__name__", repr(observable)),
-                          observable(e.coeff_matrix),
-                          range(first, first + e.count))
-    if e.weights is None:
-        mean = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / np.sqrt(e.count)) if e.count > 1 else 0.0
-        return mean, se
-    live = np.flatnonzero(e.weights)
-    if len(live) == 0:
-        raise ValueError("all importance weights are zero; ensemble is degenerate")
-    counts = bootstrap_counts(e.seed.master_seed, e.count,
-                              _BOOTSTRAP_RESAMPLES, live)
-    return _weighted_mean_se(e.weights[live], vals[live], counts)
 
 
 def ball_probability(N: int, radius: float) -> float:

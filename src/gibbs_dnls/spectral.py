@@ -8,7 +8,6 @@ function 1 has norm 1 in every L^p.
 
 from __future__ import annotations
 
-import json
 import numpy as np
 
 __all__ = [
@@ -173,10 +172,6 @@ class FourierCoeffs:
         a, b = _project(self.coeffs, band), _project(other.coeffs, band)
         return bool(np.array_equal(a, b))
 
-    def __hash__(self):
-        trimmed = project(self, _effective_band(self))
-        return hash((trimmed.band, trimmed.coeffs.tobytes()))
-
     def __repr__(self):
         nz = {int(n): complex(c)
               for n, c in zip(self.modes(), self.coeffs) if c != 0}
@@ -191,26 +186,12 @@ class FourierCoeffs:
             "im": [float(v) for v in self.coeffs.imag],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "FourierCoeffs":
         band = int(d["band"])
         re = np.asarray(d["re"], dtype=np.float64)
         im = np.asarray(d["im"], dtype=np.float64)
         return cls(band, re + 1j * im)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FourierCoeffs":
-        return cls.from_json_dict(json.loads(text))
-
-
-def _effective_band(u: FourierCoeffs) -> int:
-    nz = np.nonzero(u.coeffs)[0]
-    if len(nz) == 0:
-        return 0
-    return int(max(abs(int(i) - u.band) for i in (nz[0], nz[-1])))
 
 
 class QuadratureGrid:
@@ -222,9 +203,6 @@ class QuadratureGrid:
     """
 
     __slots__ = ("size", "nodes")
-
-    #: oversampling floor used for p = inf and non-even p norms
-    OVERSAMPLE = 8
 
     def __init__(self, size: int):
         size = int(size)
@@ -242,11 +220,6 @@ class QuadratureGrid:
     def for_degree(cls, degree: int) -> "QuadratureGrid":
         """Smallest grid integrating trig polynomials of the given degree exactly."""
         return cls(max(int(degree) + 1, 1))
-
-    @classmethod
-    def oversampled(cls, band: int) -> "QuadratureGrid":
-        """Dense grid for sup norms and non-even p: M = 8*band + 8."""
-        return cls(cls.OVERSAMPLE * int(band) + cls.OVERSAMPLE)
 
     def __repr__(self):
         return f"QuadratureGrid(size={self.size})"
@@ -311,7 +284,7 @@ def lp_norm(u: FourierCoeffs, p, grid: QuadratureGrid) -> float:
     For even integer p the node mean of |u|^p is exact provided
     grid.size > p * band (the integrand is a trig polynomial of degree
     p * band).  Too-coarse grids are rejected for even p; other p are
-    grid approximations and should use an oversampled grid.
+    grid approximations, as close as the grid is dense.
     """
     if p != np.inf and p < 1:
         raise ValueError("p must be >= 1 or inf")

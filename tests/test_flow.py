@@ -31,9 +31,7 @@ from gibbs_dnls.observables import (
 )
 from gibbs_dnls.sampling import (
     SeedSpec,
-    ensemble_stats,
     phi_block,
-    sample_ensemble,
     sample_phi,
 )
 
@@ -336,10 +334,6 @@ def test_ensemble_observables_build_no_fourier_coeffs(monkeypatch):
     monkeypatch.setattr(FourierCoeffs, "__init__", counting_init)
     invariance_experiment(2, DensityParams(kappa=1.2, band=2), 0.05, 3000, 91,
                           {"m": batch_mass})
-    ens = sample_ensemble(2, 400, 8)
-    ensemble_stats(ens.with_weights(batch_mass(ens.coeff_matrix) < 2.0),
-                   batch_mass)
-    ensemble_stats(ens, batch_mass)
     assert built == []
     FourierCoeffs(0, np.zeros(1))
     assert built == [1]          # the counter itself works

@@ -101,24 +101,11 @@ def test_chi_linear():
     assert chi(2.0, p) == 0.0
 
 
-def test_chi_cosine():
-    p = DensityParams(kappa=1.0, band=4, ramp="cosine")
-    assert chi(0.4, p) == 1.0
-    assert chi(0.75, p) == pytest.approx(0.5)
-    assert chi(1.0, p) == pytest.approx(0.0, abs=1e-15)
-    # smooth ramp still monotone
-    xs = np.linspace(0.5, 1.0, 30)
-    vals = [chi(float(x), p) for x in xs]
-    assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
-
-
 def test_density_params_validation():
     with pytest.raises(ValueError):
         DensityParams(kappa=0.0, band=4)
     with pytest.raises(ValueError):
         DensityParams(kappa=1.0, band=-1)
-    with pytest.raises(ValueError):
-        DensityParams(kappa=1.0, band=4, ramp="step")
 
 
 def test_density_value():

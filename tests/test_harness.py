@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -14,6 +15,8 @@ from gibbs_dnls.harness import (
 )
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIGS = os.path.join(REPO, "configs")
 
 
 def cfg_text(experiment, **params):
@@ -31,7 +34,6 @@ def test_parse_minimal_sample():
 def test_parse_applies_defaults():
     c = parse_config(cfg_text("functionals", N=4, count=10, seed=1))
     assert c.parameters["kappa"] == 1.0
-    assert c.parameters["ramp"] == "linear"
 
 
 def test_parse_rejects_unknown_experiment():
@@ -187,6 +189,33 @@ def test_golden(name):
         assert got == want, fname
 
 
+# --- shipped configs --------------------------------------------------------
+
+def _shipped_configs():
+    return sorted(f for f in os.listdir(CONFIGS) if f.endswith(".json"))
+
+
+def _readme_catalog():
+    """{config file: experiment} from README's config catalog table."""
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("### Config catalog\n", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| (\w+) \|", section, flags=re.M)
+    assert len(rows) == len(dict(rows)), "a config is listed twice"
+    return dict(rows)
+
+
+@pytest.mark.parametrize("name", _shipped_configs())
+def test_shipped_config_parses(name):
+    with open(os.path.join(CONFIGS, name), encoding="utf-8") as fh:
+        config = parse_config(fh.read())
+    assert config.experiment == _readme_catalog().get(name)
+
+
+def test_readme_catalog_lists_exactly_the_shipped_configs():
+    assert sorted(_readme_catalog()) == _shipped_configs()
+
+
 # --- emit ------------------------------------------------------------------
 
 def test_emit_idempotent(tmp_path):
@@ -299,6 +328,15 @@ def test_cli_run_failing_verdict(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", p, "--out", str(out)]) == 1
     assert "[FAIL]" in capsys.readouterr().out
+
+
+def test_cli_unwritable_output_exits_2(tmp_path, capsys):
+    p = write_config(tmp_path, cfg_text("sample", N=2, count=3, seed=1))
+    out = tmp_path / "taken"
+    out.write_text("a regular file, not a directory\n")
+    assert main(["run", "--config", p, "--out", str(out)]) == 2
+    assert "cannot write output:" in capsys.readouterr().err
+    assert out.read_text() == "a regular file, not a directory\n"
 
 
 def test_cli_threads_do_not_change_results(tmp_path):

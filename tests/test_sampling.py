@@ -13,7 +13,6 @@ from gibbs_dnls.sampling import (
     SeedSpec,
     ball_probability,
     bootstrap_counts,
-    ensemble_stats,
     gaussian_block,
     phi_block,
     sample_ensemble,
@@ -27,8 +26,6 @@ SIGMA_4 = 231.0 / 85.0
 TOP = 2 ** 64 - 1
 #: the last stream a sample may use: 2^64 - 3 .. 2^64 - 1 are reserved
 LAST_SAMPLE_STREAM = TOP - 3
-#: fewest rows gaussian_block draws through the vectorized kernel
-MIN_ROWS = sampling._BLOCK_MIN_ROWS
 
 
 def _bits(a):
@@ -132,19 +129,26 @@ def test_philox_words_match_numpy_philox(master_seed, first_stream, rows, count)
         assert np.array_equal(words[j], want), j
 
 
-@pytest.mark.parametrize("rows", [MIN_ROWS - 1, MIN_ROWS, 3 * MIN_ROWS + 1])
+# blocks of 16 rows and more go through the vectorized kernel
+@pytest.mark.parametrize("rows", [1, 3, 15, 16, 49])
 @pytest.mark.parametrize("band", [0, 4, 32, 256])
 def test_phi_block_both_paths_match_per_stream(rows, band):
     _assert_rows_match_streams(phi_block(2718, 11, rows, band), 2718, 11, band)
 
 
+@pytest.mark.parametrize("rows", [1, 3, 15])
+def test_kernel_matches_per_stream_at_few_rows(rows, monkeypatch):
+    monkeypatch.setattr(sampling, "_BLOCK_MIN_ROWS", 1)
+    _assert_rows_match_streams(phi_block(2718, 11, rows, 4), 2718, 11, 4)
+
+
 @pytest.mark.parametrize("master_seed, first_stream", [
     (TOP, 0),
     (2 ** 63 + 5, 2 ** 40),
-    (9, LAST_SAMPLE_STREAM - MIN_ROWS + 1),     # ends on the last sample stream
+    (9, LAST_SAMPLE_STREAM - 15),       # ends on the last sample stream
 ])
 def test_phi_block_extreme_keys_match_per_stream(master_seed, first_stream):
-    rows = phi_block(master_seed, first_stream, MIN_ROWS, 4)
+    rows = phi_block(master_seed, first_stream, 16, 4)
     _assert_rows_match_streams(rows, master_seed, first_stream, 4)
 
 
@@ -156,7 +160,7 @@ def test_phi_block_rows_not_a_multiple_of_the_chunk():
     _assert_rows_match_streams(phi_block(5, 3, count, band), 5, 3, band)
 
 
-@pytest.mark.parametrize("rows", [3, MIN_ROWS])
+@pytest.mark.parametrize("rows", [3, 16])
 def test_blocks_stop_before_the_reserved_streams(rows):
     first = LAST_SAMPLE_STREAM - rows + 1
     assert gaussian_block(1, first, rows, 2).shape == (rows, 2)
@@ -220,12 +224,20 @@ def test_from_jsonl_rejects_wrong_generator():
         Ensemble.from_jsonl(man, ens.to_jsonl())
 
 
+def _records(text):
+    return [json.loads(line) for line in text.strip().split("\n")]
+
+
+def _jsonl(recs):
+    return "\n".join(json.dumps(r) for r in recs) + "\n"
+
+
 def _relabel(text, streams):
     """The jsonl records of text with their stream fields replaced in order."""
-    recs = [json.loads(line) for line in text.strip().split("\n")]
+    recs = _records(text)
     for rec, s in zip(recs, streams):
         rec["stream"] = s
-    return "\n".join(json.dumps(r) for r in recs) + "\n"
+    return _jsonl(recs)
 
 
 def _ensemble_at_stream_5():
@@ -252,39 +264,44 @@ def test_from_jsonl_rejects_bad_stream(streams, bad):
         Ensemble.from_jsonl(ens.manifest(), text)
 
 
+def test_from_jsonl_rejects_short_rows():
+    # a one-entry row would broadcast across all five columns
+    ens = _ensemble_at_stream_5()
+    for key in ("re", "im"):
+        recs = _records(ens.to_jsonl())
+        recs[1][key] = [0.5]
+        with pytest.raises(ValueError, match=r"stream 6\b.*needs 5"):
+            Ensemble.from_jsonl(ens.manifest(), _jsonl(recs))
+
+
+def test_from_jsonl_rejects_non_finite_coefficients():
+    ens = _ensemble_at_stream_5()
+    recs = _records(ens.to_jsonl())
+    recs[2]["re"][3] = float("nan")
+    text = _jsonl(recs)
+    assert "NaN" in text
+    with pytest.raises(ValueError, match=r"stream 7\b.*non-finite"):
+        Ensemble.from_jsonl(ens.manifest(), text)
+
+
+def test_from_jsonl_rejects_missing_weight():
+    ens = _ensemble_at_stream_5().with_weights([1.0, 0.5, 0.0])
+    man = ens.manifest()
+    assert man["weighted"]
+    back = Ensemble.from_jsonl(man, ens.to_jsonl())
+    assert np.array_equal(back.weights, ens.weights)
+    recs = _records(ens.to_jsonl())
+    del recs[0]["weight"]
+    with pytest.raises(ValueError, match=r"stream 5\b.*no weight"):
+        Ensemble.from_jsonl(man, _jsonl(recs))
+
+
 def test_weights_validation():
     ens = sample_ensemble(2, 4, 1)
     with pytest.raises(ValueError):
         ens.with_weights(np.array([1.0, -0.5, 0.0, 0.0]))
     with pytest.raises(ValueError):
         ens.with_weights(np.array([1.0, np.inf, 0.0, 0.0]))
-
-
-def test_ensemble_stats_unweighted():
-    ens = sample_ensemble(2, 500, 7)
-    vals = np.abs(ens.coeff_matrix[:, 2]) ** 2  # |c_0|^2 per sample
-    mean, se = ensemble_stats(ens, lambda rows: np.abs(rows[:, 2]) ** 2)
-    assert mean == pytest.approx(np.mean(vals))
-    assert se == pytest.approx(np.std(vals, ddof=1) / np.sqrt(500))
-
-
-def test_ensemble_stats_weighted():
-    ens = sample_ensemble(2, 400, 8)
-    w = (np.abs(ens.coeff_matrix[:, 2]) < 1.0).astype(float)
-    wens = ens.with_weights(w)
-    vals = np.abs(ens.coeff_matrix[:, 3]) ** 2
-    mean, se = ensemble_stats(wens, lambda rows: np.abs(rows[:, 3]) ** 2)
-    assert mean == pytest.approx(np.sum(w * vals) / np.sum(w))
-    assert se > 0
-    # deterministic bootstrap
-    mean2, se2 = ensemble_stats(wens, lambda rows: np.abs(rows[:, 3]) ** 2)
-    assert (mean, se) == (mean2, se2)
-
-
-def test_ensemble_stats_zero_weights_error():
-    ens = sample_ensemble(2, 10, 9).with_weights(np.zeros(10))
-    with pytest.raises(ValueError):
-        ensemble_stats(ens, lambda rows: np.ones(len(rows)))
 
 
 def _uniform_indices(master_seed, count, resamples):
@@ -367,22 +384,6 @@ def test_weighted_mean_se_matches_gather(live_count):
     mean, se = sampling._weighted_mean_se(w[live], vals[live], counts)
     assert mean == pytest.approx(ref_mean, rel=1e-13)
     assert se == pytest.approx(ref_se, rel=1e-13)
-
-
-def test_ensemble_stats_rejects_non_finite_values():
-    ens = sample_ensemble(2, 40, 8)
-
-    def spiky(rows):
-        v = np.abs(rows[:, 2]) ** 2
-        v[5] = np.nan
-        return v
-
-    with pytest.raises(ValueError, match=r"observable 'spiky' is nan .* stream 5$"):
-        ensemble_stats(ens, spiky)
-    w = np.zeros(40)
-    w[[1, 5, 9]] = 1.0
-    with pytest.raises(ValueError, match="'spiky'"):
-        ensemble_stats(ens.with_weights(w), spiky)
 
 
 def test_ball_probability_band_0():
