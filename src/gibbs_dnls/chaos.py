@@ -280,7 +280,9 @@ def y3_sum(N: int) -> complex:
     return complex(0.0, total)
 
 
-_RATE_MODES = ("f_full", "X_only")
+#: cauchy_rate's modes, each with the window its log-log slope should
+#: fall in: the full quartic difference and its diagonal X part
+_RATE_WINDOWS = {"f_full": (-1.8, -1.2), "X_only": (-2.4, -1.6)}
 
 #: coefficients per phi_block call in the Monte Carlo loops (2 MB of rows),
 #: so the kernels' FFT temporaries stay in cache at every band
@@ -314,8 +316,8 @@ def cauchy_rate(bands, sample_count: int, seed: int,
     count = int(sample_count)
     if count < 100:
         raise ValueError("sample_count below 100: confidence interval meaningless")
-    if mode not in _RATE_MODES:
-        raise ValueError(f"mode must be one of {_RATE_MODES}")
+    if mode not in _RATE_WINDOWS:
+        raise ValueError(f"mode must be one of {tuple(_RATE_WINDOWS)}")
 
     evaluate = batch_f_quartic if mode == "f_full" else batch_X
     sq_diffs = []
@@ -354,6 +356,10 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple:
     return slope, intercept, r2
 
 
+#: the tail shapes tail_survival fits: log survival linear in lambda^theta
+_THETAS = (0.5, 1.0, 2.0)
+
+
 def tail_survival(observable, N: int, lambdas, sample_count: int, seed: int,
                   condition=None, theta: float = 2.0) -> TailFit:
     """Empirical survival of a field observable with a lambda^theta fit.
@@ -366,7 +372,7 @@ def tail_survival(observable, N: int, lambdas, sample_count: int, seed: int,
     lambdas = np.asarray(sorted(float(x) for x in lambdas))
     if len(lambdas) < 2:
         raise ValueError("need at least two thresholds")
-    if theta not in (0.5, 1.0, 2.0):
+    if theta not in _THETAS:
         raise ValueError("theta must be one of 1/2, 1, 2")
     count = int(sample_count)
     exceed = np.zeros(len(lambdas), dtype=np.int64)

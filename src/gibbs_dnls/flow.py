@@ -39,13 +39,7 @@ from .spectral import (
 )
 from .functionals import energy, gauge_F, mass
 from .observables import DensityParams, batch_density_G, batch_mass, batch_multiply
-from .sampling import (
-    _BOOTSTRAP_RESAMPLES,
-    _finite_values,
-    _weighted_mean_se,
-    bootstrap_counts,
-    phi_block,
-)
+from .sampling import _BOOTSTRAP_RESAMPLES, bootstrap_counts, phi_block
 
 __all__ = [
     "FlowState",
@@ -343,6 +337,38 @@ def gauge_transform(traj: list) -> list:
         v = st.u.scale(np.exp(1j * phase)) if k > 0 else st.u
         out.append(FlowState(v, st.t, _log_invariants(v, N, grid)))
     return out
+
+
+def _weighted_mean_se(w: np.ndarray, vals: np.ndarray,
+                      counts: np.ndarray) -> tuple:
+    """Self-normalized mean sum(w h) / sum(w) and its bootstrap SE.
+
+    w and vals are the weights and values of the live samples, and row r
+    of counts says how often resample r draws each of them (see
+    bootstrap_counts); resamples whose weights sum to zero are left out.
+    The resample sums are numpy pairwise sums, not BLAS products, so
+    their bits do not depend on the BLAS kernel.
+    """
+    wh = w * vals
+    mean = float(np.sum(wh) / np.sum(w))
+    denom = (counts * w).sum(axis=1)
+    good = denom > 0
+    reps = (counts * wh).sum(axis=1)[good] / denom[good]
+    se = float(np.std(reps, ddof=1)) if len(reps) > 1 else 0.0
+    return mean, se
+
+
+def _finite_values(name, vals, streams) -> np.ndarray:
+    """vals as float64; ValueError naming the observable if one is not finite.
+
+    streams[i] is the stream that value i was computed from.
+    """
+    vals = np.asarray(vals, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if len(bad):
+        raise ValueError(f"observable {name!r} is {vals[bad[0]]} on the "
+                         f"sample of stream {streams[bad[0]]}")
+    return vals
 
 
 def invariance_experiment(N: int, params: DensityParams, t: float, count: int,

@@ -3,7 +3,10 @@
 Experiments are described by small JSON configs ({"experiment": name,
 "parameters": {...}}), validated against per-experiment schemas that
 reject unknown keys and list every violation at once, then dispatched
-to the library modules.  Each run produces a RunRecord: config echo,
+to the library modules.  Each parameter is checked on its own; what a
+config cannot set (chaos batches and table size, the tail fit's r^2
+floor, the density-difference thresholds, the invariance observables)
+is a constant of its runner.  Each run produces a RunRecord: config echo,
 generator name, result payload, pass/fail verdicts, and CSV side tables
 whose bytes are deterministic for a given config.
 """
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import FourierCoeffs, QuadratureGrid, _modes, _project
+from .spectral import QuadratureGrid, _modes, _project
 from .functionals import (
     DensityParams,
     density_G,
@@ -50,6 +53,8 @@ from .observables import (
 )
 from .chaos import (
     _KERNEL_MAX,
+    _RATE_WINDOWS,
+    _THETAS,
     cauchy_rate,
     chaos_ratio,
     erfc_fit_r2,
@@ -133,10 +138,13 @@ def _int_at_least(lo):
     return check
 
 
-def _seed(v):
-    # a Philox key word: larger seeds would alias smaller ones mod 2^64
-    if not _is_int(v) or not 0 <= v < 2 ** 64:
-        return f"expected integer in 0 .. 2^64 - 1, got {v!r}"
+def _seed(spare=0):
+    # a Philox key word: larger seeds would alias smaller ones mod 2^64;
+    # spare leaves room for the master seeds seed + 1 .. seed + spare
+    def check(v):
+        if not _is_int(v) or not 0 <= v < 2 ** 64 - spare:
+            return f"expected integer in 0 .. 2^64 - {1 + spare}, got {v!r}"
+    return check
 
 
 def _number(lo=None, hi=None, lo_strict=False):
@@ -153,7 +161,8 @@ def _number(lo=None, hi=None, lo_strict=False):
 
 def _choice(*opts):
     def check(v):
-        if v not in opts:
+        # True == 1 in Python, so a JSON boolean would pass as a number
+        if isinstance(v, bool) or v not in opts:
             return f"must be one of {opts}, got {v!r}"
     return check
 
@@ -186,27 +195,14 @@ def _number_list(min_len, lo=None, increasing=False):
     return check
 
 
-def _coeffs_dict(v):
-    if not isinstance(v, dict) or set(v) != {"band", "re", "im"}:
-        return f"expected {{band, re, im}} coefficient object, got {v!r}"
-    if not _is_int(v["band"]) or v["band"] < 0:
-        return "band must be a non-negative integer"
-    want = 2 * v["band"] + 1
-    for key in ("re", "im"):
-        if not isinstance(v[key], list) or len(v[key]) != want or any(
-                isinstance(x, bool) or not isinstance(x, (int, float))
-                or not math.isfinite(x) for x in v[key]):
-            return f"{key} must be a list of {want} finite numbers"
-
-
-#: invariance observables by config name, one value per coefficient row
+#: the invariance experiment's observables by report name, one value per
+#: coefficient row
 _INVARIANCE_OBSERVABLES = {
     "l4": batch_quartic_integral,
     "re_c1": lambda rows: batch_re_coeff(rows, 1),
     "h1": batch_h1_seminorm_sq,
     "f_N": batch_f_quartic,
 }
-_OBSERVABLE_NAMES = tuple(_INVARIANCE_OBSERVABLES)
 
 #: tail observables by config name, one value per coefficient row; each
 #: looks its kernel up by module name when called, so a wrapper bound
@@ -217,26 +213,32 @@ _TAIL_OBSERVABLES = {
     "re_c0": lambda rows: np.abs(batch_re_coeff(rows, 0)),
 }
 
-#: slope windows of the cauchy_rate verdict by mode
-_RATE_WINDOWS = {"f_full": (-1.8, -1.2), "X_only": (-2.4, -1.6)}
+#: chaos runs: batches of count // batches samples, batch j under master
+#: seed seed + 1 + j, on a coefficient table of this many terms drawn
+#: from seed's reserved streams
+_CHAOS_BATCHES = 10
+_CHAOS_TERMS = 8
+
+#: thresholds e of the gn_lp table's fractions P(|G_2N - G_N| > e)
+_EPS_GRID = (0.001, 0.01, 0.1)
 
 # each entry: name -> (required?, default, checker)
 _SCHEMAS = {
     "sample": {
         "N": (True, None, _int_at_least(0)),
         "count": (True, None, _int_at_least(1)),
-        "seed": (True, None, _seed),
+        "seed": (True, None, _seed()),
     },
     "functionals": {
         "N": (True, None, _int_at_least(0)),
         "count": (True, None, _int_at_least(1)),
-        "seed": (True, None, _seed),
+        "seed": (True, None, _seed()),
         "kappa": (False, 1.0, _number(lo=0, lo_strict=True)),
     },
     "cauchy_rate": {
         "bands": (True, None, _int_list(2, 1, increasing=True)),
         "count": (True, None, _int_at_least(100)),
-        "seed": (True, None, _seed),
+        "seed": (True, None, _seed()),
         "mode": (False, "f_full", _choice(*_RATE_WINDOWS)),
     },
     "chaos": {
@@ -244,20 +246,16 @@ _SCHEMAS = {
         "d": (True, None, _int_at_least(1)),
         "p": (True, None, _number(lo=2)),
         "count": (True, None, _int_at_least(1000)),
-        "seed": (True, None, _seed),
-        "batches": (False, 10, _int_at_least(2)),
-        "terms": (False, 8, _int_at_least(1)),
-        "coeffs_seed": (False, None, _seed),
+        "seed": (True, None, _seed(_CHAOS_BATCHES)),
     },
     "tails": {
         "observable": (True, None, _choice(*_TAIL_OBSERVABLES)),
         "N": (True, None, _int_at_least(0)),
         "lambdas": (True, None, _number_list(2, lo=0, increasing=True)),
         "count": (True, None, _int_at_least(1000)),
-        "seed": (True, None, _seed),
-        "theta": (False, 2.0, _choice(0.5, 1, 1.0, 2, 2.0)),
+        "seed": (True, None, _seed()),
+        "theta": (False, 2.0, _choice(*_THETAS)),
         "condition_kappa": (False, None, _number(lo=0, lo_strict=True)),
-        "r2_min": (False, 0.9, _number(lo=0, hi=1)),
     },
     "kernel_sum": {
         "ns": (True, None, _int_list(1, -_KERNEL_MAX, _KERNEL_MAX)),
@@ -268,28 +266,25 @@ _SCHEMAS = {
         "N": (True, None, _int_at_least(0)),
         "T": (True, None, _number()),
         "h": (True, None, _number(lo=0, lo_strict=True)),
+        "u0_seed": (True, None, _seed()),
+        "u0_norm": (True, None, _number(lo=0, lo_strict=True)),
         "max_drift": (False, 1e-6, _number(lo=0, lo_strict=True)),
         "energy_tol": (False, 1e-6, _number(lo=0, lo_strict=True)),
-        "u0": (False, None, _coeffs_dict),
-        "u0_seed": (False, None, _seed),
-        "u0_norm": (False, None, _number(lo=0, lo_strict=True)),
     },
     "invariance": {
         "N": (True, None, _int_at_least(0)),
         "kappa": (True, None, _number(lo=0, lo_strict=True)),
         "t": (True, None, _number()),
         "count": (True, None, _int_at_least(100)),
-        "seed": (True, None, _seed),
+        "seed": (True, None, _seed()),
         "h": (False, 0.005, _number(lo=0, lo_strict=True)),
-        "observables": (False, list(_OBSERVABLE_NAMES), None),
     },
     "gn_lp": {
         "p": (True, None, _number(lo=1)),
         "kappa": (True, None, _number(lo=0, lo_strict=True)),
         "bands": (True, None, _int_list(1, 1, increasing=True)),
         "count": (True, None, _int_at_least(100)),
-        "seed": (True, None, _seed),
-        "eps_grid": (False, [0.001, 0.01, 0.1], _number_list(1, lo=0, increasing=True)),
+        "seed": (True, None, _seed()),
     },
 }
 
@@ -330,43 +325,15 @@ def parse_config(text: str) -> ExperimentConfig:
                 resolved[key] = default
             continue
         value = params[key]
-        msg = check(value) if check is not None else None
+        msg = check(value)
         if msg:
             violations.append(f"parameter {key!r}: {msg}")
         else:
             resolved[key] = value
 
-    violations.extend(_cross_checks(name, resolved, params))
     if violations:
         raise ConfigError(violations)
     return ExperimentConfig(name, resolved)
-
-
-def _cross_checks(name: str, p: dict, raw: dict) -> list:
-    out = []
-    if name == "invariance" and "observables" in raw:
-        v = raw["observables"]
-        if not isinstance(v, list) or not v or \
-                any(x not in _OBSERVABLE_NAMES for x in v):
-            out.append(
-                f"parameter 'observables': must be a non-empty subset of "
-                f"{_OBSERVABLE_NAMES}, got {v!r}")
-    if name == "flow":
-        explicit = "u0" in raw
-        seeded = "u0_seed" in raw or "u0_norm" in raw
-        if explicit and seeded:
-            out.append("give either u0 or (u0_seed, u0_norm), not both")
-        elif not explicit:
-            if "u0_seed" not in raw or "u0_norm" not in raw:
-                out.append("initial data missing: give u0 or both u0_seed and u0_norm")
-    if name == "chaos" and all(k in p for k in ("count", "batches")):
-        if p["count"] // p["batches"] < 100:
-            out.append("count/batches below 100 samples per batch")
-    if name == "chaos" and all(k in p for k in ("seed", "batches")):
-        # batch j draws under master seed seed + 1 + j
-        if p["seed"] + p["batches"] >= 2 ** 64:
-            out.append("parameter 'seed': seed + batches must be below 2^64")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +426,11 @@ def _run_cauchy(p: dict):
 
 
 def _run_chaos(p: dict):
-    table_seed = p.get("coeffs_seed", p["seed"])
-    table = random_coeff_table(p["k"], p["d"], p["terms"], table_seed)
-    per_batch = p["count"] // p["batches"]
+    table = random_coeff_table(p["k"], p["d"], _CHAOS_TERMS, p["seed"])
+    per_batch = p["count"] // _CHAOS_BATCHES
     ratios = []
     bound = None
-    for j in range(p["batches"]):
+    for j in range(_CHAOS_BATCHES):
         r, bound = chaos_ratio(p["k"], p["d"], table, p["p"],
                                per_batch, p["seed"] + 1 + j)
         ratios.append(r)
@@ -496,8 +462,8 @@ def _run_tails(p: dict):
                         condition=condition, theta=float(p["theta"]))
     payload = {"fit": fit.to_json_dict(), "observable": name}
     verdicts = [
-        _verdict("fit_quality", fit.r_squared >= p["r2_min"],
-                 f"r^2 = {fit.r_squared:.4f} (min {p['r2_min']})"),
+        _verdict("fit_quality", fit.r_squared >= 0.9,
+                 f"r^2 = {fit.r_squared:.4f} (min 0.9)"),
         _verdict("tail_decays", fit.rate > 0,
                  f"rate = {fit.rate:.4f} (must be positive)"),
     ]
@@ -533,12 +499,11 @@ def _run_kernel(p: dict):
 
 
 def _run_flow(p: dict):
+    """Integrate from the field drawn on stream 0 of u0_seed, rescaled to
+    L^2 norm u0_norm, and check its mass and energy drifts."""
     N = p["N"]
-    if "u0" in p:
-        u0 = FourierCoeffs.from_json_dict(p["u0"])
-    else:
-        draw = sample_phi(N, SeedSpec(p["u0_seed"], 0))
-        u0 = draw.scale(p["u0_norm"] / mass(draw))
+    draw = sample_phi(N, SeedSpec(p["u0_seed"], 0))
+    u0 = draw.scale(p["u0_norm"] / mass(draw))
     config = IntegratorConfig(step=p["h"], max_drift=p["max_drift"])
     traj = evolve(u0, N, p["T"], config)
     logs = [st.invariants_log for st in traj]
@@ -568,9 +533,8 @@ def _run_flow(p: dict):
 def _run_invariance(p: dict):
     N = p["N"]
     params = DensityParams(kappa=p["kappa"], band=N)
-    obs = {k: _INVARIANCE_OBSERVABLES[k] for k in p["observables"]}
     report = invariance_experiment(N, params, p["t"], p["count"], p["seed"],
-                                   obs, step_size=p["h"])
+                                   _INVARIANCE_OBSERVABLES, step_size=p["h"])
     rows = []
     verdicts = []
     for k, r in report["observables"].items():
@@ -592,7 +556,6 @@ def _run_gn_lp(p: dict):
     pw = float(p["p"])
     count = p["count"]
     seed = p["seed"]
-    eps_grid = [float(e) for e in p["eps_grid"]]
     per_band = {}
     diff_means = []
     rows_main = []
@@ -610,11 +573,11 @@ def _run_gn_lp(p: dict):
         adiff = np.abs(gM - gN)
         dmean = float(np.mean(adiff))
         diff_means.append(dmean)
-        exceed = [float(np.mean(adiff > e)) for e in eps_grid]
+        exceed = [float(np.mean(adiff > e)) for e in _EPS_GRID]
         per_band[str(N)] = {
             "moment": moment, "frac_positive": frac, "ball_mass": ball,
             "diff_mean": dmean,
-            "diff_exceed": dict(zip(map(str, eps_grid), exceed)),
+            "diff_exceed": dict(zip(map(str, _EPS_GRID), exceed)),
         }
         rows_main.append(f"{N},{_fmt(moment)},{_fmt(frac)},{_fmt(ball)}")
         rows_diff.append(",".join(
@@ -646,7 +609,7 @@ def _run_gn_lp(p: dict):
     tables = {
         "gn_lp.csv": _csv("N,moment,frac_positive,ball_mass", rows_main),
         "gn_diffs.csv": _csv(
-            ",".join(["N", "diff_mean"] + [f"frac_gt_{e}" for e in eps_grid]),
+            ",".join(["N", "diff_mean"] + [f"frac_gt_{e}" for e in _EPS_GRID]),
             rows_diff),
     }
     verdicts = [

@@ -47,7 +47,7 @@ _TABLE_VALUE_STREAM = _MASK64 - 2
 #: ordinary sample streams count up from 0 and stay below this one
 _FIRST_RESERVED_STREAM = _TABLE_VALUE_STREAM
 
-#: resamples behind every weighted-mean standard error
+#: resamples behind every bootstrap standard error and interval
 _BOOTSTRAP_RESAMPLES = 200
 #: resamples bootstrap_counts draws per chunk of the auxiliary stream, so
 #: the index temporaries stay a few MB however many samples are resampled
@@ -241,28 +241,20 @@ class Ensemble:
     """A seeded collection of field samples at one band.
 
     Stores the coefficients as one matrix row per sample for fast batch
-    work; sample(i) materializes one row as FourierCoeffs.  weights,
-    when present, are non-negative importance weights aligned with the
-    samples (absent means unweighted).  seed records the provenance:
-    sample i came from stream seed.stream_index + i.
+    work; sample(i) materializes one row as FourierCoeffs.  seed records
+    the provenance: sample i came from stream seed.stream_index + i.
+    Ensembles are unweighted: the manifest says "weighted": false, and
+    the loader refuses one that says otherwise.
     """
 
-    __slots__ = ("band", "coeff_matrix", "weights", "seed")
+    __slots__ = ("band", "coeff_matrix", "seed")
 
-    def __init__(self, band: int, coeff_matrix: np.ndarray,
-                 seed: SeedSpec, weights=None):
+    def __init__(self, band: int, coeff_matrix: np.ndarray, seed: SeedSpec):
         coeff_matrix = np.asarray(coeff_matrix, dtype=np.complex128)
         if coeff_matrix.ndim != 2 or coeff_matrix.shape[1] != 2 * int(band) + 1:
             raise ValueError("coefficient matrix shape does not match band")
-        if weights is not None:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != (coeff_matrix.shape[0],):
-                raise ValueError("weights length does not match sample count")
-            if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-                raise ValueError("weights must be finite and non-negative")
         self.band = int(band)
         self.coeff_matrix = coeff_matrix
-        self.weights = weights
         self.seed = seed
 
     @property
@@ -275,9 +267,6 @@ class Ensemble:
     def sample(self, i: int) -> FourierCoeffs:
         return FourierCoeffs(self.band, self.coeff_matrix[i])
 
-    def with_weights(self, weights) -> "Ensemble":
-        return Ensemble(self.band, self.coeff_matrix, self.seed, weights)
-
     def manifest(self) -> dict:
         return {
             "master_seed": self.seed.master_seed,
@@ -285,19 +274,17 @@ class Ensemble:
             "generator": GENERATOR_NAME,
             "band": self.band,
             "count": self.count,
-            "weighted": self.weights is not None,
+            "weighted": False,
         }
 
     def to_jsonl(self) -> str:
-        """One sample per line: stream index, coefficients, optional weight."""
+        """One sample per line: stream index and coefficients."""
         lines = []
         for i in range(self.count):
             row = self.coeff_matrix[i]
             d = {"stream": self.seed.stream_index + i,
                  "re": [float(v) for v in row.real],
                  "im": [float(v) for v in row.imag]}
-            if self.weights is not None:
-                d["weight"] = float(self.weights[i])
             lines.append(json.dumps(d, separators=(",", ":")))
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -308,12 +295,13 @@ class Ensemble:
                 f"ensemble was written by generator {manifest.get('generator')!r}, "
                 f"this build is {GENERATOR_NAME!r}"
             )
+        if manifest.get("weighted"):
+            raise ValueError("weighted ensembles are not supported")
         band = int(manifest["band"])
         count = int(manifest["count"])
         first = int(manifest.get("first_stream", 0))
         width = 2 * band + 1
         rows = np.zeros((count, width), dtype=np.complex128)
-        weights = np.zeros(count) if manifest.get("weighted") else None
         filled = np.zeros(count, dtype=bool)
         for line in text.splitlines():
             line = line.strip()
@@ -339,17 +327,11 @@ class Ensemble:
                 raise ValueError(
                     f"stream {stream} has a non-finite coefficient")
             rows[i] = re + 1j * im
-            if weights is not None:
-                if "weight" not in d:
-                    raise ValueError(f"stream {stream} has no weight, but the "
-                                     f"manifest says the ensemble is weighted")
-                weights[i] = float(d["weight"])
             filled[i] = True
         seen = int(np.sum(filled))
         if seen != count:
             raise ValueError(f"manifest promises {count} samples, found {seen}")
-        return cls(band, rows, SeedSpec(int(manifest["master_seed"]), first),
-                   weights)
+        return cls(band, rows, SeedSpec(int(manifest["master_seed"]), first))
 
 
 def sample_ensemble(N: int, count: int, master_seed: int) -> Ensemble:
@@ -398,38 +380,6 @@ def bootstrap_counts(master_seed: int, count: int, resamples: int,
         tally = np.bincount(bins.ravel(), minlength=rows * width)
         out[lo:lo + rows] = tally.reshape(rows, width)[:, :spill]
     return out
-
-
-def _weighted_mean_se(w: np.ndarray, vals: np.ndarray,
-                      counts: np.ndarray) -> tuple:
-    """Self-normalized mean sum(w h) / sum(w) and its bootstrap SE.
-
-    w and vals are the weights and values of the live samples, and row r
-    of counts says how often resample r draws each of them (see
-    bootstrap_counts); resamples whose weights sum to zero are left out.
-    The resample sums are numpy pairwise sums, not BLAS products, so
-    their bits do not depend on the BLAS kernel.
-    """
-    wh = w * vals
-    mean = float(np.sum(wh) / np.sum(w))
-    denom = (counts * w).sum(axis=1)
-    good = denom > 0
-    reps = (counts * wh).sum(axis=1)[good] / denom[good]
-    se = float(np.std(reps, ddof=1)) if len(reps) > 1 else 0.0
-    return mean, se
-
-
-def _finite_values(name, vals, streams) -> np.ndarray:
-    """vals as float64; ValueError naming the observable if one is not finite.
-
-    streams[i] is the stream that value i was computed from.
-    """
-    vals = np.asarray(vals, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if len(bad):
-        raise ValueError(f"observable {name!r} is {vals[bad[0]]} on the "
-                         f"sample of stream {streams[bad[0]]}")
-    return vals
 
 
 def ball_probability(N: int, radius: float) -> float:

@@ -177,22 +177,6 @@ class FourierCoeffs:
               for n, c in zip(self.modes(), self.coeffs) if c != 0}
         return f"FourierCoeffs(band={self.band}, nonzero={nz})"
 
-    # -- serialization ----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "band": self.band,
-            "re": [float(v) for v in self.coeffs.real],
-            "im": [float(v) for v in self.coeffs.imag],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FourierCoeffs":
-        band = int(d["band"])
-        re = np.asarray(d["re"], dtype=np.float64)
-        im = np.asarray(d["im"], dtype=np.float64)
-        return cls(band, re + 1j * im)
-
 
 class QuadratureGrid:
     """Equispaced nodes x_j = 2pi j / M on [0, 2pi).

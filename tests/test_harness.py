@@ -1,5 +1,6 @@
 """Config validation, run determinism, emit idempotence, CLI exit codes."""
 
+import importlib.util
 import json
 import os
 import re
@@ -7,6 +8,7 @@ import re
 import pytest
 
 from gibbs_dnls.harness import (
+    _SCHEMAS,
     ConfigError,
     emit,
     main,
@@ -89,35 +91,26 @@ def test_parse_type_checks():
 
 
 def test_parse_flow_initial_data_rules():
-    with pytest.raises(ConfigError, match="initial data"):
-        parse_config(cfg_text("flow", N=4, T=1.0, h=0.001))
-    with pytest.raises(ConfigError, match="not both"):
-        parse_config(cfg_text(
-            "flow", N=1, T=1.0, h=0.001, u0_seed=1, u0_norm=0.1,
-            u0={"band": 1, "re": [0, 0, 1], "im": [0, 0, 0]}))
-    c = parse_config(cfg_text(
-        "flow", N=1, T=0.01, h=0.001,
-        u0={"band": 1, "re": [0.0, 0.0, 0.1], "im": [0.0, 0.0, 0.0]}))
-    assert c.parameters["u0"]["band"] == 1
-    with pytest.raises(ConfigError):
-        parse_config(cfg_text(
-            "flow", N=1, T=0.01, h=0.001,
-            u0={"band": 1, "re": [0.0, 0.0], "im": [0.0, 0.0, 0.0]}))
+    # the initial datum is the seeded draw, rescaled to L^2 norm u0_norm
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg_text("flow", N=4, T=1.0, h=0.001, u0_norm=0.1))
+    assert err.value.violations == ["missing required parameter 'u0_seed'"]
+    c = parse_config(cfg_text("flow", N=1, T=0.01, h=0.001,
+                              u0_seed=1, u0_norm=0.1))
+    assert (c.parameters["u0_seed"], c.parameters["u0_norm"]) == (1, 0.1)
 
 
-def test_parse_invariance_observables_subset():
-    with pytest.raises(ConfigError):
-        parse_config(cfg_text("invariance", N=4, kappa=1.0, t=0.5,
-                              count=200, seed=1, observables=["energy"]))
-    c = parse_config(cfg_text("invariance", N=4, kappa=1.0, t=0.5,
-                              count=200, seed=1, observables=["l4"]))
-    assert c.parameters["observables"] == ["l4"]
-
-
-def test_parse_chaos_batch_floor():
-    with pytest.raises(ConfigError, match="batches"):
-        parse_config(cfg_text("chaos", k=1, d=4, p=4, count=1000,
-                              seed=1, batches=20))
+def test_parse_choice_rejects_booleans():
+    # True == 1 in Python: "theta": true must not fit at theta 1
+    tails = dict(observable="l4_norm", N=4, lambdas=[1.0, 2.0],
+                 count=10000, seed=1)
+    for bad in (True, False):
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg_text("tails", **tails, theta=bad))
+        assert err.value.violations[0].startswith("parameter 'theta'")
+    for ok in (1, 2.0):
+        c = parse_config(cfg_text("tails", **tails, theta=ok))
+        assert c.parameters["theta"] == ok
 
 
 _TOP = 2 ** 64 - 1      # largest seed a 64-bit Philox key word holds
@@ -127,7 +120,7 @@ _FLOW = dict(N=1, T=0.01, h=0.001, u0_norm=0.1)
 
 @pytest.mark.parametrize("experiment, params, field", [
     ("sample", dict(N=2, count=5), "seed"),
-    ("chaos", dict(_CHAOS, seed=1), "coeffs_seed"),
+    ("gn_lp", dict(p=2, kappa=1.0, bands=[4], count=100), "seed"),
     ("flow", _FLOW, "u0_seed"),
 ])
 def test_parse_rejects_seeds_that_alias(experiment, params, field):
@@ -142,10 +135,12 @@ def test_parse_rejects_seeds_that_alias(experiment, params, field):
 
 
 def test_parse_chaos_batch_seeds_stay_below_2_64():
-    # batch j draws under master seed seed + 1 + j
-    with pytest.raises(ConfigError, match="seed \\+ batches"):
-        parse_config(cfg_text("chaos", **_CHAOS, seed=_TOP - 9, batches=10))
-    parse_config(cfg_text("chaos", **_CHAOS, seed=_TOP - 10, batches=10))
+    # batch j of 10 draws under master seed seed + 1 + j
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg_text("chaos", **_CHAOS, seed=_TOP - 9))
+    assert err.value.violations == [
+        f"parameter 'seed': expected integer in 0 .. 2^64 - 11, got {_TOP - 9}"]
+    parse_config(cfg_text("chaos", **_CHAOS, seed=_TOP - 10))
 
 
 # --- run determinism -------------------------------------------------------
@@ -196,24 +191,81 @@ def _shipped_configs():
 
 
 def _readme_catalog():
-    """{config file: experiment} from README's config catalog table."""
+    """{config file: (experiment, exit code)} from README's config catalog."""
     with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
         text = fh.read()
     section = text.split("### Config catalog\n", 1)[1].split("\n#", 1)[0]
-    rows = re.findall(r"^\| `([^`]+)` \| (\w+) \|", section, flags=re.M)
-    assert len(rows) == len(dict(rows)), "a config is listed twice"
-    return dict(rows)
+    rows = re.findall(r"^\| `([^`]+)` \| (\w+) \|.* \| (\d) \|$", section,
+                      flags=re.M)
+    catalog = {name: (experiment, int(code)) for name, experiment, code in rows}
+    assert len(rows) == len(catalog), "a config is listed twice"
+    return catalog
 
 
 @pytest.mark.parametrize("name", _shipped_configs())
 def test_shipped_config_parses(name):
     with open(os.path.join(CONFIGS, name), encoding="utf-8") as fh:
         config = parse_config(fh.read())
-    assert config.experiment == _readme_catalog().get(name)
+    assert config.experiment == _readme_catalog()[name][0]
 
 
 def test_readme_catalog_lists_exactly_the_shipped_configs():
     assert sorted(_readme_catalog()) == _shipped_configs()
+
+
+#: shipped configs whose exact computation an acceptance test already runs
+#: (same experiment, seeds and sizes), so their exit codes are not rerun
+_RUN_BY_ACCEPTANCE = {
+    "tails_l4.json": "A06, test_criterion_06_gaussian_tails (about 16 s)",
+    "invariance_n4.json": "A11, test_criterion_11_invariance",
+    "flow_conservation.json": "A10's reference_trajectory fixture",
+}
+
+
+@pytest.mark.parametrize("name", [n for n in _shipped_configs()
+                                  if n not in _RUN_BY_ACCEPTANCE])
+def test_shipped_config_exits_as_catalogued(name, tmp_path, capsys):
+    code = main(["run", "--config", os.path.join(CONFIGS, name),
+                 "--out", str(tmp_path)])
+    assert code == _readme_catalog()[name][1], capsys.readouterr().out
+
+
+def _workload_configs():
+    """The benchmark workloads' configs at their default seed."""
+    path = os.path.join(REPO, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [build(workloads.DEFAULT_SEED)
+            for cases in workloads.WORKLOADS.values() for _, build, _ in cases]
+
+
+def _configs_in_use():
+    paths = [os.path.join(CONFIGS, name) for name in _shipped_configs()]
+    paths += [os.path.join(GOLDEN, name, "config.json")
+              for name in sorted(os.listdir(GOLDEN))]
+    docs = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            docs.append(json.load(fh))
+    return docs + _workload_configs()
+
+
+#: optional parameters that no shipped config, golden or benchmark
+#: workload sets, each with the reason it stays
+_UNSET_OPTIONS_KEPT = {
+    ("tails", "condition_kappa"):
+        "ROADMAP item 2: the tilted companion of A07 fits the tail "
+        "conditioned on the mass ball, which this option selects",
+}
+
+
+def test_every_option_is_set_by_a_config_in_use():
+    used = {(doc["experiment"], key)
+            for doc in _configs_in_use() for key in doc["parameters"]}
+    optional = {(name, key) for name, schema in _SCHEMAS.items()
+                for key, (required, _, _) in schema.items() if not required}
+    assert optional - used == set(_UNSET_OPTIONS_KEPT)
 
 
 # --- emit ------------------------------------------------------------------

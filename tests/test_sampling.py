@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gibbs_dnls import chaos, sampling
+from gibbs_dnls import chaos, flow, sampling
 from gibbs_dnls.sampling import (
     GENERATOR_NAME,
     RESERVED_STREAM,
@@ -284,24 +284,14 @@ def test_from_jsonl_rejects_non_finite_coefficients():
         Ensemble.from_jsonl(ens.manifest(), text)
 
 
-def test_from_jsonl_rejects_missing_weight():
-    ens = _ensemble_at_stream_5().with_weights([1.0, 0.5, 0.0])
+def test_from_jsonl_rejects_weighted_manifest():
+    ens = _ensemble_at_stream_5()
     man = ens.manifest()
-    assert man["weighted"]
-    back = Ensemble.from_jsonl(man, ens.to_jsonl())
-    assert np.array_equal(back.weights, ens.weights)
-    recs = _records(ens.to_jsonl())
-    del recs[0]["weight"]
-    with pytest.raises(ValueError, match=r"stream 5\b.*no weight"):
-        Ensemble.from_jsonl(man, _jsonl(recs))
-
-
-def test_weights_validation():
-    ens = sample_ensemble(2, 4, 1)
-    with pytest.raises(ValueError):
-        ens.with_weights(np.array([1.0, -0.5, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        ens.with_weights(np.array([1.0, np.inf, 0.0, 0.0]))
+    assert man["weighted"] is False
+    text = ens.to_jsonl()
+    assert all(set(rec) == {"stream", "re", "im"} for rec in _records(text))
+    with pytest.raises(ValueError, match="weighted"):
+        Ensemble.from_jsonl(dict(man, weighted=True), text)
 
 
 def _uniform_indices(master_seed, count, resamples):
@@ -381,7 +371,7 @@ def test_weighted_mean_se_matches_gather(live_count):
     ref_se = np.std(reps, ddof=1)
 
     counts = bootstrap_counts(9, count, resamples, live)
-    mean, se = sampling._weighted_mean_se(w[live], vals[live], counts)
+    mean, se = flow._weighted_mean_se(w[live], vals[live], counts)
     assert mean == pytest.approx(ref_mean, rel=1e-13)
     assert se == pytest.approx(ref_se, rel=1e-13)
 
@@ -416,10 +406,3 @@ def test_ball_probability_rejects_bad_arguments():
         with pytest.raises(ValueError):
             ball_probability(2, r)
 
-
-def test_jsonl_weight_field():
-    ens = sample_ensemble(1, 3, 4).with_weights(np.array([0.0, 1.5, 2.0]))
-    lines = ens.to_jsonl().strip().split("\n")
-    rec = json.loads(lines[1])
-    assert rec["weight"] == 1.5
-    assert rec["stream"] == 1

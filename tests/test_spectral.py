@@ -1,7 +1,5 @@
 """Exactness tests for coefficient arithmetic and quadrature."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -111,13 +109,6 @@ def test_equality_ignores_padding():
     wide = project(E1, 5)
     assert wide == E1
     assert wide != EM1
-
-
-def test_json_round_trip():
-    u = FourierCoeffs.from_pairs({-1: 1.5 - 0.5j, 1: 2j})
-    v = FourierCoeffs.from_json_dict(json.loads(json.dumps(u.to_json_dict())))
-    assert v.band == u.band
-    assert np.array_equal(v.coeffs, u.coeffs)
 
 
 def test_project_pad_and_crop():
