@@ -29,7 +29,6 @@ from .spectral import (
     _antiderivative,
     _conjugate,
     _derivative,
-    _project,
     antiderivative,
     conjugate,
     derivative,
@@ -139,30 +138,28 @@ def rhs_hamiltonian(u: FourierCoeffs, N: int) -> FourierCoeffs:
 def batch_rhs_hamiltonian(rows: np.ndarray, N: int) -> np.ndarray:
     """rhs_hamiltonian of every row of a coefficient matrix at band N.
 
-    The same composition on arrays: gradients at (u, conj u), projected,
-    then the first row of K, projected; every product is a row-wise
-    direct convolution (batch_multiply), so a mode the flow cannot reach
-    stays exactly zero, as in the reference.
+    The same composition on arrays, valid only on the physical slice
+    v = conj u: there v^2 = conj(u^2), v^2 v = conj(u^2 u), w2 = conj(w1)
+    and D(v w2) = conj(D(u w1)), so six row-wise direct convolutions
+    (batch_multiply) suffice: u^2, u^2 u, u w1 and, at band N only,
+    u (conj u^2)', u^2 conj(u^2 u) and u (D(v w2) - D(u w1)).  Modes the
+    flow cannot reach stay exactly zero; the bits differ from the
+    reference's by roundoff only.
     """
     N = int(N)
     if rows.shape[1] != 2 * N + 1:
         raise ValueError(f"rows of width {rows.shape[1]} are not at band {N}")
     mul = batch_multiply
     u = rows
-    v = _conjugate(u)
     u2 = mul(u, u)
-    v2 = mul(v, v)
-    # w1, w2 = Pi_N dH/du, Pi_N dH/dv, as in variational_derivatives
-    w1 = -_derivative(_derivative(v)) \
-        + _project(-1.5j * mul(u, _derivative(v2)), N) \
-        + _project(1.5 * mul(u2, mul(v2, v)), N)
-    w2 = -_derivative(_derivative(u)) \
-        + _project(1.5j * mul(v, _derivative(u2)), N) \
-        + _project(1.5 * mul(mul(u2, u), v2), N)
-    # Pi_N z1 of apply_K: z1 = u (D(v w2) - D(u w1)) - i w2
+    u3 = mul(u2, u)
+    # w1 = Pi_N dH/du, as in variational_derivatives, with v = conj u
+    w1 = -_derivative(_derivative(_conjugate(u))) \
+        - 1.5j * mul(u, _derivative(_conjugate(u2)), band=N) \
+        + 1.5 * mul(u2, _conjugate(u3), band=N)
+    # Pi_N z1 of apply_K: z1 = u (D(v w2) - D(u w1)) - i w2, w2 = conj w1
     Duw1 = _antiderivative(mul(u, w1))
-    Dvw2 = _antiderivative(mul(v, w2))
-    return _project(mul(u, Dvw2 - Duw1), N) - 1j * w2
+    return mul(u, _conjugate(Duw1) - Duw1, band=N) - 1j * _conjugate(w1)
 
 
 def _perp(w: FourierCoeffs, N: int) -> FourierCoeffs:
@@ -339,9 +336,8 @@ def gauge_transform(traj: list) -> list:
     return out
 
 
-def _weighted_mean_se(w: np.ndarray, vals: np.ndarray,
-                      counts: np.ndarray) -> tuple:
-    """Self-normalized mean sum(w h) / sum(w) and its bootstrap SE.
+def _weighted_se(w: np.ndarray, vals: np.ndarray, counts: np.ndarray) -> float:
+    """Bootstrap SE of the self-normalized mean sum(w h) / sum(w).
 
     w and vals are the weights and values of the live samples, and row r
     of counts says how often resample r draws each of them (see
@@ -349,13 +345,10 @@ def _weighted_mean_se(w: np.ndarray, vals: np.ndarray,
     The resample sums are numpy pairwise sums, not BLAS products, so
     their bits do not depend on the BLAS kernel.
     """
-    wh = w * vals
-    mean = float(np.sum(wh) / np.sum(w))
     denom = (counts * w).sum(axis=1)
     good = denom > 0
-    reps = (counts * wh).sum(axis=1)[good] / denom[good]
-    se = float(np.std(reps, ddof=1)) if len(reps) > 1 else 0.0
-    return mean, se
+    reps = (counts * (w * vals)).sum(axis=1)[good] / denom[good]
+    return float(np.std(reps, ddof=1)) if len(reps) > 1 else 0.0
 
 
 def _finite_values(name, vals, streams) -> np.ndarray:
@@ -431,7 +424,7 @@ def invariance_experiment(N: int, params: DensityParams, t: float, count: int,
         mb = float(np.sum(w * before) / total)
         ma = float(np.sum(w * after) / total)
         # paired resampling: the SE of the difference, one draw for both
-        _, se = _weighted_mean_se(w_live, a - b, counts)
+        se = _weighted_se(w_live, a - b, counts)
         delta = ma - mb
         report["observables"][k] = {
             "before": mb,

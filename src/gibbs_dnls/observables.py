@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .spectral import QuadratureGrid, _band, _derivative, _evaluate, _modes
 
@@ -86,21 +86,30 @@ def _fft_len(n: int) -> int:
         m += 1
 
 
-def batch_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def batch_multiply(a: np.ndarray, b: np.ndarray, band: int = None) -> np.ndarray:
     """Row-wise product: coefficients of u v for paired rows, width da+db-1.
 
     Direct convolution, as in spectral.multiply, not an FFT: every output
     coefficient is a plain sum of products, so modes the product cannot
     reach stay exactly zero (an FFT product leaves roundoff there), and
-    each row's result does not depend on the other rows.
+    each row's result does not depend on the other rows.  band = M
+    computes only the modes |k| <= M (width 2M+1): the bits of the full
+    product projected to M, for M from 0 to the product's band.
     """
     if a.shape[1] > b.shape[1]:
         a, b = b, a
     da, db = a.shape[1], b.shape[1]
+    top = (da + db - 2) // 2
+    M = top if band is None else int(band)
+    if not 0 <= M <= top:
+        raise ValueError(f"band {band} is outside 0 .. {top}, the product's band")
     padded = np.zeros((b.shape[0], db + 2 * (da - 1)), dtype=np.complex128)
     padded[:, da - 1:da - 1 + db] = b
-    # window k holds b_{k-da+1} .. b_k: its dot with reversed a is (ab)_k
-    windows = sliding_window_view(padded, da, axis=1)
+    # window k holds b_{k-da+1} .. b_k: its dot with reversed a is (ab)_k;
+    # only the windows of the kept modes k - top = -M .. M are built
+    s0, s1 = padded.strides
+    windows = as_strided(padded[:, top - M:], (len(padded), 2 * M + 1, da),
+                         (s0, s1, s1), writeable=False)
     return (windows @ a[:, ::-1, None])[:, :, 0]
 
 

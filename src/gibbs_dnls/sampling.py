@@ -353,14 +353,10 @@ def bootstrap_counts(master_seed: int, count: int, resamples: int,
     so resamples are deterministic given master_seed and independent of
     every sample stream.  Entry (r, j) counts the draws of sample live[j]
     in resample r.  live holds distinct sample indices; draws of samples
-    outside it are counted in a spill bin and dropped.
+    outside it are dropped.
     """
     live = np.asarray(live, dtype=np.int64)
-    spill = len(live)
-    rank = np.full(count, spill, dtype=np.int64)
-    rank[live] = np.arange(spill)
-    width = spill + 1
-    out = np.empty((resamples, spill), dtype=np.int64)
+    out = np.empty((resamples, len(live)), dtype=np.int64)
     bits = _philox(SeedSpec(master_seed, RESERVED_STREAM))
     # u * count with u = m 2^-53 from _uniforms, in one rounding: m 2^-53
     # and count 2^-53 are exact, so m (count 2^-53) rounds to the same float
@@ -374,11 +370,11 @@ def bootstrap_counts(master_seed: int, count: int, resamples: int,
         x *= scale
         idx = x.astype(np.int64)
         np.minimum(idx, count - 1, out=idx)
-        # one bincount over the chunk: resample r's bins start at r * width
-        bins = rank[idx].reshape(rows, count)
-        bins += np.arange(0, rows * width, width)[:, None]
-        tally = np.bincount(bins.ravel(), minlength=rows * width)
-        out[lo:lo + rows] = tally.reshape(rows, width)[:, :spill]
+        # one bincount over the chunk: resample r's bins start at r * count
+        bins = idx.reshape(rows, count)
+        bins += np.arange(0, rows * count, count)[:, None]
+        tally = np.bincount(bins.ravel(), minlength=rows * count)
+        out[lo:lo + rows] = tally.reshape(rows, count)[:, live]
     return out
 
 

@@ -5,7 +5,7 @@ import bisect
 import numpy as np
 import pytest
 
-from gibbs_dnls.spectral import FourierCoeffs, QuadratureGrid, lp_norm, multiply
+from gibbs_dnls.spectral import FourierCoeffs, QuadratureGrid, _project, lp_norm, multiply
 from gibbs_dnls.functionals import (
     DensityParams,
     chi,
@@ -75,6 +75,30 @@ def test_batch_multiply_matches_spectral_multiply():
     for j in (0, 7, 39):
         want = multiply(row_field(j), FourierCoeffs(2, other[j])).coeffs
         assert np.max(np.abs(prod[j] - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("wa", [1, 9, 17])
+@pytest.mark.parametrize("wb", [1, 9, 17])
+def test_batch_multiply_band_is_projected_product(wa, wb):
+    a = phi_block(609, 0, 5, (wa - 1) // 2)
+    b = phi_block(610, 0, 5, (wb - 1) // 2)
+    top = (wa + wb - 2) // 2
+    # equal widths swap nothing, so each order is checked against itself
+    for x, y in ((a, b), (b, a)):
+        full = batch_multiply(x, y)
+        assert full.shape == (5, 2 * top + 1)
+        for M in range(top + 1):
+            assert np.array_equal(batch_multiply(x, y, band=M),
+                                  _project(full, M)), M
+
+
+def test_batch_multiply_band_out_of_range():
+    a, b = ROWS, phi_block(607, 0, 40, 2)
+    for M in (-1, BAND + 3, 100):
+        with pytest.raises(ValueError, match="band"):
+            batch_multiply(a, b, band=M)
+        with pytest.raises(ValueError, match="band"):
+            batch_multiply(b, a, band=M)
 
 
 def test_batch_mass():
