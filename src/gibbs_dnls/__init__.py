@@ -21,9 +21,7 @@ from .spectral import (
 )
 from .sampling import (
     GENERATOR_NAME,
-    Ensemble,
     SeedSpec,
-    sample_ensemble,
     sample_gaussian,
     sample_phi,
 )
@@ -59,7 +57,6 @@ from .flow import (
     invariance_experiment,
     rhs_expanded,
     rhs_hamiltonian,
-    step,
     variational_derivatives,
 )
 from .harness import (
@@ -85,9 +82,7 @@ __all__ = [
     "pairing_bilinear",
     "project",
     "GENERATOR_NAME",
-    "Ensemble",
     "SeedSpec",
-    "sample_ensemble",
     "sample_gaussian",
     "sample_phi",
     "DensityParams",
@@ -117,7 +112,6 @@ __all__ = [
     "invariance_experiment",
     "rhs_expanded",
     "rhs_hamiltonian",
-    "step",
     "variational_derivatives",
     "ConfigError",
     "ExperimentConfig",

@@ -48,7 +48,6 @@ __all__ = [
     "rhs_hamiltonian",
     "batch_rhs_hamiltonian",
     "rhs_expanded",
-    "step",
     "evolve",
     "gauge_transform",
     "invariance_experiment",
@@ -69,15 +68,19 @@ class IntegratorConfig:
     """Fixed-step RK4 integrator settings.
 
     max_drift bounds the allowed |mass(t) - mass(0)|; the run aborts when
-    the integrator error grows past it.
+    the integrator error grows past it.  Both must be finite and positive:
+    an infinite step takes no steps at all, and a NaN or negative bound
+    would switch the guard off or trip it at once.
     """
 
     step: float
     max_drift: float = 1e-6
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError("step must be positive")
+        if not 0 < self.step < math.inf:
+            raise ValueError("step must be finite and positive")
+        if not 0 < self.max_drift < math.inf:
+            raise ValueError("max_drift must be finite and positive")
 
 
 def variational_derivatives(u: FourierCoeffs, v: FourierCoeffs) -> tuple:
@@ -230,9 +233,9 @@ def _rk4(rows: np.ndarray, N: int, h: float) -> np.ndarray:
     return rows + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _check(rows: np.ndarray, t: float, streams=None, mass0=None,
-           max_drift: float = None) -> None:
-    """Raise if a row went non-finite or, given mass0, drifted in mass.
+def _check(rows: np.ndarray, t: float, mass0: np.ndarray, max_drift: float,
+           streams=None) -> None:
+    """Raise if a row went non-finite or drifted in mass from mass0.
 
     The message names the time and, when streams labels the rows, the
     offending row's stream.
@@ -244,12 +247,11 @@ def _check(rows: np.ndarray, t: float, streams=None, mass0=None,
     if not np.all(finite):
         raise RuntimeError(
             f"state became non-finite at t = {t:g}{where(int(np.argmin(finite)))}")
-    if mass0 is not None:
-        drift = np.abs(batch_mass(rows) - mass0)
-        i = int(np.argmax(drift))
-        if drift[i] > max_drift:
-            raise RuntimeError(
-                f"mass drift {drift[i]:.3e} exceeds {max_drift:g} at t = {t:g}{where(i)}")
+    drift = np.abs(batch_mass(rows) - mass0)
+    i = int(np.argmax(drift))
+    if drift[i] > max_drift:
+        raise RuntimeError(
+            f"mass drift {drift[i]:.3e} exceeds {max_drift:g} at t = {t:g}{where(i)}")
 
 
 def _step_sizes(T: float, step: float) -> list:
@@ -271,27 +273,8 @@ def _trajectory(rows: np.ndarray, N: int, T: float, config: IntegratorConfig,
     for h in _step_sizes(float(T), config.step):
         rows = _rk4(rows, N, h)
         t += h
-        _check(rows, t, streams, mass0, config.max_drift)
+        _check(rows, t, mass0, config.max_drift, streams)
         yield t, rows
-
-
-def step(state: FlowState, N: int, config: IntegratorConfig,
-         h: float = None, grid: QuadratureGrid = None) -> FlowState:
-    """One explicit step; h defaults to config.step (sign gives direction).
-
-    Checks finiteness only: the mass-drift guard is evolve's, which knows
-    the starting mass.
-    """
-    N = int(N)
-    if h is None:
-        h = config.step
-    if grid is None:
-        grid = QuadratureGrid.for_degree(6 * N)
-    t = state.t + h
-    rows = _rk4(project(state.u, N).coeffs[None, :], N, float(h))
-    _check(rows, t)
-    u1 = FourierCoeffs(N, rows[0])
-    return FlowState(u1, t, _log_invariants(u1, N, grid))
 
 
 def evolve(u0: FourierCoeffs, N: int, T: float, config: IntegratorConfig) -> list:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import QuadratureGrid, _modes, _project
+from .spectral import FourierCoeffs, QuadratureGrid, _modes, _project
 from .functionals import (
     DensityParams,
     density_G,
@@ -38,7 +38,6 @@ from .sampling import (
     GENERATOR_NAME,
     SeedSpec,
     phi_block,
-    sample_ensemble,
     sample_phi,
 )
 from .observables import (
@@ -353,20 +352,27 @@ def _verdict(name: str, passed: bool, detail: str) -> dict:
 
 
 def _run_sample(p: dict):
-    ens = sample_ensemble(p["N"], p["count"], p["seed"])
-    m = ens.coeff_matrix
+    N, count, seed = p["N"], p["count"], p["seed"]
+    m = phi_block(seed, 0, count, N)
     n = _modes(m)
     target = 1.0 / (n * n + 1.0)
     second = (m.real ** 2 + m.imag ** 2).mean(axis=0)
-    z = (second - target) / (target / np.sqrt(ens.count))
+    z = (second - target) / (target / np.sqrt(count))
     max_z = float(np.max(np.abs(z)))
     rows = [
         f"{int(n[i])},{_fmt(second[i])},{_fmt(target[i])},{_fmt(z[i])}"
         for i in range(len(n))
     ]
-    payload = {"manifest": ens.manifest(), "max_abs_z": max_z}
+    manifest = {"master_seed": seed, "first_stream": 0,
+                "generator": GENERATOR_NAME, "band": N, "count": count,
+                "weighted": False}
+    payload = {"manifest": manifest, "max_abs_z": max_z}
     tables = {"moments.csv": _csv("mode,second_moment,target,z", rows)}
-    files = {"samples.jsonl": ens.to_jsonl()}
+    dump = "".join(
+        json.dumps({"stream": i, "re": row.real.tolist(),
+                    "im": row.imag.tolist()}, separators=(",", ":")) + "\n"
+        for i, row in enumerate(m))
+    files = {"samples.jsonl": dump}
     verdicts = [_verdict(
         "second_moments", max_z <= 5.0,
         f"max |z| over modes = {max_z:.2f} (limit 5)")]
@@ -378,12 +384,12 @@ def _run_functionals(p: dict):
     params = DensityParams(kappa=p["kappa"], band=N)
     grid4 = QuadratureGrid.for_degree(4 * N)
     grid6 = QuadratureGrid.for_degree(6 * N)
-    ens = sample_ensemble(N, p["count"], p["seed"])
+    block = phi_block(p["seed"], 0, p["count"], N)
     rows = []
     worst = 0.0
     sums = np.zeros(6)
-    for i in range(ens.count):
-        u = ens.sample(i)
+    for i, coeffs in enumerate(block):
+        u = FourierCoeffs(N, coeffs)
         fm = mass(u)
         pm = momentum(u, grid4)
         fq = f_quartic(u, N)
@@ -396,7 +402,7 @@ def _run_functionals(p: dict):
         sums += (fm, pm, fq, en, gn, fu)
         rows.append(f"{i},{_fmt(fm)},{_fmt(pm)},{_fmt(fq)},"
                     f"{_fmt(en)},{_fmt(gn)},{_fmt(fu)}")
-    means = sums / ens.count
+    means = sums / len(block)
     payload = {
         "means": {
             "mass": means[0], "momentum": means[1], "f_N": means[2],

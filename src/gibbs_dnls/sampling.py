@@ -13,7 +13,6 @@ regenerated in isolation and draw order never matters.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -24,10 +23,8 @@ from .spectral import FourierCoeffs, _modes
 __all__ = [
     "GENERATOR_NAME",
     "SeedSpec",
-    "Ensemble",
     "sample_gaussian",
     "sample_phi",
-    "sample_ensemble",
     "gaussian_block",
     "phi_block",
     "bootstrap_counts",
@@ -78,12 +75,18 @@ class SeedSpec:
     master_seed scopes the whole experiment; stream_index scopes one
     sample within it.  Together they are the 128-bit Philox key, so each
     must lie in 0 .. 2^64 - 1; larger values would alias smaller ones.
+    Both must be Python or numpy integers: a float or a bool would be
+    truncated to some other stream's key.
     """
 
     master_seed: int
     stream_index: int
 
     def __post_init__(self):
+        for v in (self.master_seed, self.stream_index):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(
+                    f"seed components must be integers, got {v!r}")
         if self.master_seed < 0 or self.stream_index < 0:
             raise ValueError("seed components must be non-negative")
         if self.master_seed > _MASK64 or self.stream_index > _MASK64:
@@ -235,112 +238,6 @@ def phi_block(master_seed: int, first_stream: int, rows: int,
               band: int) -> np.ndarray:
     """rows x (2*band+1) matrix of field coefficients, one sample per row."""
     return _phi(gaussian_block(master_seed, first_stream, rows, 2 * band + 1))
-
-
-class Ensemble:
-    """A seeded collection of field samples at one band.
-
-    Stores the coefficients as one matrix row per sample for fast batch
-    work; sample(i) materializes one row as FourierCoeffs.  seed records
-    the provenance: sample i came from stream seed.stream_index + i.
-    Ensembles are unweighted: the manifest says "weighted": false, and
-    the loader refuses one that says otherwise.
-    """
-
-    __slots__ = ("band", "coeff_matrix", "seed")
-
-    def __init__(self, band: int, coeff_matrix: np.ndarray, seed: SeedSpec):
-        coeff_matrix = np.asarray(coeff_matrix, dtype=np.complex128)
-        if coeff_matrix.ndim != 2 or coeff_matrix.shape[1] != 2 * int(band) + 1:
-            raise ValueError("coefficient matrix shape does not match band")
-        self.band = int(band)
-        self.coeff_matrix = coeff_matrix
-        self.seed = seed
-
-    @property
-    def count(self) -> int:
-        return self.coeff_matrix.shape[0]
-
-    def __len__(self) -> int:
-        return self.count
-
-    def sample(self, i: int) -> FourierCoeffs:
-        return FourierCoeffs(self.band, self.coeff_matrix[i])
-
-    def manifest(self) -> dict:
-        return {
-            "master_seed": self.seed.master_seed,
-            "first_stream": self.seed.stream_index,
-            "generator": GENERATOR_NAME,
-            "band": self.band,
-            "count": self.count,
-            "weighted": False,
-        }
-
-    def to_jsonl(self) -> str:
-        """One sample per line: stream index and coefficients."""
-        lines = []
-        for i in range(self.count):
-            row = self.coeff_matrix[i]
-            d = {"stream": self.seed.stream_index + i,
-                 "re": [float(v) for v in row.real],
-                 "im": [float(v) for v in row.imag]}
-            lines.append(json.dumps(d, separators=(",", ":")))
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    @classmethod
-    def from_jsonl(cls, manifest: dict, text: str) -> "Ensemble":
-        if manifest.get("generator") != GENERATOR_NAME:
-            raise ValueError(
-                f"ensemble was written by generator {manifest.get('generator')!r}, "
-                f"this build is {GENERATOR_NAME!r}"
-            )
-        if manifest.get("weighted"):
-            raise ValueError("weighted ensembles are not supported")
-        band = int(manifest["band"])
-        count = int(manifest["count"])
-        first = int(manifest.get("first_stream", 0))
-        width = 2 * band + 1
-        rows = np.zeros((count, width), dtype=np.complex128)
-        filled = np.zeros(count, dtype=bool)
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            stream = int(d["stream"])
-            i = stream - first
-            if not 0 <= i < count:
-                raise ValueError(
-                    f"stream {stream} outside the manifest's streams "
-                    f"{first}..{first + count - 1}"
-                )
-            if filled[i]:
-                raise ValueError(f"stream {stream} appears twice")
-            re = np.asarray(d["re"], dtype=np.float64)
-            im = np.asarray(d["im"], dtype=np.float64)
-            if re.shape != (width,) or im.shape != (width,):
-                raise ValueError(
-                    f"stream {stream} has {re.size} re and {im.size} im "
-                    f"values, band {band} needs {width} of each")
-            if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
-                raise ValueError(
-                    f"stream {stream} has a non-finite coefficient")
-            rows[i] = re + 1j * im
-            filled[i] = True
-        seen = int(np.sum(filled))
-        if seen != count:
-            raise ValueError(f"manifest promises {count} samples, found {seen}")
-        return cls(band, rows, SeedSpec(int(manifest["master_seed"]), first))
-
-
-def sample_ensemble(N: int, count: int, master_seed: int) -> Ensemble:
-    """count samples of phi_N on streams 0..count-1 under master_seed."""
-    count = int(count)
-    if count < 1:
-        raise ValueError("count must be positive")
-    rows = phi_block(master_seed, 0, count, int(N))
-    return Ensemble(int(N), rows, SeedSpec(int(master_seed), 0))
 
 
 def bootstrap_counts(master_seed: int, count: int, resamples: int,

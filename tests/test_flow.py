@@ -12,7 +12,6 @@ from gibbs_dnls.spectral import (
 )
 from gibbs_dnls.functionals import DensityParams, hamiltonian_H2, mass
 from gibbs_dnls.flow import (
-    FlowState,
     IntegratorConfig,
     apply_K,
     batch_rhs_hamiltonian,
@@ -21,7 +20,6 @@ from gibbs_dnls.flow import (
     invariance_experiment,
     rhs_expanded,
     rhs_hamiltonian,
-    step,
     variational_derivatives,
 )
 from gibbs_dnls.observables import (
@@ -184,8 +182,19 @@ def test_rhs_expanded_single_mode_correction_vanishes():
 # --- integration -----------------------------------------------------------
 
 def test_integrator_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(step=0.0)
+    inf, nan = float("inf"), float("nan")
+    for kwargs in (
+        {"step": 0.0},
+        {"step": -1e-3},
+        {"step": inf},                      # 0 * inf: evolve takes no step
+        {"step": nan},
+        {"step": 1e-3, "max_drift": nan},   # the guard silently off
+        {"step": 1e-3, "max_drift": -1.0},  # trips at the first step
+        {"step": 1e-3, "max_drift": 0.0},
+        {"step": 1e-3, "max_drift": inf},
+    ):
+        with pytest.raises(ValueError):
+            IntegratorConfig(**kwargs)
 
 
 def test_evolve_zero_time():
@@ -244,17 +253,6 @@ def test_single_mode_invariant_manifold():
             assert final.coeff(n) == 0
     drift = max(abs(abs(st.u.coeff(1)) - 0.3) for st in traj)
     assert drift <= 1e-10
-
-
-def test_step_matches_evolve_single():
-    u0 = draw(5, 4, scale=0.2)
-    cfg = IntegratorConfig(step=1e-3)
-    grid = QuadratureGrid.for_degree(24)
-    st0 = FlowState(project(u0, 4), 0.0, {})
-    st1 = step(st0, 4, cfg, grid=grid)
-    traj = evolve(u0, 4, 1e-3, cfg)
-    assert np.array_equal(st1.u.coeffs, traj[-1].u.coeffs)
-    assert st1.t == pytest.approx(1e-3)
 
 
 # --- gauge transform -------------------------------------------------------

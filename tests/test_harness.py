@@ -5,8 +5,10 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 
+from gibbs_dnls.sampling import GENERATOR_NAME, phi_block
 from gibbs_dnls.harness import (
     _SCHEMAS,
     ConfigError,
@@ -164,6 +166,20 @@ def test_run_record_fields():
     assert rec.config["parameters"]["eps"] == 0.25
     d = rec.to_json_dict()
     assert d["tables"] == ["kernel.csv"]
+
+
+def test_sample_dump_rows_are_the_streams_draws():
+    rec = run(parse_config(cfg_text("sample", N=3, count=8, seed=101)))
+    text = rec.files["samples.jsonl"]
+    assert text.endswith("\n")
+    recs = [json.loads(line) for line in text.splitlines()]
+    assert [r["stream"] for r in recs] == list(range(8))
+    got = np.array([np.array(r["re"]) + 1j * np.array(r["im"]) for r in recs])
+    want = phi_block(101, 0, 8, 3)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert rec.payload["manifest"] == {
+        "master_seed": 101, "first_stream": 0, "generator": GENERATOR_NAME,
+        "band": 3, "count": 8, "weighted": False}
 
 
 # --- golden files ----------------------------------------------------------

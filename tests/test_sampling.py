@@ -1,7 +1,5 @@
 """Determinism and distributional checks for the Gaussian field sampler."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -9,13 +7,11 @@ from gibbs_dnls import chaos, flow, sampling
 from gibbs_dnls.sampling import (
     GENERATOR_NAME,
     RESERVED_STREAM,
-    Ensemble,
     SeedSpec,
     ball_probability,
     bootstrap_counts,
     gaussian_block,
     phi_block,
-    sample_ensemble,
     sample_gaussian,
     sample_phi,
 )
@@ -52,6 +48,15 @@ def test_seed_spec_rejects_components_that_alias():
         with pytest.raises(ValueError, match="2\\^64"):
             SeedSpec(*bad)
     SeedSpec(TOP, TOP)
+    # a float or bool would be truncated to another stream's key
+    for bad in ((7.5, 0), (7, 2.5), (7.0, 0), (True, 0), (0, False)):
+        with pytest.raises(ValueError, match="integers"):
+            SeedSpec(*bad)
+    with pytest.raises(ValueError, match="integers"):
+        phi_block(7.9, 0, 20, 2)
+    with pytest.raises(ValueError, match="integers"):
+        phi_block(7, 0.5, 3, 2)
+    SeedSpec(np.int64(7), np.uint64(TOP))
 
 
 def test_generator_name_is_pinned():
@@ -197,101 +202,6 @@ def test_field_second_moments():
     mass2 = np.sum(np.abs(rows) ** 2, axis=1)
     se = np.std(mass2) / np.sqrt(count)
     assert abs(np.mean(mass2) - SIGMA_4) <= 5.0 * se
-
-
-def test_sample_ensemble_round_trip():
-    ens = sample_ensemble(3, 8, 101)
-    assert ens.band == 3
-    assert ens.count == 8
-    assert len(ens) == 8
-    man = ens.manifest()
-    assert man["generator"] == GENERATOR_NAME
-    assert man["master_seed"] == 101
-    text = ens.to_jsonl()
-    assert text.endswith("\n")
-    back = Ensemble.from_jsonl(man, text)
-    assert np.array_equal(back.coeff_matrix, ens.coeff_matrix)
-    # individual samples match the stream convention
-    u0 = ens.sample(0)
-    assert np.array_equal(u0.coeffs, sample_phi(3, SeedSpec(101, 0)).coeffs)
-
-
-def test_from_jsonl_rejects_wrong_generator():
-    ens = sample_ensemble(2, 3, 5)
-    man = dict(ens.manifest())
-    man["generator"] = "other-rng"
-    with pytest.raises(ValueError):
-        Ensemble.from_jsonl(man, ens.to_jsonl())
-
-
-def _records(text):
-    return [json.loads(line) for line in text.strip().split("\n")]
-
-
-def _jsonl(recs):
-    return "\n".join(json.dumps(r) for r in recs) + "\n"
-
-
-def _relabel(text, streams):
-    """The jsonl records of text with their stream fields replaced in order."""
-    recs = _records(text)
-    for rec, s in zip(recs, streams):
-        rec["stream"] = s
-    return _jsonl(recs)
-
-
-def _ensemble_at_stream_5():
-    rows = phi_block(9, 5, 3, 2)
-    return Ensemble(2, rows, SeedSpec(9, 5))
-
-
-def test_from_jsonl_accepts_offset_streams():
-    ens = _ensemble_at_stream_5()
-    back = Ensemble.from_jsonl(ens.manifest(), _relabel(ens.to_jsonl(), [7, 5, 6]))
-    assert np.array_equal(back.coeff_matrix, ens.coeff_matrix[[1, 2, 0]])
-
-
-@pytest.mark.parametrize("streams, bad", [
-    ([5, 6, 6], 6),     # duplicate: stream 7 missing, its row left all zero
-    ([4, 6, 7], 4),     # below first_stream: would land in the last row
-    ([5, 6, 8], 8),     # at first_stream + count
-    ([5, 6, 40], 40),   # above
-])
-def test_from_jsonl_rejects_bad_stream(streams, bad):
-    ens = _ensemble_at_stream_5()
-    text = _relabel(ens.to_jsonl(), streams)
-    with pytest.raises(ValueError, match=f"stream {bad}\\b"):
-        Ensemble.from_jsonl(ens.manifest(), text)
-
-
-def test_from_jsonl_rejects_short_rows():
-    # a one-entry row would broadcast across all five columns
-    ens = _ensemble_at_stream_5()
-    for key in ("re", "im"):
-        recs = _records(ens.to_jsonl())
-        recs[1][key] = [0.5]
-        with pytest.raises(ValueError, match=r"stream 6\b.*needs 5"):
-            Ensemble.from_jsonl(ens.manifest(), _jsonl(recs))
-
-
-def test_from_jsonl_rejects_non_finite_coefficients():
-    ens = _ensemble_at_stream_5()
-    recs = _records(ens.to_jsonl())
-    recs[2]["re"][3] = float("nan")
-    text = _jsonl(recs)
-    assert "NaN" in text
-    with pytest.raises(ValueError, match=r"stream 7\b.*non-finite"):
-        Ensemble.from_jsonl(ens.manifest(), text)
-
-
-def test_from_jsonl_rejects_weighted_manifest():
-    ens = _ensemble_at_stream_5()
-    man = ens.manifest()
-    assert man["weighted"] is False
-    text = ens.to_jsonl()
-    assert all(set(rec) == {"stream", "re", "im"} for rec in _records(text))
-    with pytest.raises(ValueError, match="weighted"):
-        Ensemble.from_jsonl(dict(man, weighted=True), text)
 
 
 def _uniform_indices(master_seed, count, resamples):
