@@ -119,21 +119,40 @@ def batch_square(rows: np.ndarray) -> np.ndarray:
     Zero-padded FFT; the pad length is the smallest 5-smooth length at
     or above 2d-1 (_fft_len), so the linear convolution comes out
     alias-free.  Each row is transformed on its own, so a row's result
-    does not depend on the other rows.
+    does not depend on the other rows.  The product is squared and
+    transformed back in the forward transform's buffer: at Monte Carlo
+    block sizes a second multi-MB array would be faulted in per call.
     """
     d = rows.shape[1]
     L = _fft_len(2 * d - 1)
     F = np.fft.fft(rows, n=L, axis=1)
     F *= F
-    return np.fft.ifft(F, axis=1)[:, : 2 * d - 1]
+    return np.fft.ifft(F, axis=1, out=F)[:, : 2 * d - 1]
 
 
 def batch_cube(rows: np.ndarray) -> np.ndarray:
-    """Row-wise coefficients of u^3, width 3d-2; padded as batch_square."""
+    """Row-wise coefficients of u^3, width 3d-2; padded as batch_square.
+
+    F * F * F is formed in one expression (squaring F in place and then
+    multiplying can change the last bit) and transformed back in place.
+    """
     d = rows.shape[1]
     L = _fft_len(3 * d - 2)
     F = np.fft.fft(rows, n=L, axis=1)
-    return np.fft.ifft(F * F * F, axis=1)[:, : 3 * d - 2]
+    G = F * F * F
+    return np.fft.ifft(G, axis=1, out=G)[:, : 3 * d - 2]
+
+
+def _abs2_inplace(w: np.ndarray) -> np.ndarray:
+    """|w|^2 entrywise, computed in w's own buffer, which it overwrites.
+
+    The bits of w.real ** 2 + w.imag ** 2.  Only for a product a kernel
+    has just computed, never for rows a caller passed in.
+    """
+    re, im = w.real, w.imag
+    np.square(re, out=re)
+    np.square(im, out=im)
+    return np.add(re, im, out=re)
 
 
 def batch_mass(rows: np.ndarray) -> np.ndarray:
@@ -148,7 +167,7 @@ def batch_f_quartic(rows: np.ndarray) -> np.ndarray:
     at; the k grid spans the squared field's band 2N.
     """
     w = batch_square(rows)
-    return np.sum(_modes(w) * (w.real ** 2 + w.imag ** 2), axis=1)
+    return np.sum(_modes(w) * _abs2_inplace(w), axis=1)
 
 
 def batch_X(rows: np.ndarray) -> np.ndarray:
@@ -163,14 +182,12 @@ def batch_X(rows: np.ndarray) -> np.ndarray:
 
 def batch_quartic_integral(rows: np.ndarray) -> np.ndarray:
     """int |u|^4 per row: Parseval on the squared field."""
-    w = batch_square(rows)
-    return np.sum(w.real ** 2 + w.imag ** 2, axis=1)
+    return np.sum(_abs2_inplace(batch_square(rows)), axis=1)
 
 
 def batch_sextic_integral(rows: np.ndarray) -> np.ndarray:
     """int |u|^6 per row: Parseval on the cubed field."""
-    w = batch_cube(rows)
-    return np.sum(w.real ** 2 + w.imag ** 2, axis=1)
+    return np.sum(_abs2_inplace(batch_cube(rows)), axis=1)
 
 
 def batch_l4_norm(rows: np.ndarray) -> np.ndarray:

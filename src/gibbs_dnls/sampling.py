@@ -187,9 +187,12 @@ def sample_gaussian(seed: SeedSpec, count: int) -> np.ndarray:
 
 
 def _phi(g: np.ndarray) -> np.ndarray:
-    """Field coefficients g_n / <n> from Gaussians g_n on the last axis."""
+    """Field coefficients g_n / <n> from Gaussians g_n on the last axis.
+
+    Divides in g's own buffer: g must be a fresh draw the caller owns.
+    """
     n = _modes(g)
-    return g / np.sqrt(n * n + 1.0)
+    return np.divide(g, np.sqrt(n * n + 1.0), out=g)
 
 
 def sample_phi(N: int, seed: SeedSpec) -> FourierCoeffs:
@@ -249,10 +252,14 @@ def bootstrap_counts(master_seed: int, count: int, resamples: int,
     the next uniform u of the master seed's reserved auxiliary stream,
     so resamples are deterministic given master_seed and independent of
     every sample stream.  Entry (r, j) counts the draws of sample live[j]
-    in resample r.  live holds distinct sample indices; draws of samples
-    outside it are dropped.
+    in resample r.  live holds distinct sample indices in 0 .. count - 1
+    (ValueError otherwise); draws of samples outside it are dropped.
     """
     live = np.asarray(live, dtype=np.int64)
+    if live.size and not (0 <= live.min() and live.max() < count):
+        raise ValueError(f"live indices must lie in 0 .. {count - 1}")
+    if len(np.unique(live)) != live.size:
+        raise ValueError("live indices must be distinct")
     out = np.empty((resamples, len(live)), dtype=np.int64)
     bits = _philox(SeedSpec(master_seed, RESERVED_STREAM))
     # u * count with u = m 2^-53 from _uniforms, in one rounding: m 2^-53
@@ -263,9 +270,11 @@ def bootstrap_counts(master_seed: int, count: int, resamples: int,
         m = bits.random_raw(rows * count)
         m >>= np.uint64(11)
         m += np.uint64(1)
-        x = m.astype(np.float64)
-        x *= scale
-        idx = x.astype(np.int64)
+        # m <= 2^53 reads the same as int64; the float64 product and
+        # its truncation to int64 are written back into m's buffer
+        idx, x = m.view(np.int64), m.view(np.float64)
+        np.multiply(idx, scale, out=x)
+        np.copyto(idx, x, casting="unsafe")
         np.minimum(idx, count - 1, out=idx)
         # one bincount over the chunk: resample r's bins start at r * count
         bins = idx.reshape(rows, count)

@@ -1,11 +1,13 @@
 """Batch kernels must agree with the scalar functional implementations."""
 
 import bisect
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gibbs_dnls.spectral import FourierCoeffs, QuadratureGrid, _project, lp_norm, multiply
+from gibbs_dnls.spectral import (
+    FourierCoeffs, QuadratureGrid, _modes, _project, lp_norm, multiply)
 from gibbs_dnls.functionals import (
     DensityParams,
     chi,
@@ -25,6 +27,7 @@ from gibbs_dnls.observables import (
     batch_multiply,
     batch_quartic_integral,
     batch_re_coeff,
+    batch_sextic_integral,
     batch_square,
 )
 from gibbs_dnls.sampling import phi_block
@@ -66,6 +69,60 @@ def test_fft_kernels_match_direct_convolution(band):
         assert np.max(np.abs(cube[j] - want3)) <= 1e-13 * np.max(np.abs(want3))
         want4 = np.sum(want2.real ** 2 + want2.imag ** 2)
         assert abs(quartic[j] - want4) <= 1e-13 * want4
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+#: row counts for the in-place kernels: one row, around the sampler's
+#: 16-row dispatch, and a block wide enough for the batched code paths
+_BIT_ROWS = (1, 2, 3, 15, 16, 17, 700)
+
+
+@pytest.mark.parametrize("band", list(range(41)) + [64, 128])
+def test_in_place_fft_kernels_keep_the_fresh_array_bits(band):
+    # references: the same transforms with a fresh ifft output and a
+    # fresh |w|^2 array
+    for rows_n in _BIT_ROWS:
+        rows = phi_block(609 + band, 0, rows_n, band)
+        keep = rows.copy()
+        d = rows.shape[1]
+        F = np.fft.fft(rows, n=_fft_len(2 * d - 1), axis=1)
+        F *= F
+        sq = np.fft.ifft(F, axis=1)[:, : 2 * d - 1]
+        F = np.fft.fft(rows, n=_fft_len(3 * d - 2), axis=1)
+        cube = np.fft.ifft(F * F * F, axis=1)[:, : 3 * d - 2]
+        abs2_sq = sq.real ** 2 + sq.imag ** 2
+        cases = [
+            (batch_square(rows), sq),
+            (batch_cube(rows), cube),
+            (batch_quartic_integral(rows), np.sum(abs2_sq, axis=1)),
+            (batch_sextic_integral(rows),
+             np.sum(cube.real ** 2 + cube.imag ** 2, axis=1)),
+            (batch_f_quartic(rows), np.sum(_modes(sq) * abs2_sq, axis=1)),
+        ]
+        for k, (got, want) in enumerate(cases):
+            assert np.array_equal(_bits(got), _bits(want)), (band, rows_n, k)
+        # the kernels never write into the caller's rows
+        assert np.array_equal(_bits(rows), _bits(keep))
+
+
+@pytest.mark.parametrize("kernel", [batch_square, batch_quartic_integral])
+def test_fft_kernels_allocate_one_padded_block(kernel):
+    # a band-32 Monte Carlo block: 2016 rows padded to 135 points; the
+    # peak is the forward transform's buffer and nothing of its size more
+    rows = phi_block(610, 0, 2016, 32)
+    L = _fft_len(2 * rows.shape[1] - 1)
+    kernel(rows)                        # pocketfft plans outside the trace
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        kernel(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * rows.shape[0] * L * 16
 
 
 def test_batch_multiply_matches_spectral_multiply():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gibbs_dnls import chaos, flow, sampling
+from gibbs_dnls.spectral import _modes
 from gibbs_dnls.sampling import (
     GENERATOR_NAME,
     RESERVED_STREAM,
@@ -157,6 +158,17 @@ def test_phi_block_extreme_keys_match_per_stream(master_seed, first_stream):
     _assert_rows_match_streams(rows, master_seed, first_stream, 4)
 
 
+@pytest.mark.parametrize("band", list(range(41)) + [64, 128])
+def test_phi_block_divides_in_place_with_the_same_bits(band):
+    # reference: the division into a fresh array
+    for rows in (1, 2, 3, 15, 16, 17, 700):
+        g = gaussian_block(31 + band, 4, rows, 2 * band + 1)
+        n = _modes(g)
+        want = g / np.sqrt(n * n + 1.0)
+        assert np.array_equal(_bits(phi_block(31 + band, 4, rows, band)),
+                              _bits(want)), (band, rows)
+
+
 def test_phi_block_rows_not_a_multiple_of_the_chunk():
     band = 32
     step = sampling._CHUNK_COUNTERS // ((2 * (2 * band + 1) + 3) // 4)
@@ -259,6 +271,19 @@ def test_bootstrap_chunking_does_not_change_results(monkeypatch):
     monkeypatch.setattr(sampling, "_BOOTSTRAP_CHUNK", 1)
     for a, b in zip(results(), default):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("live", [[-1, 2], [0, 300], [299, 5000]])
+def test_bootstrap_counts_rejects_live_outside_the_samples(live):
+    # -1 would count sample 299, and 300 would index past the tally
+    with pytest.raises(ValueError, match="0 .. 299"):
+        bootstrap_counts(55, 300, 20, live)
+
+
+def test_bootstrap_counts_rejects_repeated_live():
+    # a repeat would give the same sample two columns
+    with pytest.raises(ValueError, match="distinct"):
+        bootstrap_counts(55, 300, 20, [3, 7, 3])
 
 
 @pytest.mark.parametrize("live_count", [2, 60])
