@@ -14,6 +14,8 @@ given the assembled statistics.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,6 +298,95 @@ def _blocks(count: int, width: int):
         yield lo, min(lo + step, count)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where it has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _map_blocks(fn, spans) -> list:
+    """[fn(s) for s in spans] in span order, on one forked process per CPU.
+
+    The spans are dealt round-robin to this process and to workers - 1
+    forked children, workers being the smaller of the CPU count and the
+    number of spans.  Each child pickles its results, or the exception
+    it raised, into a pipe and leaves with os._exit; a child's exception
+    is raised again here.  Every span is computed by a fork of this
+    interpreter, with the same numpy build and SIMD dispatch, so the
+    results are the serial ones bit for bit.  fork, not a spawned pool:
+    a fresh interpreter would import numpy again on every call.  Runs
+    serially where there is one worker or no os.fork.  Every child is
+    reaped before the call returns or raises.
+    """
+    spans = list(spans)
+    workers = min(_cpu_count(), len(spans))
+    if workers < 2 or not hasattr(os, "fork"):
+        return [fn(s) for s in spans]
+    children = []                       # (pid, read end of its pipe)
+    try:
+        for w in range(1, workers):
+            r, wr = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(wr)
+                raise
+            if pid == 0:
+                os.close(r)
+                _block_worker(fn, spans[w::workers], wr)
+            # closed before the next fork, so no later child holds it
+            # and the read below ends when this child's write end closes
+            os.close(wr)
+            children.append((pid, r))
+        shares = [[fn(s) for s in spans[::workers]]]
+    except BaseException:               # the children's work is lost too
+        import signal
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        try:
+            replies = []
+            for _, r in children:
+                with open(r, "rb", closefd=False) as pipe:
+                    replies.append(pipe.read())
+        finally:
+            statuses = []
+            for pid, r in children:
+                os.close(r)
+                statuses.append(os.waitpid(pid, 0)[1])
+    for data, status in zip(replies, statuses):
+        if status != 0:
+            raise RuntimeError(f"a block worker exited without a result "
+                               f"(wait status {status})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        shares.append(value)
+    out = [None] * len(spans)
+    for w, share in enumerate(shares):
+        out[w::workers] = share
+    return out
+
+
+def _block_worker(fn, spans, fd):
+    """A forked child of _map_blocks: never returns."""
+    status = 1
+    try:
+        try:
+            reply = (True, [fn(s) for s in spans])
+        except BaseException as exc:    # sent to the parent, raised there
+            reply = (False, exc)
+        with open(fd, "wb") as pipe:
+            pipe.write(pickle.dumps(reply))
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def cauchy_rate(bands, sample_count: int, seed: int,
                 mode: str = "f_full") -> RateFit:
     """Coupled-draw L^2(d mu) distance between truncations at N and 2N.
@@ -306,7 +397,9 @@ def cauchy_rate(bands, sample_count: int, seed: int,
     is fitted with a bootstrap confidence interval: each of the
     _BOOTSTRAP_RESAMPLES resamples of the sample indices, shared by all
     bands, gives one slope.  mode selects the full functional or only
-    its diagonal X part.
+    its diagonal X part.  The (band, block) spans of the squared
+    differences run on one forked process per CPU (_map_blocks); the
+    fits and the bootstrap run here.
     """
     bands = [int(b) for b in bands]
     if len(bands) < 2:
@@ -320,15 +413,19 @@ def cauchy_rate(bands, sample_count: int, seed: int,
         raise ValueError(f"mode must be one of {tuple(_RATE_WINDOWS)}")
 
     evaluate = batch_f_quartic if mode == "f_full" else batch_X
-    sq_diffs = []
-    for j, N in enumerate(bands):
-        first = j * count  # disjoint stream range per band pair
-        d2 = np.empty(count)
-        for lo, hi in _blocks(count, 4 * N + 1):
-            rows = phi_block(int(seed), first + lo, hi - lo, 2 * N)
-            d = evaluate(rows) - evaluate(_project(rows, N))
-            d2[lo:hi] = d * d
-        sq_diffs.append(d2)
+
+    def block(span):
+        j, lo, hi = span
+        # disjoint stream range per band pair
+        rows = phi_block(int(seed), j * count + lo, hi - lo, 2 * bands[j])
+        d = evaluate(rows) - evaluate(_project(rows, bands[j]))
+        return d * d
+
+    spans = [(j, lo, hi) for j, N in enumerate(bands)
+             for lo, hi in _blocks(count, 4 * N + 1)]
+    sq_diffs = [np.empty(count) for _ in bands]
+    for (j, lo, hi), d2 in zip(spans, _map_blocks(block, spans)):
+        sq_diffs[j][lo:hi] = d2
 
     values = [float(np.sqrt(np.mean(d2))) for d2 in sq_diffs]
     logb = np.log(np.asarray(bands, dtype=np.float64))
@@ -366,8 +463,10 @@ def tail_survival(observable, N: int, lambdas, sample_count: int, seed: int,
 
     observable and condition act on coefficient blocks (rows at band N)
     and return a value per row / a boolean keep-mask per row; samples
-    stream through in blocks so million-sample runs stay in memory.
-    theta in {1/2, 1, 2} selects the candidate tail shape.
+    stream through in blocks so million-sample runs stay in memory, and
+    the blocks run on one forked process per CPU (_map_blocks), their
+    counts summed as integers.  theta in {1/2, 1, 2} selects the
+    candidate tail shape.
     """
     lambdas = np.asarray(sorted(float(x) for x in lambdas))
     if len(lambdas) < 2:
@@ -375,19 +474,24 @@ def tail_survival(observable, N: int, lambdas, sample_count: int, seed: int,
     if theta not in _THETAS:
         raise ValueError("theta must be one of 1/2, 1, 2")
     count = int(sample_count)
-    exceed = np.zeros(len(lambdas), dtype=np.int64)
-    kept = 0
-    for lo, hi in _blocks(count, 2 * int(N) + 1):
+
+    def block(span):
+        lo, hi = span
         rows = phi_block(int(seed), lo, hi - lo, int(N))
         if condition is not None:
             rows = rows[condition(rows)]
             if rows.shape[0] == 0:
-                continue
-        vals = observable(rows)
-        kept += len(vals)
+                return 0, 0
         # one sort per block, then positions of the thresholds
-        vals = np.sort(vals)
-        exceed += len(vals) - np.searchsorted(vals, lambdas, side="right")
+        vals = np.sort(observable(rows))
+        above = len(vals) - np.searchsorted(vals, lambdas, side="right")
+        return len(vals), above
+
+    exceed = np.zeros(len(lambdas), dtype=np.int64)
+    kept = 0
+    for n, e in _map_blocks(block, _blocks(count, 2 * int(N) + 1)):
+        kept += n
+        exceed += e
     if kept == 0:
         raise ValueError("condition rejected every sample")
     if exceed[0] < 50:

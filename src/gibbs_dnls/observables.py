@@ -164,10 +164,12 @@ def batch_f_quartic(rows: np.ndarray) -> np.ndarray:
     """The quartic functional sum_k k |(u^2)_k|^2 per row.
 
     Rows must already be truncated to the band the functional is taken
-    at; the k grid spans the squared field's band 2N.
+    at; the k grid spans the squared field's band 2N.  The weights
+    multiply |(u^2)_k|^2 in its own buffer (IEEE products commute, so
+    the bits are those of k * |(u^2)_k|^2).
     """
-    w = batch_square(rows)
-    return np.sum(_modes(w) * _abs2_inplace(w), axis=1)
+    a = _abs2_inplace(batch_square(rows))
+    return np.sum(np.multiply(a, _modes(a), out=a), axis=1)
 
 
 def batch_X(rows: np.ndarray) -> np.ndarray:

@@ -2,8 +2,13 @@
 
 Acceptance tests record one line per criterion through the
 acceptance_report fixture; the terminal summary prints them all in
-order, including lines for criteria that are expected to fail.
+order, including lines for criteria that are expected to fail.  Every
+test fails that leaves a child process behind, running or a zombie.
 """
+
+import os
+import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,3 +41,43 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def _running_children() -> list:
+    """pids whose parent is this process, read from /proc where it exists."""
+    me = str(os.getpid())
+    pids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            # pid (comm) state ppid ...; comm may hold spaces and parentheses
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:             # the process ended meanwhile
+            continue
+        if fields[1] == me:
+            pids.append(int(stat.parent.name))
+    return pids
+
+
+def _leftover_children() -> list:
+    """Reap every child of this process; the pids of those found, or
+    ["running"] for running children that could not be named."""
+    left = []
+    try:
+        while pid := os.waitpid(-1, os.WNOHANG)[0]:
+            left.append(pid)        # a zombie, reaped now
+    except ChildProcessError:
+        return left
+    running = _running_children()
+    for pid in running:             # so the next test starts clean
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    return left + (running or ["running"])
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    yield
+    if hasattr(os, "WNOHANG"):
+        left = _leftover_children()
+        if left:
+            pytest.fail(f"the test left child processes behind: {left}")

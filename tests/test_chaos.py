@@ -1,10 +1,13 @@
 """Chaos moments, the quartic decomposition, rates, tails, kernel sums."""
 
 import math
+import os
+import time
 
 import numpy as np
 import pytest
 
+import gibbs_dnls.chaos as chaos
 from gibbs_dnls.chaos import (
     RateFit,
     TailFit,
@@ -231,25 +234,77 @@ def test_tail_survival_monotone_and_serialized():
     assert d["total"] == 20000
 
 
-def test_block_partition_does_not_change_results(monkeypatch):
-    import gibbs_dnls.chaos as chaos
+_PARTITION_LAMBDAS = [0.6, 0.8, 1.0, 1.2]
 
-    lambdas = [0.6, 0.8, 1.0, 1.2]
 
-    def results():
-        return (
-            tail_survival(batch_l4_norm, 4, lambdas, 5000, 19),
-            tail_survival(batch_l4_norm, 4, lambdas, 5000, 19,
-                          condition=lambda rows: batch_mass(rows) < 1.5),
-            cauchy_rate([2, 4], 1000, 5),
-        )
+def _partition_results():
+    return (
+        tail_survival(batch_l4_norm, 4, _PARTITION_LAMBDAS, 5000, 19),
+        tail_survival(batch_l4_norm, 4, _PARTITION_LAMBDAS, 5000, 19,
+                      condition=lambda rows: batch_mass(rows) < 1.5),
+        cauchy_rate([2, 4], 1000, 5),
+    )
 
-    one_block = results()
-    # 37 rows per block at width 9 and 19 at width 17: every loop above
-    # ends on a remainder block (5000 = 135*37 + 5, 1000 = 27*37 + 1 and
-    # 52*19 + 12)
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_block_partition_does_not_change_results(monkeypatch, cpus):
+    monkeypatch.setattr(chaos, "_cpu_count", lambda: 1)
+    serial = _partition_results()
+    # at the default budget each tail is one block and each cauchy band
+    # one span; 37 rows per block at width 9 and 19 at width 17 make
+    # every loop end on a remainder block (5000 = 135*37 + 5,
+    # 1000 = 27*37 + 1 and 52*19 + 12), dealt over `cpus` workers
+    monkeypatch.setattr(chaos, "_cpu_count", lambda: cpus)
+    assert _partition_results() == serial
     monkeypatch.setattr(chaos, "_BLOCK_COEFFS", 9 * 37)
-    assert results() == one_block
+    assert _partition_results() == serial
+    _no_child_left()
+
+
+def test_block_workers_raise_in_the_caller_and_leave_no_child(monkeypatch):
+    monkeypatch.setattr(chaos, "_BLOCK_COEFFS", 9 * 37)
+    monkeypatch.setattr(chaos, "_cpu_count", lambda: 2)
+    parent = os.getpid()
+
+    def fails_in_a_worker(rows):
+        if os.getpid() != parent:
+            raise ValueError("observable failed in a worker")
+        return batch_l4_norm(rows)
+
+    with pytest.raises(ValueError, match="^observable failed in a worker$"):
+        tail_survival(fails_in_a_worker, 4, _PARTITION_LAMBDAS, 5000, 19)
+    _no_child_left()
+
+    def fails_here(rows):
+        if os.getpid() == parent:
+            raise ValueError("observable failed here")
+        time.sleep(30)  # unless it is killed, the call waits for this
+
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="^observable failed here$"):
+        tail_survival(fails_here, 4, _PARTITION_LAMBDAS, 5000, 19)
+    assert time.perf_counter() - t0 < 10
+    _no_child_left()
+
+    def dies(span):
+        if os.getpid() != parent:
+            os._exit(3)
+        return span
+
+    with pytest.raises(RuntimeError, match="without a result"):
+        chaos._map_blocks(dies, range(4))
+    _no_child_left()
+
+    # without os.fork every block runs here, so nothing raises
+    want = tail_survival(batch_l4_norm, 4, _PARTITION_LAMBDAS, 5000, 19)
+    monkeypatch.delattr(os, "fork")
+    assert tail_survival(fails_in_a_worker, 4, _PARTITION_LAMBDAS,
+                         5000, 19) == want
 
 
 def test_tail_survival_errors():

@@ -82,8 +82,8 @@ _BIT_ROWS = (1, 2, 3, 15, 16, 17, 700)
 
 @pytest.mark.parametrize("band", list(range(41)) + [64, 128])
 def test_in_place_fft_kernels_keep_the_fresh_array_bits(band):
-    # references: the same transforms with a fresh ifft output and a
-    # fresh |w|^2 array
+    # references: the same transforms with a fresh ifft output, a fresh
+    # |w|^2 array and a fresh k |w|^2 array
     for rows_n in _BIT_ROWS:
         rows = phi_block(609 + band, 0, rows_n, band)
         keep = rows.copy()
@@ -108,7 +108,8 @@ def test_in_place_fft_kernels_keep_the_fresh_array_bits(band):
         assert np.array_equal(_bits(rows), _bits(keep))
 
 
-@pytest.mark.parametrize("kernel", [batch_square, batch_quartic_integral])
+@pytest.mark.parametrize("kernel", [batch_square, batch_quartic_integral,
+                                    batch_f_quartic])
 def test_fft_kernels_allocate_one_padded_block(kernel):
     # a band-32 Monte Carlo block: 2016 rows padded to 135 points; the
     # peak is the forward transform's buffer and nothing of its size more
