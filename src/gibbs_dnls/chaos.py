@@ -298,12 +298,30 @@ def _blocks(count: int, width: int):
         yield lo, min(lo + step, count)
 
 
+def _affinity() -> list:
+    """The CPUs this thread may run on, in order; [] where that is unknown."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:
+        return []
+
+
 def _cpu_count() -> int:
     """CPUs this process may run on: its affinity mask where it has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+    return len(_affinity()) or os.cpu_count() or 1
+
+
+def _pin(cpus) -> None:
+    """Bind the calling thread to the given CPUs.
+
+    A placement hint only: nothing happens where cpus is empty or the
+    system refuses the mask.
+    """
+    if cpus:
+        try:
+            os.sched_setaffinity(0, cpus)
+        except OSError:
+            pass
 
 
 def _map_blocks(fn, spans) -> list:
@@ -311,10 +329,14 @@ def _map_blocks(fn, spans) -> list:
 
     The spans are dealt round-robin to this process and to workers - 1
     forked children, workers being the smaller of the CPU count and the
-    number of spans.  Each child pickles its results, or the exception
-    it raised, into a pipe and leaves with os._exit; a child's exception
-    is raised again here.  Every span is computed by a fork of this
-    interpreter, with the same numpy build and SIMD dispatch, so the
+    number of spans.  While the call runs, this thread is bound to the
+    first CPU of its affinity mask and child w to the w-th (cyclically),
+    so the workers run side by side from the fork on instead of sharing
+    a CPU until the scheduler spreads them; the mask is restored before
+    the call returns or raises.  Each child pickles its results, or the
+    exception it raised, into a pipe and leaves with os._exit; a child's
+    exception is raised again here.  Every span is computed by a fork of
+    this interpreter, with the same numpy build and SIMD dispatch, so the
     results are the serial ones bit for bit.  fork, not a spawned pool:
     a fresh interpreter would import numpy again on every call.  Runs
     serially where there is one worker or no os.fork.  Every child is
@@ -324,9 +346,12 @@ def _map_blocks(fn, spans) -> list:
     workers = min(_cpu_count(), len(spans))
     if workers < 2 or not hasattr(os, "fork"):
         return [fn(s) for s in spans]
+    cpus = _affinity()
     children = []                       # (pid, read end of its pipe)
     try:
+        _pin(cpus[:1])
         for w in range(1, workers):
+            cpu = [cpus[w % len(cpus)]] if cpus else []
             r, wr = os.pipe()
             try:
                 pid = os.fork()
@@ -336,7 +361,7 @@ def _map_blocks(fn, spans) -> list:
                 raise
             if pid == 0:
                 os.close(r)
-                _block_worker(fn, spans[w::workers], wr)
+                _block_worker(fn, spans[w::workers], wr, cpu)
             # closed before the next fork, so no later child holds it
             # and the read below ends when this child's write end closes
             os.close(wr)
@@ -348,6 +373,7 @@ def _map_blocks(fn, spans) -> list:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        _pin(cpus)
         try:
             replies = []
             for _, r in children:
@@ -372,10 +398,11 @@ def _map_blocks(fn, spans) -> list:
     return out
 
 
-def _block_worker(fn, spans, fd):
-    """A forked child of _map_blocks: never returns."""
+def _block_worker(fn, spans, fd, cpus):
+    """A forked child of _map_blocks, bound to cpus: never returns."""
     status = 1
     try:
+        _pin(cpus)
         try:
             reply = (True, [fn(s) for s in spans])
         except BaseException as exc:    # sent to the parent, raised there

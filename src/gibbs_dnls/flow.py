@@ -38,7 +38,14 @@ from .spectral import (
 )
 from .functionals import energy, gauge_F, mass
 from .observables import DensityParams, batch_density_G, batch_mass, batch_multiply
-from .sampling import _BOOTSTRAP_RESAMPLES, bootstrap_counts, phi_block
+from .sampling import (
+    _BOOTSTRAP_RESAMPLES,
+    _bootstrap_chunk,
+    _bootstrap_starts,
+    _stack_chunks,
+    phi_block,
+)
+from .chaos import _map_blocks
 
 __all__ = [
     "FlowState",
@@ -362,7 +369,12 @@ def invariance_experiment(N: int, params: DensityParams, t: float, count: int,
     non-finite value on a live row raises ValueError naming it.
     Zero-weight samples never move (they contribute nothing to either
     mean), and the SE is reduced over the live samples' resample counts
-    (bootstrap_counts), not over an index matrix of every sample.  Fails
+    (bootstrap_counts), not over an index matrix of every sample.  The
+    flow and the resample chunks of those counts need only the live
+    indices, so they run side by side on one forked process per CPU
+    (chaos._map_blocks): the flow in this process, where its drift and
+    non-finite errors are raised, and the chunks dealt round-robin
+    after it.  The report is the same at every worker count.  Fails
     fast when the effective sample size (sum w)^2 / sum w^2 is below 100:
     the cutoff is then too tight for this ensemble size.
     """
@@ -382,11 +394,20 @@ def invariance_experiment(N: int, params: DensityParams, t: float, count: int,
 
     live = np.nonzero(w > 0)[0]
     config = IntegratorConfig(step=step_size, max_drift=1e-5)
-    moved = start = rows[live]
-    for _, moved in _trajectory(start, N, t, config, streams=live):
-        pass
+    start = rows[live]
 
-    counts = bootstrap_counts(int(seed), count, _BOOTSTRAP_RESAMPLES, live)
+    def span(lo):
+        if lo is None:      # the flow, always in this process
+            moved = start
+            for _, moved in _trajectory(start, N, t, config, streams=live):
+                pass
+            return moved
+        return _bootstrap_chunk(int(seed), count, _BOOTSTRAP_RESAMPLES,
+                                live, lo)
+
+    moved, *chunks = _map_blocks(
+        span, [None, *_bootstrap_starts(_BOOTSTRAP_RESAMPLES)])
+    counts = _stack_chunks(chunks, _BOOTSTRAP_RESAMPLES, len(live))
     report = {
         "band": N,
         "kappa": params.kappa,

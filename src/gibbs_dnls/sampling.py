@@ -47,7 +47,8 @@ _FIRST_RESERVED_STREAM = _TABLE_VALUE_STREAM
 #: resamples behind every bootstrap standard error and interval
 _BOOTSTRAP_RESAMPLES = 200
 #: resamples bootstrap_counts draws per chunk of the auxiliary stream, so
-#: the index temporaries stay a few MB however many samples are resampled
+#: the index temporaries stay a few MB however many samples are resampled;
+#: also the unit invariance_experiment deals to the block workers
 _BOOTSTRAP_CHUNK = 16
 
 # Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
@@ -254,33 +255,70 @@ def bootstrap_counts(master_seed: int, count: int, resamples: int,
     every sample stream.  Entry (r, j) counts the draws of sample live[j]
     in resample r.  live holds distinct sample indices in 0 .. count - 1
     (ValueError otherwise); draws of samples outside it are dropped.
+    The matrix is assembled here, chunk by chunk, from _bootstrap_chunk,
+    which can also draw any one chunk alone, in another process.
     """
     live = np.asarray(live, dtype=np.int64)
     if live.size and not (0 <= live.min() and live.max() < count):
         raise ValueError(f"live indices must lie in 0 .. {count - 1}")
     if len(np.unique(live)) != live.size:
         raise ValueError("live indices must be distinct")
-    out = np.empty((resamples, len(live)), dtype=np.int64)
+    chunks = (_bootstrap_chunk(master_seed, count, resamples, live, lo)
+              for lo in _bootstrap_starts(resamples))
+    return _stack_chunks(chunks, resamples, len(live))
+
+
+def _bootstrap_starts(resamples: int) -> range:
+    """The first resample of each chunk of bootstrap_counts' matrix."""
+    return range(0, resamples, _BOOTSTRAP_CHUNK)
+
+
+def _bootstrap_chunk(master_seed: int, count: int, resamples: int,
+                     live: np.ndarray, lo: int) -> np.ndarray:
+    """Rows lo .. lo + _BOOTSTRAP_CHUNK - 1 of bootstrap_counts' matrix.
+
+    Fewer rows where the matrix ends.  The draws come from a fresh
+    engine on the reserved stream moved on to word lo * count, so each
+    chunk has the bits of the serial stream whichever chunks were drawn
+    before it, or where.  live must be int64 sample indices that
+    bootstrap_counts accepts.  The result is F-ordered (a column gather).
+    """
+    rows = min(_BOOTSTRAP_CHUNK, resamples - lo)
+    start = lo * count
     bits = _philox(SeedSpec(master_seed, RESERVED_STREAM))
+    bits.advance(start // 4)            # four words per Philox counter
+    bits.random_raw(start % 4)
+    m = bits.random_raw(rows * count)
+    m >>= np.uint64(11)
+    m += np.uint64(1)
     # u * count with u = m 2^-53 from _uniforms, in one rounding: m 2^-53
-    # and count 2^-53 are exact, so m (count 2^-53) rounds to the same float
-    scale = count * 2.0 ** -53
-    for lo in range(0, resamples, _BOOTSTRAP_CHUNK):
-        rows = min(_BOOTSTRAP_CHUNK, resamples - lo)
-        m = bits.random_raw(rows * count)
-        m >>= np.uint64(11)
-        m += np.uint64(1)
-        # m <= 2^53 reads the same as int64; the float64 product and
-        # its truncation to int64 are written back into m's buffer
-        idx, x = m.view(np.int64), m.view(np.float64)
-        np.multiply(idx, scale, out=x)
-        np.copyto(idx, x, casting="unsafe")
-        np.minimum(idx, count - 1, out=idx)
-        # one bincount over the chunk: resample r's bins start at r * count
-        bins = idx.reshape(rows, count)
-        bins += np.arange(0, rows * count, count)[:, None]
-        tally = np.bincount(bins.ravel(), minlength=rows * count)
-        out[lo:lo + rows] = tally.reshape(rows, count)[:, live]
+    # and count 2^-53 are exact, so m (count 2^-53) rounds to the same
+    # float.  m <= 2^53 reads the same as int64 and converts to float64
+    # exactly; the product and its truncation to int64 are written back
+    # into m's buffer
+    idx, x = m.view(np.int64), m.view(np.float64)
+    np.copyto(x, idx, casting="unsafe")
+    x *= count * 2.0 ** -53
+    np.copyto(idx, x, casting="unsafe")
+    np.minimum(idx, count - 1, out=idx)
+    # one bincount over the chunk: resample r's bins start at r * count
+    bins = idx.reshape(rows, count)
+    bins += np.arange(0, rows * count, count)[:, None]
+    tally = np.bincount(bins.ravel(), minlength=rows * count)
+    return tally.reshape(rows, count)[:, live]
+
+
+def _stack_chunks(chunks, resamples: int, width: int) -> np.ndarray:
+    """The resamples x width matrix of bootstrap chunks given in order.
+
+    C-ordered whatever the chunks' memory layout: the resample sums run
+    along its rows, and their bits depend on the layout.
+    """
+    out = np.empty((resamples, width), dtype=np.int64)
+    lo = 0
+    for chunk in chunks:
+        out[lo:lo + len(chunk)] = chunk
+        lo += len(chunk)
     return out
 
 

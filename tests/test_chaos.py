@@ -307,6 +307,28 @@ def test_block_workers_raise_in_the_caller_and_leave_no_child(monkeypatch):
                          5000, 19) == want
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="no CPU affinity on this platform")
+def test_block_workers_are_bound_to_cpus_and_the_mask_restored(monkeypatch):
+    mask = os.sched_getaffinity(0)
+    cpus = sorted(mask)
+    monkeypatch.setattr(chaos, "_cpu_count", lambda: 3)
+    # span i runs on worker i % 3, and worker w on CPU cpus[w % len(cpus)]
+    seen = chaos._map_blocks(lambda span: os.sched_getaffinity(0), range(7))
+    assert seen == [{cpus[i % 3 % len(cpus)]} for i in range(7)]
+    assert os.sched_getaffinity(0) == mask
+
+    def fails_here(span):
+        if span == 0:
+            raise ValueError("span 0 failed")
+        return span
+
+    with pytest.raises(ValueError, match="^span 0 failed$"):
+        chaos._map_blocks(fails_here, range(7))
+    assert os.sched_getaffinity(0) == mask
+    _no_child_left()
+
+
 def test_tail_survival_errors():
     with pytest.raises(ValueError, match="exceedances"):
         tail_survival(batch_mass, 2, [50.0, 60.0], 2000, 3)

@@ -1,8 +1,11 @@
 """Hamiltonian structure, integrator conservation, gauge identities."""
 
+import os
+
 import numpy as np
 import pytest
 
+from gibbs_dnls import chaos, flow, sampling
 from gibbs_dnls.spectral import (
     FourierCoeffs,
     QuadratureGrid,
@@ -375,3 +378,65 @@ def test_invariance_drift_names_stream():
     u0 = FourierCoeffs(4, phi_block(2046, stream, 1, 4)[0])
     with pytest.raises(RuntimeError, match=r"at t = 0\.04$"):
         evolve(u0, 4, 0.05, IntegratorConfig(step=0.005, max_drift=1e-5))
+
+
+_SMALL_RUN = (2, DensityParams(kappa=1.2, band=2), 0.05, 3000, 91)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_invariance_report_does_not_depend_on_workers_or_chunks(
+        monkeypatch, cpus, chunk):
+    obs = {"l4": batch_quartic_integral, "re_c1": lambda rows: rows[:, 3].real}
+    monkeypatch.setattr(chaos, "_cpu_count", lambda: 1)
+    serial = invariance_experiment(*_SMALL_RUN, obs)
+    # 200 resamples in chunks of 16 (the default), 1 and 3: the last
+    # chunk is short at 16 and 3, and the chunks are dealt after the
+    # flow over `cpus` workers
+    monkeypatch.setattr(chaos, "_cpu_count", lambda: cpus)
+    if chunk:
+        monkeypatch.setattr(sampling, "_BOOTSTRAP_CHUNK", chunk)
+    parent = os.getpid()
+    pids, layouts = [], []
+    trajectory, weighted_se = flow._trajectory, flow._weighted_se
+
+    def recording_trajectory(*args, **kwargs):
+        pids.append(os.getpid())    # lost if a worker ran it
+        return trajectory(*args, **kwargs)
+
+    def recording_se(w, vals, counts):
+        layouts.append(counts.flags.c_contiguous)
+        return weighted_se(w, vals, counts)
+
+    monkeypatch.setattr(flow, "_trajectory", recording_trajectory)
+    monkeypatch.setattr(flow, "_weighted_se", recording_se)
+    assert invariance_experiment(*_SMALL_RUN, obs) == serial
+    assert pids == [parent]
+    # the resample sums run along the rows; their bits follow the layout
+    assert layouts == [True, True]
+    _no_child_left()
+
+
+def test_invariance_errors_reach_the_caller_from_every_worker(monkeypatch):
+    monkeypatch.setattr(chaos, "_cpu_count", lambda: 2)
+    # the flow's drift error is raised here, while a worker draws chunks
+    test_invariance_drift_names_stream()
+    _no_child_left()
+
+    parent = os.getpid()
+    chunk = flow._bootstrap_chunk
+
+    def fails_in_a_worker(*args):
+        if os.getpid() != parent:
+            raise ValueError("chunk failed in a worker")
+        return chunk(*args)
+
+    monkeypatch.setattr(flow, "_bootstrap_chunk", fails_in_a_worker)
+    with pytest.raises(ValueError, match="^chunk failed in a worker$"):
+        invariance_experiment(*_SMALL_RUN, {"m": batch_mass})
+    _no_child_left()

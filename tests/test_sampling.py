@@ -1,5 +1,7 @@
 """Determinism and distributional checks for the Gaussian field sampler."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -273,6 +275,28 @@ def test_bootstrap_chunking_does_not_change_results(monkeypatch):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("chunk", [None, 1, 3])
+@pytest.mark.parametrize("count", [300, 301, 302, 303])
+def test_bootstrap_chunks_drawn_alone_match_the_serial_stream(
+        monkeypatch, count, chunk):
+    # chunk lo starts at word lo * count of the reserved stream: with
+    # count % 4 = 0 .. 3 and chunks of 1 and 3 resamples, the start
+    # falls on every word of a Philox counter
+    if chunk:
+        monkeypatch.setattr(sampling, "_BOOTSTRAP_CHUNK", chunk)
+    step = sampling._BOOTSTRAP_CHUNK
+    live = np.array(_LIVE_SETS["sparse"])
+    ref = _tally(_uniform_indices(55, count, 37), live)
+    starts = list(sampling._bootstrap_starts(37))
+    assert starts == list(range(0, 37, step))
+    for lo in reversed(starts):          # each from a fresh engine
+        chunk_counts = sampling._bootstrap_chunk(55, count, 37, live, lo)
+        assert np.array_equal(chunk_counts, ref[lo:lo + step])
+    counts = bootstrap_counts(55, count, 37, live)
+    assert counts.flags.c_contiguous
+    assert np.array_equal(counts, ref)
+
+
 @pytest.mark.parametrize("live", [[-1, 2], [0, 300], [299, 5000]])
 def test_bootstrap_counts_rejects_live_outside_the_samples(live):
     # -1 would count sample 299, and 300 would index past the tally
@@ -282,6 +306,19 @@ def test_bootstrap_counts_rejects_live_outside_the_samples(live):
 
 def test_bootstrap_counts_rejects_repeated_live():
     # a repeat would give the same sample two columns
+    with pytest.raises(ValueError, match="distinct"):
+        bootstrap_counts(55, 300, 20, [3, 7, 3])
+
+
+def test_bad_live_is_rejected_before_any_chunk_or_fork(monkeypatch):
+    # live is checked here, not in the chunks, which may run in a worker
+    def never(*args):
+        raise AssertionError("a chunk was drawn or a worker forked")
+
+    monkeypatch.setattr(sampling, "_bootstrap_chunk", never)
+    monkeypatch.setattr(os, "fork", never)
+    with pytest.raises(ValueError, match="0 .. 299"):
+        bootstrap_counts(55, 300, 20, [-1, 2])
     with pytest.raises(ValueError, match="distinct"):
         bootstrap_counts(55, 300, 20, [3, 7, 3])
 
