@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import select
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,91 +328,214 @@ def _pin(cpus) -> None:
 def _map_blocks(fn, spans) -> list:
     """[fn(s) for s in spans] in span order, on one forked process per CPU.
 
-    The spans are dealt round-robin to this process and to workers - 1
-    forked children, workers being the smaller of the CPU count and the
-    number of spans.  While the call runs, this thread is bound to the
-    first CPU of its affinity mask and child w to the w-th (cyclically),
-    so the workers run side by side from the fork on instead of sharing
-    a CPU until the scheduler spreads them; the mask is restored before
-    the call returns or raises.  Each child pickles its results, or the
-    exception it raised, into a pipe and leaves with os._exit; a child's
-    exception is raised again here.  Every span is computed by a fork of
-    this interpreter, with the same numpy build and SIMD dispatch, so the
-    results are the serial ones bit for bit.  fork, not a spawned pool:
-    a fresh interpreter would import numpy again on every call.  Runs
-    serially where there is one worker or no os.fork.  Every child is
-    reaped before the call returns or raises.
+    The spans are dealt round-robin over workers processes, the smaller
+    of the CPU count and the number of spans: this one and workers - 1
+    children forked by _forked, process w computing spans[w::workers].
+    Every span is computed by a fork of this interpreter, with the same
+    numpy build and SIMD dispatch, so the results are the serial ones
+    bit for bit.  Runs serially where there is one worker or no os.fork.
     """
     spans = list(spans)
     workers = min(_cpu_count(), len(spans))
     if workers < 2 or not hasattr(os, "fork"):
         return [fn(s) for s in spans]
-    cpus = _affinity()
-    children = []                       # (pid, read end of its pipe)
-    try:
-        _pin(cpus[:1])
-        for w in range(1, workers):
-            cpu = [cpus[w % len(cpus)]] if cpus else []
-            r, wr = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(wr)
-                raise
-            if pid == 0:
-                os.close(r)
-                _block_worker(fn, spans[w::workers], wr, cpu)
-            # closed before the next fork, so no later child holds it
-            # and the read below ends when this child's write end closes
-            os.close(wr)
-            children.append((pid, r))
-        shares = [[fn(s) for s in spans[::workers]]]
-    except BaseException:               # the children's work is lost too
-        import signal
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        _pin(cpus)
-        try:
-            replies = []
-            for _, r in children:
-                with open(r, "rb", closefd=False) as pipe:
-                    replies.append(pipe.read())
-        finally:
-            statuses = []
-            for pid, r in children:
-                os.close(r)
-                statuses.append(os.waitpid(pid, 0)[1])
-    for data, status in zip(replies, statuses):
-        if status != 0:
-            raise RuntimeError(f"a block worker exited without a result "
-                               f"(wait status {status})")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        shares.append(value)
+
+    def share(w):
+        return [fn(s) for s in spans[w::workers]]
+
+    shares = _forked(workers, lambda w, link: link.send(share(w)),
+                     lambda links: [share(0)] + [ln.recv() for ln in links])
     out = [None] * len(spans)
-    for w, share in enumerate(shares):
-        out[w::workers] = share
+    for w, part in enumerate(shares):
+        out[w::workers] = part
     return out
 
 
-def _block_worker(fn, spans, fd, cpus):
-    """A forked child of _map_blocks, bound to cpus: never returns."""
+#: bytes per span index in _map_phases' queue pipe
+_INDEX_BYTES = 4
+
+
+def _map_phases(first, between, then, spans):
+    """Two phases of work on one fork of a process per CPU.
+
+    Phase 1: each of the workers processes (the CPU count: this one and
+    workers - 1 children forked by _forked) computes first(w, workers),
+    this process being w = 0.  Between the phases, between(results,
+    broadcast) runs here on those results in process order; it may raise,
+    which kills the children, and it calls broadcast(message) once,
+    which sends message to every child.  Phase 2 starts there in the
+    children and after between returns here, so what between does after
+    its broadcast runs beside them: every process pulls span indices
+    from one shared queue pipe until it is empty and computes
+    then(message, spans[i]) for each, so a process that is done early
+    takes more spans.  Returns (between's result, [then(message, s) for
+    s in spans]), the second put back in span order whichever process
+    computed each span.  Which process computes a span never changes its
+    bits: each is a fork of this interpreter.  At most PIPE_BUF // 4
+    spans (1024 on Linux): the queue is filled by one write before the
+    fork.  Runs both phases serially where there is one CPU or no
+    os.fork.
+    """
+    spans = list(spans)
+    workers = _cpu_count()
+    if workers < 2 or not hasattr(os, "fork"):
+        sent = []
+        kept = between([first(0, 1)], sent.append)
+        return kept, [then(sent[0], s) for s in spans]
+    if len(spans) * _INDEX_BYTES > select.PIPE_BUF:
+        raise ValueError(f"at most {select.PIPE_BUF // _INDEX_BYTES} spans")
+    queue, fill = os.pipe()
+    try:
+        # every index is in the pipe before any process reads it, so each
+        # read of _INDEX_BYTES takes exactly one index, or b"" once empty
+        os.write(fill, b"".join(i.to_bytes(_INDEX_BYTES, "little")
+                                for i in range(len(spans))))
+    finally:
+        os.close(fill)
+
+    def pull(message):
+        done = {}
+        while index := os.read(queue, _INDEX_BYTES):
+            i = int.from_bytes(index, "little")
+            done[i] = then(message, spans[i])
+        return done
+
+    def child(w, link):
+        link.send(first(w, workers))
+        link.send(pull(link.recv()))
+
+    def here(links):
+        results = [first(0, workers)] + [ln.recv() for ln in links]
+        sent = []
+
+        def broadcast(message):
+            sent.append(message)
+            for ln in links:
+                try:
+                    ln.send(message)
+                except BrokenPipeError:
+                    pass    # the child is gone: reading its reply raises
+
+        kept = between(results, broadcast)
+        done = pull(sent[0])
+        for ln in links:
+            done.update(ln.recv())
+        return kept, [done[i] for i in range(len(spans))]
+
+    try:
+        return _forked(workers, child, here)
+    finally:
+        os.close(queue)
+
+
+def _forked(workers, child, here):
+    """here(links) in this process beside workers - 1 forked children.
+
+    Child w (1 .. workers - 1) runs child(w, link) and leaves with
+    os._exit; link and links[w - 1] here are the two ends of a _Link,
+    which carries pickled messages both ways.  An exception raised in a
+    child is sent here instead and raised again by the recv that reads
+    it; a child that exits without the message a recv waits for makes
+    that recv raise RuntimeError.  While the call runs, this thread is
+    bound to the first CPU of its affinity mask and child w to the w-th
+    (cyclically), so the processes run side by side from the fork on
+    instead of sharing a CPU until the scheduler spreads them; the mask
+    is restored before the call returns or raises.  If here or a fork
+    raises, every child is killed; every child is reaped before the call
+    returns or raises.  fork, not a spawned pool: a fresh interpreter
+    would import numpy again on every call.  Returns here's result.
+    """
+    cpus = _affinity()
+    links = []
+    try:
+        _pin(cpus[:1])
+        for w in range(1, workers):
+            up, down = os.pipe(), os.pipe()     # (read end, write end)
+            try:
+                pid = os.fork()
+            except OSError:
+                for fd in up + down:
+                    os.close(fd)
+                raise
+            if pid == 0:
+                _worker(child, w, links, up, down,
+                        [cpus[w % len(cpus)]] if cpus else [])
+            # closed before the next fork, so no later child holds them
+            os.close(up[1])
+            os.close(down[0])
+            links.append(_Link(pid, up[0], down[1]))
+        return here(links)
+    except BaseException:               # the children's work is lost too
+        import signal
+        for ln in links:
+            if ln.pid:
+                os.kill(ln.pid, signal.SIGKILL)
+        raise
+    finally:
+        _pin(cpus)
+        for ln in links:
+            ln.close()
+            if ln.pid:
+                ln.reap()
+
+
+def _worker(child, w, links, up, down, cpus):
+    """Forked child w of _forked, bound to cpus: never returns."""
     status = 1
     try:
+        for ln in links:                # the parent's ends of earlier children
+            ln.close()
+        os.close(up[0])
+        os.close(down[1])
+        link = _Link(0, down[0], up[1])
         _pin(cpus)
         try:
-            reply = (True, [fn(s) for s in spans])
+            child(w, link)
         except BaseException as exc:    # sent to the parent, raised there
-            reply = (False, exc)
-        with open(fd, "wb") as pipe:
-            pipe.write(pickle.dumps(reply))
+            link.send(exc, ok=False)
         status = 0
     finally:
         os._exit(status)
+
+
+class _Link:
+    """Pickled messages both ways between _forked's caller and one child.
+
+    pid is the child's in the caller, None once reaped, and 0 in the
+    child itself.
+    """
+
+    def __init__(self, pid, inbox, outbox):
+        self.pid = pid
+        self._in = open(inbox, "rb")
+        self._out = outbox
+
+    def send(self, value, ok=True):
+        data = memoryview(pickle.dumps((ok, value), pickle.HIGHEST_PROTOCOL))
+        while data:
+            data = data[os.write(self._out, data):]
+
+    def recv(self):
+        try:
+            ok, value = pickle.load(self._in)
+        except EOFError:
+            if not self.pid:
+                raise
+            raise RuntimeError(f"a block worker exited without a result "
+                               f"(wait status {self.reap()})") from None
+        if not ok:
+            raise value
+        return value
+
+    def reap(self) -> int:
+        """Wait for the child to end; its wait status."""
+        status = os.waitpid(self.pid, 0)[1]
+        self.pid = None
+        return status
+
+    def close(self):
+        self._in.close()
+        os.close(self._out)
 
 
 def cauchy_rate(bands, sample_count: int, seed: int,
@@ -573,6 +697,7 @@ def kernel_tail_sum(n: int, N: int, eps: float = 0.25) -> tuple:
     rejected.
     Returns (sum, sum * N^{3/2-eps} * <n>^{3/2+eps}); the scaled ratio
     staying bounded over (n, N) sweeps is the content of the kernel bound.
+    Its two powers come from _power, not from the C library's pow.
     """
     n = int(n)
     N = int(N)
@@ -589,5 +714,22 @@ def kernel_tail_sum(n: int, N: int, eps: float = 0.25) -> tuple:
     n1 = n1[mask]
     terms = 1.0 / ((n1 * n1 + 1.0) * ((n - n1) ** 2 + 1.0))
     total = math.fsum(terms)
-    ratio = total * N ** (1.5 - eps) * (n * n + 1.0) ** ((1.5 + eps) / 2.0)
+    ratio = (total * _power(N, 1.5 - eps)
+             * _power(n * n + 1.0, (1.5 + eps) / 2.0))
     return total, ratio
+
+
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent for positive base, computed in decimal at 40
+    significant digits and rounded once to float64.
+
+    The same on every platform, unlike the C library's pow, which is not
+    correctly rounded everywhere.  decimal's power is correctly rounded
+    almost always, and 40 digits are 23 more than float64 holds, so the
+    final rounding can go wrong only for a value within about 1e-40
+    (relative) of a midpoint between two float64s.
+    """
+    import decimal      # here: only the kernel sums need its start-up cost
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        return float(decimal.Decimal(base) ** decimal.Decimal(exponent))

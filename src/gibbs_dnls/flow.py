@@ -45,7 +45,7 @@ from .sampling import (
     _stack_chunks,
     phi_block,
 )
-from .chaos import _map_blocks
+from .chaos import _map_phases
 
 __all__ = [
     "FlowState",
@@ -369,44 +369,55 @@ def invariance_experiment(N: int, params: DensityParams, t: float, count: int,
     non-finite value on a live row raises ValueError naming it.
     Zero-weight samples never move (they contribute nothing to either
     mean), and the SE is reduced over the live samples' resample counts
-    (bootstrap_counts), not over an index matrix of every sample.  The
-    flow and the resample chunks of those counts need only the live
-    indices, so they run side by side on one forked process per CPU
-    (chaos._map_blocks): the flow in this process, where its drift and
-    non-finite errors are raised, and the chunks dealt round-robin
-    after it.  The report is the same at every worker count.  Fails
-    fast when the effective sample size (sum w)^2 / sum w^2 is below 100:
-    the cutoff is then too tight for this ensemble size.
+    (bootstrap_counts), not over an index matrix of every sample.
+    The run forks once, one process per CPU (chaos._map_phases).  In
+    phase 1 each process draws and weighs a contiguous shard of the
+    samples and returns its weights and its live rows.  This process
+    then combines them, raises the errors below, and sends the live
+    indices to the workers.  In phase 2 it runs the whole-ensemble flow,
+    where its drift and non-finite errors are raised and whose moved
+    rows never leave it, while the workers draw the bootstrap's resample
+    chunks; every process pulls chunks from one shared queue until none
+    is left.  The report is the same at every worker count.  Fails fast
+    when every weight is zero, or when the effective sample size
+    (sum w)^2 / sum w^2 is below 100: the cutoff is then too tight for
+    this ensemble size.
     """
     N = int(N)
     count = int(count)
-    rows = phi_block(int(seed), 0, count, N)
-    w = batch_density_G(rows, params)
-    total = np.sum(w)
-    if total == 0:
-        raise ValueError("every sample fell outside the cutoff ball")
-    ess = float(total * total / np.sum(w * w))
-    if ess < 100.0:
-        raise ValueError(
-            f"effective sample size {ess:.1f} < 100; "
-            f"increase count or loosen the cutoff"
-        )
-
-    live = np.nonzero(w > 0)[0]
     config = IntegratorConfig(step=step_size, max_drift=1e-5)
-    start = rows[live]
 
-    def span(lo):
-        if lo is None:      # the flow, always in this process
-            moved = start
-            for _, moved in _trajectory(start, N, t, config, streams=live):
-                pass
-            return moved
+    def draw(shard, shards):                    # phase 1, on every process
+        lo, hi = count * shard // shards, count * (shard + 1) // shards
+        rows = phi_block(int(seed), lo, hi - lo, N)
+        weights = batch_density_G(rows, params)
+        return weights, rows[weights > 0]
+
+    def weigh_and_flow(drawn, broadcast):   # here, between and in phase 2
+        w = np.concatenate([weights for weights, _ in drawn])
+        total = np.sum(w)
+        if total == 0:
+            raise ValueError("every sample fell outside the cutoff ball")
+        ess = float(total * total / np.sum(w * w))
+        if ess < 100.0:
+            raise ValueError(
+                f"effective sample size {ess:.1f} < 100; "
+                f"increase count or loosen the cutoff"
+            )
+        live = np.flatnonzero(w > 0)
+        broadcast(live)                 # the workers start on the chunks
+        start = np.concatenate([rows for _, rows in drawn])
+        moved = start
+        for _, moved in _trajectory(start, N, t, config, streams=live):
+            pass
+        return w, total, ess, live, start, moved
+
+    def chunk(live, lo):                        # phase 2, on every process
         return _bootstrap_chunk(int(seed), count, _BOOTSTRAP_RESAMPLES,
                                 live, lo)
 
-    moved, *chunks = _map_blocks(
-        span, [None, *_bootstrap_starts(_BOOTSTRAP_RESAMPLES)])
+    (w, total, ess, live, start, moved), chunks = _map_phases(
+        draw, weigh_and_flow, chunk, _bootstrap_starts(_BOOTSTRAP_RESAMPLES))
     counts = _stack_chunks(chunks, _BOOTSTRAP_RESAMPLES, len(live))
     report = {
         "band": N,

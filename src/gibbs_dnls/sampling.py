@@ -46,10 +46,13 @@ _FIRST_RESERVED_STREAM = _TABLE_VALUE_STREAM
 
 #: resamples behind every bootstrap standard error and interval
 _BOOTSTRAP_RESAMPLES = 200
-#: resamples bootstrap_counts draws per chunk of the auxiliary stream, so
-#: the index temporaries stay a few MB however many samples are resampled;
-#: also the unit invariance_experiment deals to the block workers
-_BOOTSTRAP_CHUNK = 16
+#: resamples bootstrap_counts draws per chunk of the auxiliary stream.  A
+#: chunk's two temporaries (the drawn words and the tally) hold 4 * count
+#: words, 640 KB at 20 000 samples, which glibc hands out again from its
+#: heap; at 16 resamples they were 2.5 MB each, mapped and faulted in
+#: afresh for every chunk.  Also the unit of the queue that
+#: invariance_experiment's processes pull from
+_BOOTSTRAP_CHUNK = 4
 
 # Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
 # 3", SC'11): round multipliers, and the Weyl increments of the key

@@ -3,7 +3,10 @@
 Acceptance tests record one line per criterion through the
 acceptance_report fixture; the terminal summary prints them all in
 order, including lines for criteria that are expected to fail.  Every
-test fails that leaves a child process behind, running or a zombie.
+test fails that leaves a child process behind, running or a zombie, or
+that leaves this process's CPU affinity mask changed: the block workers
+bind processes to CPUs while they run, and a mask left narrowed would
+slow every later test and benchmark.
 """
 
 import os
@@ -81,3 +84,19 @@ def no_child_process_left():
         left = _leftover_children()
         if left:
             pytest.fail(f"the test left child processes behind: {left}")
+
+
+def _affinity_mask():
+    """The CPUs this process may run on; None where that is unknown."""
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+@pytest.fixture(autouse=True)
+def affinity_mask_unchanged():
+    before = _affinity_mask()
+    yield
+    after = _affinity_mask()
+    if after != before:
+        os.sched_setaffinity(0, before)     # so the next test starts clean
+        pytest.fail(f"the test changed the CPU affinity mask from "
+                    f"{sorted(before)} to {sorted(after)}")

@@ -1,5 +1,6 @@
 """Chaos moments, the quartic decomposition, rates, tails, kernel sums."""
 
+import decimal
 import math
 import os
 import time
@@ -329,6 +330,59 @@ def test_block_workers_are_bound_to_cpus_and_the_mask_restored(monkeypatch):
     _no_child_left()
 
 
+def test_phase_queue_computes_each_span_once_in_span_order(monkeypatch):
+    monkeypatch.setattr(chaos, "_cpu_count", lambda: 3)
+    parent = os.getpid()
+    done, log = os.pipe()           # each computed span writes its index
+    spans = list(range(100, 160))
+
+    def first(w, workers):
+        return w, workers, os.getpid()
+
+    def between(results, broadcast):
+        assert [r[:2] for r in results] == [(0, 3), (1, 3), (2, 3)]
+        assert results[0][2] == parent and parent not in {
+            r[2] for r in results[1:]}
+        broadcast(1000)
+        return "kept"
+
+    def then(message, span):
+        os.write(log, span.to_bytes(2, "little"))     # atomic: < PIPE_BUF
+        time.sleep(0.002)           # so every process takes some spans
+        return message + span, os.getpid()
+
+    try:
+        kept, out = chaos._map_phases(first, between, then, spans)
+    finally:
+        os.close(log)
+    with open(done, "rb") as pipe:
+        computed = pipe.read()
+    computed = [int.from_bytes(computed[i:i + 2], "little")
+                for i in range(0, len(computed), 2)]
+    assert kept == "kept"
+    assert sorted(computed) == spans
+    assert [value for value, _ in out] == [1000 + s for s in spans]
+    assert len({pid for _, pid in out}) > 1
+    _no_child_left()
+
+
+def test_phase_errors_reach_the_caller_and_leave_no_child(monkeypatch):
+    monkeypatch.setattr(chaos, "_cpu_count", lambda: 2)
+    parent = os.getpid()
+
+    def first(w, workers):
+        if os.getpid() != parent:
+            raise ValueError("phase 1 failed in a worker")
+
+    with pytest.raises(ValueError, match="^phase 1 failed in a worker$"):
+        chaos._map_phases(first, lambda r, b: b(0), None, range(4))
+    _no_child_left()
+
+    # the queue is filled by one atomic write before the fork
+    with pytest.raises(ValueError, match="at most"):
+        chaos._map_phases(None, None, None, range(100000))
+
+
 def test_tail_survival_errors():
     with pytest.raises(ValueError, match="exceedances"):
         tail_survival(batch_mass, 2, [50.0, 60.0], 2000, 3)
@@ -377,6 +431,23 @@ def test_kernel_tail_sum_correctly_rounded():
                  if abs(n1) >= N and abs(n - n1) >= N]
         got, _ = kernel_tail_sum(n, N)
         assert got == math.fsum(terms), (n, N)
+
+
+def test_kernel_ratio_powers_are_correctly_rounded():
+    # every power the ratio takes for |n|, N <= 64 at the eps of the
+    # configs, against exp(exponent * ln(base)) at 80 digits rounded once
+    exact = decimal.Context(prec=80)
+    for eps in (0.1, 0.25, 0.5):
+        pairs = [(N, 1.5 - eps) for N in range(1, chaos._KERNEL_MAX + 1)]
+        pairs += [(n * n + 1.0, (1.5 + eps) / 2.0)
+                  for n in range(chaos._KERNEL_MAX + 1)]
+        for base, exponent in pairs:
+            want = exact.exp(exact.multiply(decimal.Decimal(exponent),
+                                            exact.ln(decimal.Decimal(base))))
+            assert chaos._power(base, exponent) == float(want), (base, exponent)
+    # the ratio is the sum times the two powers, in that order
+    total, ratio = kernel_tail_sum(5, 8, 0.25)
+    assert ratio == total * chaos._power(8, 1.25) * chaos._power(26.0, 0.875)
 
 
 def test_kernel_symmetry_and_monotonicity():

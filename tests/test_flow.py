@@ -1,6 +1,7 @@
 """Hamiltonian structure, integrator conservation, gauge identities."""
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -388,16 +389,30 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("chunk", [None, 1, 3])
+def _counting_forks(monkeypatch) -> list:
+    """One entry per os.fork call made by this process from now on."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)             # a child's own entry stays in the child
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3, 16])
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_invariance_report_does_not_depend_on_workers_or_chunks(
         monkeypatch, cpus, chunk):
     obs = {"l4": batch_quartic_integral, "re_c1": lambda rows: rows[:, 3].real}
     monkeypatch.setattr(chaos, "_cpu_count", lambda: 1)
     serial = invariance_experiment(*_SMALL_RUN, obs)
-    # 200 resamples in chunks of 16 (the default), 1 and 3: the last
-    # chunk is short at 16 and 3, and the chunks are dealt after the
-    # flow over `cpus` workers
+    # 200 resamples in chunks of 4 (the default), 1, 3 and 16: the last
+    # chunk is short at 3 and 16; the samples are drawn and weighed in
+    # `cpus` shards, and the chunks pulled from one queue by `cpus`
+    # processes
     monkeypatch.setattr(chaos, "_cpu_count", lambda: cpus)
     if chunk:
         monkeypatch.setattr(sampling, "_BOOTSTRAP_CHUNK", chunk)
@@ -415,7 +430,10 @@ def test_invariance_report_does_not_depend_on_workers_or_chunks(
 
     monkeypatch.setattr(flow, "_trajectory", recording_trajectory)
     monkeypatch.setattr(flow, "_weighted_se", recording_se)
+    forks = _counting_forks(monkeypatch)
     assert invariance_experiment(*_SMALL_RUN, obs) == serial
+    # one fork per worker for the whole run, both phases
+    assert len(forks) == cpus - 1
     assert pids == [parent]
     # the resample sums run along the rows; their bits follow the layout
     assert layouts == [True, True]
@@ -439,4 +457,54 @@ def test_invariance_errors_reach_the_caller_from_every_worker(monkeypatch):
     monkeypatch.setattr(flow, "_bootstrap_chunk", fails_in_a_worker)
     with pytest.raises(ValueError, match="^chunk failed in a worker$"):
         invariance_experiment(*_SMALL_RUN, {"m": batch_mass})
+    _no_child_left()
+
+
+def _mask():
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_invariance_errors_between_and_in_the_phases(monkeypatch, cpus):
+    monkeypatch.setattr(chaos, "_cpu_count", lambda: cpus)
+    mask = _mask()
+    forks = _counting_forks(monkeypatch)
+    # the weight errors are raised here between the phases, after the
+    # fork: the workers have drawn and weighed their shards
+    test_invariance_ess_error()
+    test_invariance_zero_weights_error()
+    assert len(forks) == 2 * (cpus - 1)
+    assert _mask() == mask
+    _no_child_left()
+
+    # a worker that leaves between the phases, its shard sent
+    parent = os.getpid()
+    recv = chaos._Link.recv
+
+    def leaves_in_a_worker(link):
+        if os.getpid() != parent:
+            os._exit(3)
+        return recv(link)
+
+    monkeypatch.setattr(chaos._Link, "recv", leaves_in_a_worker)
+    with pytest.raises(RuntimeError, match="without a result"):
+        invariance_experiment(*_SMALL_RUN, {"m": batch_mass})
+    assert _mask() == mask
+    _no_child_left()
+    monkeypatch.setattr(chaos._Link, "recv", recv)
+
+    # the caller fails in the flow while the workers sleep in a chunk
+    def fails_here(*args, **kwargs):
+        raise ValueError("flow failed here")
+
+    def sleeps_in_a_worker(*args):
+        time.sleep(30)  # unless it is killed, the call waits for this
+
+    monkeypatch.setattr(flow, "_trajectory", fails_here)
+    monkeypatch.setattr(flow, "_bootstrap_chunk", sleeps_in_a_worker)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="^flow failed here$"):
+        invariance_experiment(*_SMALL_RUN, {"m": batch_mass})
+    assert time.perf_counter() - t0 < 10
+    assert _mask() == mask
     _no_child_left()
