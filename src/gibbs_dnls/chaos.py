@@ -326,98 +326,86 @@ def _pin(cpus) -> None:
 
 
 def _map_blocks(fn, spans) -> list:
-    """[fn(s) for s in spans] in span order, on one forked process per CPU.
-
-    The spans are dealt round-robin over workers processes, the smaller
-    of the CPU count and the number of spans: this one and workers - 1
-    children forked by _forked, process w computing spans[w::workers].
-    Every span is computed by a fork of this interpreter, with the same
-    numpy build and SIMD dispatch, so the results are the serial ones
-    bit for bit.  Runs serially where there is one worker or no os.fork.
-    """
-    spans = list(spans)
-    workers = min(_cpu_count(), len(spans))
-    if workers < 2 or not hasattr(os, "fork"):
-        return [fn(s) for s in spans]
-
-    def share(w):
-        return [fn(s) for s in spans[w::workers]]
-
-    shares = _forked(workers, lambda w, link: link.send(share(w)),
-                     lambda links: [share(0)] + [ln.recv() for ln in links])
-    out = [None] * len(spans)
-    for w, part in enumerate(shares):
-        out[w::workers] = part
-    return out
+    """[fn(s) for s in spans] in span order: _map_phases without a first
+    phase, so every process pulls spans from the queue from the fork on."""
+    return _map_phases(None, None, lambda _, span: fn(span), spans)[1]
 
 
-#: bytes per span index in _map_phases' queue pipe
+#: bytes per entry of _map_phases' queue pipe, and the entries that one
+#: write of at most PIPE_BUF bytes holds
 _INDEX_BYTES = 4
+_QUEUE_SLOTS = select.PIPE_BUF // _INDEX_BYTES
 
 
 def _map_phases(first, between, then, spans):
-    """Two phases of work on one fork of a process per CPU.
+    """Spans pulled from one shared queue by one process per CPU, after
+    an optional first phase on the same fork.
 
-    Phase 1: each of the workers processes (the CPU count: this one and
-    workers - 1 children forked by _forked) computes first(w, workers),
-    this process being w = 0.  Between the phases, between(results,
-    broadcast) runs here on those results in process order; it may raise,
-    which kills the children, and it calls broadcast(message) once,
-    which sends message to every child.  Phase 2 starts there in the
-    children and after between returns here, so what between does after
-    its broadcast runs beside them: every process pulls span indices
-    from one shared queue pipe until it is empty and computes
-    then(message, spans[i]) for each, so a process that is done early
-    takes more spans.  Returns (between's result, [then(message, s) for
-    s in spans]), the second put back in span order whichever process
-    computed each span.  Which process computes a span never changes its
-    bits: each is a fork of this interpreter.  At most PIPE_BUF // 4
-    spans (1024 on Linux): the queue is filled by one write before the
-    fork.  Runs both phases serially where there is one CPU or no
-    os.fork.
+    The workers processes, the smaller of the CPU count and the number
+    of spans, are this one and workers - 1 children forked by _forked.
+    With a first phase, each process computes first(w, workers), this
+    one being w = 0, and between(results, broadcast) runs here on those
+    results in process order; it may raise, which kills the children,
+    and it calls broadcast(message) once, which sends message to every
+    child.  The children start on the spans there and this process
+    after between returns, so what between does after its broadcast runs
+    beside them.  With first None there is no first phase: message is
+    None and every process starts on the spans at the fork.  Every
+    process pulls span indices from the queue pipe until it is empty and
+    computes then(message, spans[i]) for each, so a process that is done
+    early takes more spans; past _QUEUE_SLOTS spans, each entry of the
+    queue is a run of consecutive spans.  Returns (between's result or
+    None, [then(message, s) for s in spans]), the second in span order
+    whichever process computed each span.  Which process computes a span
+    never changes its bits: each is computed whole by a fork of this
+    interpreter, with the same numpy build and SIMD dispatch.  Runs
+    serially where there is one worker or no os.fork.
     """
     spans = list(spans)
-    workers = _cpu_count()
+    workers = min(_cpu_count(), len(spans))
+    sent = [None]                       # the broadcast message, last
     if workers < 2 or not hasattr(os, "fork"):
-        sent = []
-        kept = between([first(0, 1)], sent.append)
-        return kept, [then(sent[0], s) for s in spans]
-    if len(spans) * _INDEX_BYTES > select.PIPE_BUF:
-        raise ValueError(f"at most {select.PIPE_BUF // _INDEX_BYTES} spans")
+        kept = between([first(0, 1)], sent.append) if first else None
+        return kept, [then(sent[-1], s) for s in spans]
+    run = -(-len(spans) // _QUEUE_SLOTS)    # consecutive spans per entry
     queue, fill = os.pipe()
     try:
-        # every index is in the pipe before any process reads it, so each
-        # read of _INDEX_BYTES takes exactly one index, or b"" once empty
+        # every entry is in the pipe before any process reads it, so each
+        # read of _INDEX_BYTES takes exactly one entry, or b"" once empty
         os.write(fill, b"".join(i.to_bytes(_INDEX_BYTES, "little")
-                                for i in range(len(spans))))
+                                for i in range(0, len(spans), run)))
     finally:
         os.close(fill)
 
     def pull(message):
         done = {}
-        while index := os.read(queue, _INDEX_BYTES):
-            i = int.from_bytes(index, "little")
-            done[i] = then(message, spans[i])
+        while entry := os.read(queue, _INDEX_BYTES):
+            lo = int.from_bytes(entry, "little")
+            for i in range(lo, min(lo + run, len(spans))):
+                done[i] = then(message, spans[i])
         return done
 
     def child(w, link):
-        link.send(first(w, workers))
-        link.send(pull(link.recv()))
+        if first:
+            link.send(first(w, workers))
+            sent.append(link.recv())
+        link.send(pull(sent[-1]))
 
     def here(links):
-        results = [first(0, workers)] + [ln.recv() for ln in links]
-        sent = []
+        kept = None
+        if first:
+            results = [first(0, workers)] + [ln.recv() for ln in links]
 
-        def broadcast(message):
-            sent.append(message)
-            for ln in links:
-                try:
-                    ln.send(message)
-                except BrokenPipeError:
-                    pass    # the child is gone: reading its reply raises
+            def broadcast(message):
+                sent.append(message)
+                for ln in links:
+                    try:
+                        ln.send(message)
+                    except BrokenPipeError:
+                        pass    # the child is gone: reading its reply raises
 
-        kept = between(results, broadcast)
-        done = pull(sent[0])
+            kept = between(results, broadcast)
+        done = pull(sent[-1])
         for ln in links:
             done.update(ln.recv())
         return kept, [done[i] for i in range(len(spans))]
@@ -549,8 +537,8 @@ def cauchy_rate(bands, sample_count: int, seed: int,
     _BOOTSTRAP_RESAMPLES resamples of the sample indices, shared by all
     bands, gives one slope.  mode selects the full functional or only
     its diagonal X part.  The (band, block) spans of the squared
-    differences run on one forked process per CPU (_map_blocks); the
-    fits and the bootstrap run here.
+    differences are pulled from one shared queue by one forked process
+    per CPU (_map_blocks); the fits and the bootstrap run here.
     """
     bands = [int(b) for b in bands]
     if len(bands) < 2:
@@ -615,9 +603,9 @@ def tail_survival(observable, N: int, lambdas, sample_count: int, seed: int,
     observable and condition act on coefficient blocks (rows at band N)
     and return a value per row / a boolean keep-mask per row; samples
     stream through in blocks so million-sample runs stay in memory, and
-    the blocks run on one forked process per CPU (_map_blocks), their
-    counts summed as integers.  theta in {1/2, 1, 2} selects the
-    candidate tail shape.
+    the blocks are pulled from one shared queue by one forked process
+    per CPU (_map_blocks), their counts summed as integers.  theta in
+    {1/2, 1, 2} selects the candidate tail shape.
     """
     lambdas = np.asarray(sorted(float(x) for x in lambdas))
     if len(lambdas) < 2:
@@ -625,6 +613,8 @@ def tail_survival(observable, N: int, lambdas, sample_count: int, seed: int,
     if theta not in _THETAS:
         raise ValueError("theta must be one of 1/2, 1, 2")
     count = int(sample_count)
+    if count < 1:
+        raise ValueError("sample_count must be at least 1")
 
     def block(span):
         lo, hi = span

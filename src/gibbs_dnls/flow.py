@@ -370,15 +370,16 @@ def invariance_experiment(N: int, params: DensityParams, t: float, count: int,
     Zero-weight samples never move (they contribute nothing to either
     mean), and the SE is reduced over the live samples' resample counts
     (bootstrap_counts), not over an index matrix of every sample.
-    The run forks once, one process per CPU (chaos._map_phases).  In
-    phase 1 each process draws and weighs a contiguous shard of the
-    samples and returns its weights and its live rows.  This process
-    then combines them, raises the errors below, and sends the live
-    indices to the workers.  In phase 2 it runs the whole-ensemble flow,
-    where its drift and non-finite errors are raised and whose moved
-    rows never leave it, while the workers draw the bootstrap's resample
-    chunks; every process pulls chunks from one shared queue until none
-    is left.  The report is the same at every worker count.  Fails fast
+    The run forks once, one process per CPU and at most one per resample
+    chunk (chaos._map_phases).  In phase 1 each process draws and weighs
+    a contiguous shard of the samples and returns its weights and its
+    live rows.  This process then combines them, raises the errors
+    below, and sends the live indices to the workers.  In phase 2 it runs
+    the whole-ensemble flow, where its drift and non-finite errors are
+    raised and whose moved rows never leave it, while the workers draw
+    the bootstrap's resample chunks; every process pulls chunks from one
+    shared queue, as the tail and Cauchy-rate blocks do, until none is
+    left.  The report is the same at every worker count.  Fails fast
     when every weight is zero, or when the effective sample size
     (sum w)^2 / sum w^2 is below 100: the cutoff is then too tight for
     this ensemble size.

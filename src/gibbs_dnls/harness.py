@@ -705,8 +705,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="path to JSON config")
     run_p.add_argument("--out", default="gibbs_dnls_out",
                        help="output directory (default: ./gibbs_dnls_out)")
-    run_p.add_argument("--threads", type=int, default=1,
-                       help="worker hint; results never depend on it")
     run_p.add_argument("--verbose", action="store_true")
     val_p = sub.add_parser("validate", help="validate a config and exit")
     val_p.add_argument("--config", required=True, help="path to JSON config")
@@ -734,9 +732,6 @@ def main(argv=None) -> int:
         print(f"ok: {config.experiment}")
         return 0
 
-    if args.threads < 1:
-        print("--threads must be at least 1", file=sys.stderr)
-        return 2
     record = run(config)
     try:
         paths = emit(record, args.out)

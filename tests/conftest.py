@@ -3,10 +3,11 @@
 Acceptance tests record one line per criterion through the
 acceptance_report fixture; the terminal summary prints them all in
 order, including lines for criteria that are expected to fail.  Every
-test fails that leaves a child process behind, running or a zombie, or
-that leaves this process's CPU affinity mask changed: the block workers
-bind processes to CPUs while they run, and a mask left narrowed would
-slow every later test and benchmark.
+test fails that leaves a child process behind, running or a zombie, that
+leaves a file descriptor open (a queue pipe or a worker's link, which no
+child outlives), or that leaves this process's CPU affinity mask
+changed: the block workers bind processes to CPUs while they run, and a
+mask left narrowed would slow every later test and benchmark.
 """
 
 import os
@@ -84,6 +85,33 @@ def no_child_process_left():
         left = _leftover_children()
         if left:
             pytest.fail(f"the test left child processes behind: {left}")
+
+
+_FD_DIR = Path("/proc/self/fd")
+
+
+def _open_fds() -> dict:
+    """This process's open file descriptors and what each one names."""
+    fds = {}
+    for fd in os.listdir(_FD_DIR):
+        try:
+            fds[int(fd)] = os.readlink(_FD_DIR / fd)
+        except OSError:             # listdir's own descriptor, closed now
+            pass
+    return fds
+
+
+@pytest.fixture(autouse=True)
+def no_file_descriptor_left():
+    if not _FD_DIR.is_dir():
+        yield
+        return
+    before = _open_fds()
+    yield
+    left = {fd: name for fd, name in _open_fds().items()
+            if before.get(fd) != name}
+    if left:
+        pytest.fail(f"the test left file descriptors open: {left}")
 
 
 def _affinity_mask():

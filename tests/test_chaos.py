@@ -1,8 +1,10 @@
 """Chaos moments, the quartic decomposition, rates, tails, kernel sums."""
 
+import contextlib
 import decimal
 import math
 import os
+import select
 import time
 
 import numpy as np
@@ -259,12 +261,63 @@ def test_block_partition_does_not_change_results(monkeypatch, cpus):
     # at the default budget each tail is one block and each cauchy band
     # one span; 37 rows per block at width 9 and 19 at width 17 make
     # every loop end on a remainder block (5000 = 135*37 + 5,
-    # 1000 = 27*37 + 1 and 52*19 + 12), dealt over `cpus` workers
+    # 1000 = 27*37 + 1 and 52*19 + 12); 3 rows at width 9 and 1 at
+    # width 17 give 1667 tail blocks and 334 + 1000 cauchy spans, more
+    # than the queue has slots, so its entries are runs of 2 spans and
+    # the last run is short; `cpus` processes pull them from the queue
     monkeypatch.setattr(chaos, "_cpu_count", lambda: cpus)
     assert _partition_results() == serial
     monkeypatch.setattr(chaos, "_BLOCK_COEFFS", 9 * 37)
     assert _partition_results() == serial
+    monkeypatch.setattr(chaos, "_BLOCK_COEFFS", 9 * 3)
+    assert len(list(chaos._blocks(5000, 9))) == 1667 > chaos._QUEUE_SLOTS
+    assert len(list(chaos._blocks(1000, 9))) + len(
+        list(chaos._blocks(1000, 17))) == 1334 > chaos._QUEUE_SLOTS
+    assert _partition_results() == serial
     _no_child_left()
+
+
+def test_workers_are_at_most_one_per_span(monkeypatch):
+    monkeypatch.setattr(chaos, "_cpu_count", lambda: 3)
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    # one span (a one-block tail run) forks nothing, two spans fork one
+    assert chaos._map_blocks(lambda span: span * span, [7]) == [49]
+    assert forks == []
+    assert chaos._map_blocks(lambda span: span * span, [7, 8]) == [49, 64]
+    assert forks == [1]
+    _no_child_left()
+
+
+@contextlib.contextmanager
+def _a_worker_takes_a_span():
+    """wrap(fn) is fn, except that this process's first call waits (up
+    to 10 s) until a worker has begun a span: however fast this process
+    could drain the queue alone, a worker then takes one."""
+    parent = os.getpid()
+    began, tell = os.pipe()
+    waited = []
+
+    def wrap(fn):
+        def wrapped(span):
+            if os.getpid() != parent:
+                os.write(tell, b"w")
+            elif not waited:
+                waited.append(select.select([began], [], [], 10))
+            return fn(span)
+        return wrapped
+
+    try:
+        yield wrap
+    finally:
+        os.close(began)
+        os.close(tell)
 
 
 def test_block_workers_raise_in_the_caller_and_leave_no_child(monkeypatch):
@@ -278,7 +331,9 @@ def test_block_workers_raise_in_the_caller_and_leave_no_child(monkeypatch):
         return batch_l4_norm(rows)
 
     with pytest.raises(ValueError, match="^observable failed in a worker$"):
-        tail_survival(fails_in_a_worker, 4, _PARTITION_LAMBDAS, 5000, 19)
+        with _a_worker_takes_a_span() as wrap:
+            tail_survival(wrap(fails_in_a_worker), 4, _PARTITION_LAMBDAS,
+                          5000, 19)
     _no_child_left()
 
     def fails_here(rows):
@@ -298,7 +353,8 @@ def test_block_workers_raise_in_the_caller_and_leave_no_child(monkeypatch):
         return span
 
     with pytest.raises(RuntimeError, match="without a result"):
-        chaos._map_blocks(dies, range(4))
+        with _a_worker_takes_a_span() as wrap:
+            chaos._map_blocks(wrap(dies), range(4))
     _no_child_left()
 
     # without os.fork every block runs here, so nothing raises
@@ -314,9 +370,20 @@ def test_block_workers_are_bound_to_cpus_and_the_mask_restored(monkeypatch):
     mask = os.sched_getaffinity(0)
     cpus = sorted(mask)
     monkeypatch.setattr(chaos, "_cpu_count", lambda: 3)
-    # span i runs on worker i % 3, and worker w on CPU cpus[w % len(cpus)]
-    seen = chaos._map_blocks(lambda span: os.sched_getaffinity(0), range(7))
-    assert seen == [{cpus[i % 3 % len(cpus)]} for i in range(7)]
+    parent = os.getpid()
+
+    def where(span):
+        time.sleep(0.002)           # so more than one process takes spans
+        return os.getpid(), frozenset(os.sched_getaffinity(0))
+
+    # whichever process pulls a span, it runs there on that process's one
+    # CPU: cpus[0] for this process, cpus[w % len(cpus)] for worker w
+    seen = chaos._map_blocks(where, range(30))
+    pinned = dict(seen)
+    assert len(set(seen)) == len(pinned)
+    assert pinned.get(parent, {cpus[0]}) == {cpus[0]}
+    assert {m for pid, m in pinned.items() if pid != parent} <= {
+        frozenset({cpus[w % len(cpus)]}) for w in (1, 2)}
     assert os.sched_getaffinity(0) == mask
 
     def fails_here(span):
@@ -378,12 +445,47 @@ def test_phase_errors_reach_the_caller_and_leave_no_child(monkeypatch):
         chaos._map_phases(first, lambda r, b: b(0), None, range(4))
     _no_child_left()
 
-    # the queue is filled by one atomic write before the fork
-    with pytest.raises(ValueError, match="at most"):
-        chaos._map_phases(None, None, None, range(100000))
+
+@pytest.mark.parametrize("phases", [False, True])
+def test_queue_past_its_slots_computes_each_span_once_in_order(
+        monkeypatch, tmp_path, phases):
+    monkeypatch.setattr(chaos, "_cpu_count", lambda: 3)
+    # 2053 spans in 685 runs of 3 (the last one span) on the 1024 slots
+    spans = list(range(2 * chaos._QUEUE_SLOTS + 5))
+    log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def then(message, span):
+        os.write(log, span.to_bytes(4, "little"))     # one appended record
+        return message, span, os.getpid()
+
+    def between(results, broadcast):
+        broadcast(results)
+        return "kept"
+
+    try:
+        if phases:
+            kept, out = chaos._map_phases(lambda w, workers: w, between,
+                                          then, spans)
+            assert kept == "kept"
+        else:
+            out = chaos._map_blocks(lambda span: then(None, span), spans)
+    finally:
+        os.close(log)
+    computed = (tmp_path / "log").read_bytes()
+    computed = [int.from_bytes(computed[i:i + 4], "little")
+                for i in range(0, len(computed), 4)]
+    assert sorted(computed) == spans
+    message = [0, 1, 2] if phases else None
+    assert [m for m, _, _ in out] == [message] * len(spans)
+    assert [span for _, span, _ in out] == spans
+    _no_child_left()
 
 
 def test_tail_survival_errors():
+    for count in (0, -5):
+        with pytest.raises(ValueError, match="^sample_count must be at "
+                                             "least 1$"):
+            tail_survival(batch_mass, 2, [0.5, 1.0], count, 3)
     with pytest.raises(ValueError, match="exceedances"):
         tail_survival(batch_mass, 2, [50.0, 60.0], 2000, 3)
     with pytest.raises(ValueError, match="rejected"):

@@ -405,26 +405,3 @@ def test_cli_unwritable_output_exits_2(tmp_path, capsys):
     assert main(["run", "--config", p, "--out", str(out)]) == 2
     assert "cannot write output:" in capsys.readouterr().err
     assert out.read_text() == "a regular file, not a directory\n"
-
-
-def test_cli_threads_do_not_change_results(tmp_path):
-    p = write_config(tmp_path, cfg_text("sample", N=3, count=8, seed=5))
-    out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    assert main(["run", "--config", p, "--out", str(out1)]) == 0
-    assert main(["run", "--config", p, "--out", str(out2),
-                 "--threads", "4"]) == 0
-    a = (out1 / "samples.jsonl").read_bytes()
-    b = (out2 / "samples.jsonl").read_bytes()
-    assert a == b
-    with open(out1 / "record.json") as fh:
-        ra = json.load(fh)
-    with open(out2 / "record.json") as fh:
-        rb = json.load(fh)
-    ra.pop("wall_time"), rb.pop("wall_time")
-    assert ra == rb
-
-
-def test_cli_bad_threads(tmp_path):
-    p = write_config(tmp_path, cfg_text("sample", N=2, count=3, seed=1))
-    assert main(["run", "--config", p, "--out", str(tmp_path / "o"),
-                 "--threads", "0"]) == 2
