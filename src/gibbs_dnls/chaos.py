@@ -332,9 +332,10 @@ def _map_blocks(fn, spans) -> list:
 
 
 #: bytes per entry of _map_phases' queue pipe, and the entries that one
-#: write of at most PIPE_BUF bytes holds
+#: write of at most PIPE_BUF bytes holds (POSIX's minimum PIPE_BUF, 512,
+#: where select has none, as on platforms without os.fork)
 _INDEX_BYTES = 4
-_QUEUE_SLOTS = select.PIPE_BUF // _INDEX_BYTES
+_QUEUE_SLOTS = getattr(select, "PIPE_BUF", 512) // _INDEX_BYTES
 
 
 def _map_phases(first, between, then, spans):
@@ -342,32 +343,41 @@ def _map_phases(first, between, then, spans):
     an optional first phase on the same fork.
 
     The workers processes, the smaller of the CPU count and the number
-    of spans, are this one and workers - 1 children forked by _forked.
-    With a first phase, each process computes first(w, workers), this
-    one being w = 0, and between(results, broadcast) runs here on those
-    results in process order; it may raise, which kills the children,
-    and it calls broadcast(message) once, which sends message to every
-    child.  The children start on the spans there and this process
-    after between returns, so what between does after its broadcast runs
-    beside them.  With first None there is no first phase: message is
-    None and every process starts on the spans at the fork.  Every
-    process pulls span indices from the queue pipe until it is empty and
-    computes then(message, spans[i]) for each, so a process that is done
-    early takes more spans; past _QUEUE_SLOTS spans, each entry of the
-    queue is a run of consecutive spans.  Returns (between's result or
-    None, [then(message, s) for s in spans]), the second in span order
-    whichever process computed each span.  Which process computes a span
-    never changes its bits: each is computed whole by a fork of this
-    interpreter, with the same numpy build and SIMD dispatch.  Runs
-    serially where there is one worker or no os.fork.
+    of spans (one without os.fork), are this one and workers - 1
+    children forked here: fork, not a spawned pool, as a fresh
+    interpreter would import numpy again on every call.  With a first
+    phase, each process computes first(w, workers), this one being
+    w = 0, and between(results, broadcast) runs here on those results in
+    process order; it may raise, and it calls broadcast(message) once,
+    which sends message to every child.  The children start on the spans
+    there and this process after between returns, so what between does
+    after its broadcast runs beside them.  With first None there is no
+    first phase: message is None and every process starts on the spans
+    at the fork.  Every process pulls span indices from the queue pipe
+    until it is empty and computes then(message, spans[i]) for each, so
+    a process that is done early takes more spans; at one worker this
+    one drains the queue alone.  Past _QUEUE_SLOTS spans, each entry of
+    the queue is a run of consecutive spans.  Returns (between's result
+    or None, [then(message, s) for s in spans]), the second in span
+    order whichever process computed each span.  Which process computes
+    a span never changes its bits: each is computed whole by a fork of
+    this interpreter, with the same numpy build and SIMD dispatch.
+
+    Child w talks to this process over a _Link.  An exception raised in
+    a child is sent here and raised again by the recv that reads it; a
+    child that exits without the message a recv waits for makes that
+    recv raise RuntimeError.  If anything raises here, between or a fork
+    included, every child is killed; every child is reaped before the
+    call returns or raises.  While the call runs, this thread is bound
+    to the first CPU of its affinity mask and child w to the w-th
+    (cyclically), so the processes run side by side from the fork on
+    instead of sharing a CPU until the scheduler spreads them; the mask
+    is restored before the call returns or raises.
     """
     spans = list(spans)
-    workers = min(_cpu_count(), len(spans))
-    sent = [None]                       # the broadcast message, last
-    if workers < 2 or not hasattr(os, "fork"):
-        kept = between([first(0, 1)], sent.append) if first else None
-        return kept, [then(sent[-1], s) for s in spans]
-    run = -(-len(spans) // _QUEUE_SLOTS)    # consecutive spans per entry
+    workers = min(_cpu_count(), len(spans)) if hasattr(os, "fork") else 1
+    run = -(-len(spans) // _QUEUE_SLOTS) or 1   # consecutive spans per entry
+    cpus = _affinity()
     queue, fill = os.pipe()
     try:
         # every entry is in the pipe before any process reads it, so each
@@ -385,56 +395,17 @@ def _map_phases(first, between, then, spans):
                 done[i] = then(message, spans[i])
         return done
 
-    def child(w, link):
-        if first:
-            link.send(first(w, workers))
-            sent.append(link.recv())
-        link.send(pull(sent[-1]))
+    links, message = [], None
 
-    def here(links):
-        kept = None
-        if first:
-            results = [first(0, workers)] + [ln.recv() for ln in links]
-
-            def broadcast(message):
-                sent.append(message)
-                for ln in links:
-                    try:
-                        ln.send(message)
-                    except BrokenPipeError:
-                        pass    # the child is gone: reading its reply raises
-
-            kept = between(results, broadcast)
-        done = pull(sent[-1])
+    def broadcast(sent):
+        nonlocal message
+        message = sent
         for ln in links:
-            done.update(ln.recv())
-        return kept, [done[i] for i in range(len(spans))]
+            try:
+                ln.send(sent)
+            except BrokenPipeError:
+                pass        # the child is gone: reading its reply raises
 
-    try:
-        return _forked(workers, child, here)
-    finally:
-        os.close(queue)
-
-
-def _forked(workers, child, here):
-    """here(links) in this process beside workers - 1 forked children.
-
-    Child w (1 .. workers - 1) runs child(w, link) and leaves with
-    os._exit; link and links[w - 1] here are the two ends of a _Link,
-    which carries pickled messages both ways.  An exception raised in a
-    child is sent here instead and raised again by the recv that reads
-    it; a child that exits without the message a recv waits for makes
-    that recv raise RuntimeError.  While the call runs, this thread is
-    bound to the first CPU of its affinity mask and child w to the w-th
-    (cyclically), so the processes run side by side from the fork on
-    instead of sharing a CPU until the scheduler spreads them; the mask
-    is restored before the call returns or raises.  If here or a fork
-    raises, every child is killed; every child is reaped before the call
-    returns or raises.  fork, not a spawned pool: a fresh interpreter
-    would import numpy again on every call.  Returns here's result.
-    """
-    cpus = _affinity()
-    links = []
     try:
         _pin(cpus[:1])
         for w in range(1, workers):
@@ -445,14 +416,37 @@ def _forked(workers, child, here):
                 for fd in up + down:
                     os.close(fd)
                 raise
-            if pid == 0:
-                _worker(child, w, links, up, down,
-                        [cpus[w % len(cpus)]] if cpus else [])
+            if pid == 0:                # child w: leaves with os._exit
+                status = 1
+                try:
+                    for ln in links:    # the parent's ends of earlier children
+                        ln.close()
+                    os.close(up[0])
+                    os.close(down[1])
+                    link = _Link(0, down[0], up[1])
+                    _pin([cpus[w % len(cpus)]] if cpus else [])
+                    try:
+                        if first:
+                            link.send(first(w, workers))
+                            message = link.recv()
+                        link.send(pull(message))
+                    except BaseException as exc:    # raised in the parent
+                        link.send(exc, ok=False)
+                    status = 0
+                finally:
+                    os._exit(status)
             # closed before the next fork, so no later child holds them
             os.close(up[1])
             os.close(down[0])
             links.append(_Link(pid, up[0], down[1]))
-        return here(links)
+        kept = None
+        if first:
+            results = [first(0, workers)] + [ln.recv() for ln in links]
+            kept = between(results, broadcast)
+        done = pull(message)
+        for ln in links:
+            done.update(ln.recv())
+        return kept, [done[i] for i in range(len(spans))]
     except BaseException:               # the children's work is lost too
         import signal
         for ln in links:
@@ -461,33 +455,16 @@ def _forked(workers, child, here):
         raise
     finally:
         _pin(cpus)
+        os.close(queue)
         for ln in links:
             ln.close()
             if ln.pid:
                 ln.reap()
 
 
-def _worker(child, w, links, up, down, cpus):
-    """Forked child w of _forked, bound to cpus: never returns."""
-    status = 1
-    try:
-        for ln in links:                # the parent's ends of earlier children
-            ln.close()
-        os.close(up[0])
-        os.close(down[1])
-        link = _Link(0, down[0], up[1])
-        _pin(cpus)
-        try:
-            child(w, link)
-        except BaseException as exc:    # sent to the parent, raised there
-            link.send(exc, ok=False)
-        status = 0
-    finally:
-        os._exit(status)
-
-
 class _Link:
-    """Pickled messages both ways between _forked's caller and one child.
+    """Pickled messages both ways between _map_phases' caller and one of
+    its children.
 
     pid is the child's in the caller, None once reaped, and 0 in the
     child itself.

@@ -42,7 +42,6 @@ from .sampling import (
     _BOOTSTRAP_RESAMPLES,
     _bootstrap_chunk,
     _bootstrap_starts,
-    _stack_chunks,
     phi_block,
 )
 from .chaos import _map_phases
@@ -419,7 +418,7 @@ def invariance_experiment(N: int, params: DensityParams, t: float, count: int,
 
     (w, total, ess, live, start, moved), chunks = _map_phases(
         draw, weigh_and_flow, chunk, _bootstrap_starts(_BOOTSTRAP_RESAMPLES))
-    counts = _stack_chunks(chunks, _BOOTSTRAP_RESAMPLES, len(live))
+    counts = np.concatenate(chunks)
     report = {
         "band": N,
         "kappa": params.kappa,

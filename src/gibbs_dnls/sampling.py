@@ -266,9 +266,9 @@ def bootstrap_counts(master_seed: int, count: int, resamples: int,
         raise ValueError(f"live indices must lie in 0 .. {count - 1}")
     if len(np.unique(live)) != live.size:
         raise ValueError("live indices must be distinct")
-    chunks = (_bootstrap_chunk(master_seed, count, resamples, live, lo)
-              for lo in _bootstrap_starts(resamples))
-    return _stack_chunks(chunks, resamples, len(live))
+    return np.concatenate([_bootstrap_chunk(master_seed, count, resamples,
+                                            live, lo)
+                           for lo in _bootstrap_starts(resamples)])
 
 
 def _bootstrap_starts(resamples: int) -> range:
@@ -284,7 +284,9 @@ def _bootstrap_chunk(master_seed: int, count: int, resamples: int,
     engine on the reserved stream moved on to word lo * count, so each
     chunk has the bits of the serial stream whichever chunks were drawn
     before it, or where.  live must be int64 sample indices that
-    bootstrap_counts accepts.  The result is F-ordered (a column gather).
+    bootstrap_counts accepts.  The result is C-ordered, as is the matrix
+    that np.concatenate builds from the chunks: the resample sums run
+    along its rows, and their bits depend on the layout.
     """
     rows = min(_BOOTSTRAP_CHUNK, resamples - lo)
     start = lo * count
@@ -308,21 +310,7 @@ def _bootstrap_chunk(master_seed: int, count: int, resamples: int,
     bins = idx.reshape(rows, count)
     bins += np.arange(0, rows * count, count)[:, None]
     tally = np.bincount(bins.ravel(), minlength=rows * count)
-    return tally.reshape(rows, count)[:, live]
-
-
-def _stack_chunks(chunks, resamples: int, width: int) -> np.ndarray:
-    """The resamples x width matrix of bootstrap chunks given in order.
-
-    C-ordered whatever the chunks' memory layout: the resample sums run
-    along its rows, and their bits depend on the layout.
-    """
-    out = np.empty((resamples, width), dtype=np.int64)
-    lo = 0
-    for chunk in chunks:
-        out[lo:lo + len(chunk)] = chunk
-        lo += len(chunk)
-    return out
+    return tally.reshape(rows, count).take(live, axis=1)
 
 
 def ball_probability(N: int, radius: float) -> float:

@@ -4,7 +4,10 @@ import contextlib
 import decimal
 import math
 import os
+import pickle
 import select
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -22,7 +25,9 @@ from gibbs_dnls.chaos import (
     tail_survival,
     y3_sum,
 )
+from gibbs_dnls.flow import invariance_experiment
 from gibbs_dnls.observables import (
+    DensityParams,
     batch_f_quartic,
     batch_l4_norm,
     batch_mass,
@@ -287,7 +292,9 @@ def test_workers_are_at_most_one_per_span(monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    # one span (a one-block tail run) forks nothing, two spans fork one
+    # no span or one span (a one-block tail run) forks nothing, two spans
+    # fork one
+    assert chaos._map_blocks(lambda span: span * span, []) == []
     assert chaos._map_blocks(lambda span: span * span, [7]) == [49]
     assert forks == []
     assert chaos._map_blocks(lambda span: span * span, [7, 8]) == [49, 64]
@@ -362,6 +369,38 @@ def test_block_workers_raise_in_the_caller_and_leave_no_child(monkeypatch):
     monkeypatch.delattr(os, "fork")
     assert tail_survival(fails_in_a_worker, 4, _PARTITION_LAMBDAS,
                          5000, 19) == want
+
+
+_WITHOUT_FORK = """
+import os, pickle, select, sys
+del select.PIPE_BUF, os.fork    # as on a platform without fork
+import gibbs_dnls.chaos as chaos
+from gibbs_dnls.flow import invariance_experiment
+from gibbs_dnls.observables import DensityParams, batch_l4_norm, batch_mass
+chaos._cpu_count = lambda: 3
+# 136 tail blocks: past the 128 slots of a 512-byte PIPE_BUF
+chaos._BLOCK_COEFFS = 9 * 37
+sys.stdout.buffer.write(pickle.dumps((
+    chaos._QUEUE_SLOTS,
+    chaos.tail_survival(batch_l4_norm, 4, [0.6, 0.8, 1.0, 1.2], 5000, 19),
+    invariance_experiment(2, DensityParams(kappa=1.2, band=2), 0.05, 3000,
+                          91, {"m": batch_mass}),
+)))
+"""
+
+
+def test_a_platform_without_fork_imports_and_runs_serially():
+    src = os.path.dirname(os.path.dirname(chaos.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _WITHOUT_FORK],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, check=True, timeout=120).stdout
+    assert pickle.loads(out) == (
+        512 // chaos._INDEX_BYTES,
+        tail_survival(batch_l4_norm, 4, _PARTITION_LAMBDAS, 5000, 19),
+        invariance_experiment(2, DensityParams(kappa=1.2, band=2), 0.05,
+                              3000, 91, {"m": batch_mass}),
+    )
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),

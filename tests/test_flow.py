@@ -440,6 +440,28 @@ def test_invariance_report_does_not_depend_on_workers_or_chunks(
     _no_child_left()
 
 
+def test_invariance_without_fork_runs_every_chunk_here(monkeypatch):
+    obs = {"m": batch_mass}
+    monkeypatch.setattr(chaos, "_cpu_count", lambda: 1)
+    serial = invariance_experiment(*_SMALL_RUN, obs)
+    # with three CPUs but no os.fork, this process is the one worker: it
+    # draws every shard and every resample chunk
+    monkeypatch.setattr(chaos, "_cpu_count", lambda: 3)
+    monkeypatch.delattr(os, "fork")
+    pids = []
+    chunk = flow._bootstrap_chunk
+
+    def recording_chunk(*args):
+        pids.append(os.getpid())
+        return chunk(*args)
+
+    monkeypatch.setattr(flow, "_bootstrap_chunk", recording_chunk)
+    assert invariance_experiment(*_SMALL_RUN, obs) == serial
+    assert pids == [os.getpid()] * len(
+        sampling._bootstrap_starts(flow._BOOTSTRAP_RESAMPLES))
+    _no_child_left()
+
+
 def test_invariance_errors_reach_the_caller_from_every_worker(monkeypatch):
     monkeypatch.setattr(chaos, "_cpu_count", lambda: 2)
     # the flow's drift error is raised here, while a worker draws chunks

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,12 +294,12 @@ def test_emit_idempotent(tmp_path):
     paths = emit(rec, str(out))
     assert sorted(os.path.basename(p) for p in paths) == [
         "moments.csv", "record.json", "samples.jsonl"]
-    first = {p: open(p, "rb").read() for p in paths}
+    first = {p: Path(p).read_bytes() for p in paths}
     for blob in first.values():
         assert blob.endswith(b"\n")
     emit(rec, str(out))
     for p, blob in first.items():
-        assert open(p, "rb").read() == blob
+        assert Path(p).read_bytes() == blob
     with open(out / "record.json") as fh:
         doc = json.load(fh)
     assert doc["experiment"] == "sample"
@@ -333,13 +334,13 @@ def test_emit_refuses_non_finite_values(tmp_path):
 def test_refused_emit_leaves_earlier_files(tmp_path):
     rec = run(parse_config(cfg_text("sample", N=2, count=5, seed=3)))
     paths = emit(rec, str(tmp_path))
-    before = {p: open(p, "rb").read() for p in paths}
+    before = {p: Path(p).read_bytes() for p in paths}
     rec.payload["bad"] = float("nan")
     with pytest.raises(ValueError):
         emit(rec, str(tmp_path))
     assert sorted(os.listdir(tmp_path)) == sorted(map(os.path.basename, paths))
     for p, blob in before.items():
-        assert open(p, "rb").read() == blob
+        assert Path(p).read_bytes() == blob
 
 
 def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
