@@ -260,27 +260,18 @@ def f_decompose(N: int, seed) -> tuple:
 
 
 def y3_sum(N: int) -> complex:
-    """The constant pair term, summed so the cancellation is exact.
+    """The constant pair term 2i sum_{n_1 != n_2} (n_1 + n_2) b_1 b_2.
 
-    Terms come in (n_1,n_2) vs (-n_1,-n_2) mirror pairs with equal
-    magnitude and opposite sign; adding each pair as a unit yields an
-    exact floating-point zero rather than roundoff dust.
+    b_n = 1/<n>^2, over every ordered pair of distinct modes.  The sum
+    runs in Fractions, so the mirror pairs (n_1, n_2) and (-n_1, -n_2)
+    cancel exactly rather than to roundoff dust.
     """
+    from fractions import Fraction     # here: the package import skips it
     N = int(N)
-    total = 0.0
-    for n1 in range(-N, N + 1):
-        b1 = 1.0 / (n1 * n1 + 1.0)
-        for n2 in range(-N, N + 1):
-            if n2 == n1:
-                continue
-            # take each mirror orbit once, from its positive representative
-            if (n1, n2) < (-n1, -n2):
-                continue
-            b2 = 1.0 / (n2 * n2 + 1.0)
-            w = 2.0 * (n1 + n2) * b1 * b2
-            wm = 2.0 * (-(n1 + n2)) * b1 * b2
-            total += w + wm
-    return complex(0.0, total)
+    b = {n: Fraction(1, n * n + 1) for n in range(-N, N + 1)}
+    total = sum(2 * (n1 + n2) * b1 * b2 for n1, b1 in b.items()
+                for n2, b2 in b.items() if n1 != n2)
+    return complex(0, float(total))
 
 
 #: cauchy_rate's modes, each with the window its log-log slope should

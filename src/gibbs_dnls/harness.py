@@ -37,6 +37,7 @@ from .functionals import (
 from .sampling import (
     GENERATOR_NAME,
     SeedSpec,
+    ball_probability,
     phi_block,
     sample_phi,
 )
@@ -558,6 +559,12 @@ def _run_invariance(p: dict):
 
 
 def _run_gn_lp(p: dict):
+    """Moments of G_N, its band-to-band differences, and its nontriviality.
+
+    Band j draws count band-2N rows from streams 2 j count on.  Its
+    ball_mass b is the exact P(||phi_N|| <= kappa), and frac_positive
+    must lie within 3 sqrt(b (1 - b) / count) of it.
+    """
     kappa = p["kappa"]
     pw = float(p["p"])
     count = p["count"]
@@ -566,16 +573,21 @@ def _run_gn_lp(p: dict):
     diff_means = []
     rows_main = []
     rows_diff = []
+    triv_ok = True
+    triv_detail = []
     for j, N in enumerate(p["bands"]):
         base = 2 * j * count
         rows = phi_block(seed, base, count, 2 * N)
         inner = _project(rows, N)
         gN = batch_density_G(inner, DensityParams(kappa=kappa, band=N))
         gM = batch_density_G(rows, DensityParams(kappa=kappa, band=2 * N))
-        control = phi_block(seed, base + count, count, N)
-        ball = float(np.mean(batch_mass(control) <= kappa))
+        ball = ball_probability(N, kappa)
         frac = float(np.mean(gN > 0))
         moment = float(np.mean(gN ** pw))
+        sigma = math.sqrt(ball * (1 - ball) / count)
+        triv_ok = triv_ok and abs(frac - ball) <= 3.0 * sigma
+        triv_detail.append(
+            f"N={N}: |{frac:.4f}-{ball:.4f}| vs 3s={3 * sigma:.4f}")
         adiff = np.abs(gM - gN)
         dmean = float(np.mean(adiff))
         diff_means.append(dmean)
@@ -599,15 +611,6 @@ def _run_gn_lp(p: dict):
     else:
         variation = max(vals) / min(vals)
     nonincreasing = all(b <= a + 1e-15 for a, b in zip(diff_means, diff_means[1:]))
-    triv_ok = True
-    triv_detail = []
-    for N in bands:
-        r = per_band[str(N)]
-        f, b = r["frac_positive"], r["ball_mass"]
-        sigma = math.sqrt(f * (1 - f) / count + b * (1 - b) / count)
-        ok = abs(f - b) <= 3.0 * sigma
-        triv_ok = triv_ok and ok
-        triv_detail.append(f"N={N}: |{f:.4f}-{b:.4f}| vs 3s={3 * sigma:.4f}")
 
     # JSON has no infinity: an unbounded variation is recorded as null
     payload = {"per_band": per_band, "p": pw, "kappa": kappa,

@@ -12,7 +12,6 @@ regenerated in isolation and draw order never matters.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -317,51 +316,58 @@ def ball_probability(N: int, radius: float) -> float:
     """Exact P(||phi_N|| <= radius) under the Gaussian field, stdlib only.
 
     ||phi_N||^2 = sum_n E_n / lambda_n with E_n iid Exp(1) and
-    lambda_n = n^2 + 1, |n| <= N: a hypoexponential variable whose CDF
-    is the entire series
+    lambda_n = n^2 + 1, |n| <= N: rate 1 once, every other rate twice.
+    By partial fractions its CDF at x = radius^2 is
 
-        prod(lambda) sum_k (-1)^k h_k(lambda) x^(d+k) / (d+k)!,
+        F(x) = 1 + sum_lambda e^(-lambda x) (a_lambda + b_lambda x),
 
-    x = radius^2, d = 2N + 1, h_k the complete homogeneous symmetric
-    polynomial of degree k.  It is summed in exact integer arithmetic
-    (the terms cancel heavily) until the tail is below 2^-60 of the
-    partial sum, and rounded once to float.  The number of terms grows
-    with radius^2 * max(lambda), so this is an oracle for small balls.
+    (a, b) = (H, 0) for the simple rate and (H D, H) for the double ones,
+    H = -lambda^(m-1) prod_{mu != lambda} (mu / (mu - lambda))^m_mu at
+    multiplicity m, D = 1/lambda - sum_{mu != lambda} m_mu / (mu - lambda).
+    Each c = a + b x = H (D + x) is an exact Fraction.  The terms cancel
+    heavily, so they are summed in decimal at prec digits, where every
+    operation rounds to within u/2 of its value, relative, u = 10^(1-prec).
+    A term T = c e^(-lambda x) takes three roundings (c, the exp of the
+    exact argument, their product), so it is within 1.52 u |T| of its
+    value.  Each of the N + 1 additions errs by at most u/2 of a partial
+    sum, none above S = 1 + sum |T|.  So the sum is within (N + 3) u S of
+    F, with room for the bound's own roundings.  Once that interval
+    rounds to one float, F correctly rounded, it is returned; until then
+    prec doubles, from 32.
     """
     N = int(N)
     if N < 0:
         raise ValueError("band must be non-negative")
     if not 0 <= radius < math.inf:
         raise ValueError("radius must be finite and non-negative")
-    lams = [n * n + 1 for n in range(-N, N + 1)]
-    d = len(lams)
-    p, q = float(radius).as_integer_ratio()
-    p, q = p * p, q * q                         # x = p / q exactly
-    if p == 0:
+    if radius == 0:
         return 0.0
-    # sum_k h_k t^k = 1 / prod(1 - lambda t) = 1 / sum_i c_i t^i, so
-    # h_k = -sum_{i >= 1} c_i h_{k-i}
-    c = [1]
-    for lam in lams:
-        c = [a - lam * b for a, b in zip(c + [0], [0] + c)]
-    h = [1]
-    # the partial sum is num / den with den = q^(d+k) (d+k)!; the term
-    # h_k x^(d+k) / (d+k)! is h_k p^(d+k) / den
-    power = p ** d
-    den = q ** d * math.factorial(d)
-    num = power
-    for k in itertools.count(1):
-        h.append(-sum(c[i] * h[k - i] for i in range(1, min(k, d) + 1)))
-        grow = q * (d + k)
-        power *= p
-        den *= grow
-        num *= grow
-        term = h[k] * power
-        num += -term if k % 2 else term
-        # h_k is log-concave (a convolution of geometric sequences), so
-        # the term ratio rho = h_k p / (h_{k-1} q (d+k)) never increases:
-        # once rho = a / b < 1 the tail is at most |term| rho / (1 - rho)
-        a, b = h[k] * p, h[k - 1] * grow
-        if a < b and (term * a) << 60 <= (b - a) * abs(num):
-            break
-    return math.prod(lams) * num / den
+    import decimal      # here: the package import skips both
+    from fractions import Fraction
+    x = Fraction(radius) ** 2
+    mult = {1: 1, **{n * n + 1: 2 for n in range(1, N + 1)}}
+    coef = {}
+    for lam, m in mult.items():
+        others = [(mu, k) for mu, k in mult.items() if mu != lam]
+        h = -Fraction(lam ** (m - 1) * math.prod(mu ** k for mu, k in others),
+                      math.prod((mu - lam) ** k for mu, k in others))
+        d = Fraction(1, lam) - sum(Fraction(k, mu - lam) for mu, k in others)
+        coef[lam] = h if m == 1 else h * (d + x)
+    # exact: the exp arguments -lambda x are products of exact decimals
+    exact = decimal.Context(prec=decimal.MAX_PREC)
+    x_dec = exact.multiply(decimal.Decimal(radius), decimal.Decimal(radius))
+    prec = 32
+    while True:
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.Emin = prec, decimal.MIN_EMIN     # no underflow
+            total = size = decimal.Decimal(1)
+            for lam, c in coef.items():
+                t = (decimal.Decimal(c.numerator) / c.denominator
+                     * exact.multiply(x_dec, -lam).exp())
+                total += t
+                size += abs(t)
+            err = (N + 3) * size.scaleb(1 - prec)
+            lo, hi = float(total - err), float(total + err)
+        if lo == hi:
+            return hi       # not lo, which is -0.0 where F underflows
+        prec *= 2

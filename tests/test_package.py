@@ -1,6 +1,9 @@
 """The package namespace and the dependency floor it declares."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +24,20 @@ def test_star_import_binds_every_name():
     ns = {}
     exec("from gibbs_dnls import *", ns)
     assert set(gibbs_dnls.__all__) <= set(ns)
+
+
+def test_importing_the_package_leaves_fractions_and_decimal_unloaded():
+    # only the exact oracles (ball_probability, y3_sum, the kernel sums'
+    # powers) need them, and they import them when first called
+    src = str(REPO / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, gibbs_dnls; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True,
+                         timeout=60).stdout
+    assert out == "[]\n"
 
 
 def _release(version):

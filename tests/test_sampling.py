@@ -1,6 +1,8 @@
 """Determinism and distributional checks for the Gaussian field sampler."""
 
+import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -367,6 +369,46 @@ def test_ball_probability_band_16():
     # prod lambda / (s prod (lambda + s)) at 60 digits gives 7.42207284608266e-15
     assert ball_probability(16, 0.4) == pytest.approx(7.42207284608266e-15,
                                                       rel=1e-12)
+
+
+#: P(||phi_N|| <= r) from the CDF's power series, summed in exact integers
+#: to a tail below 2^-60 and rounded once; keyed (N, r)
+_BALL_SERIES = {
+    (0, 1.0): 0.6321205588285577,
+    (1, 0.5): 0.00765417670859751,
+    (2, 2.0): 0.8945350555907026,
+    (4, 0.3): 1.6799017556308688e-09,
+    (4, 1.0): 0.030093944034890036,
+    (8, 0.7): 4.126042537745699e-05,
+    (16, 0.4): 7.422072846082678e-15,
+    (16, 1.0): 0.005227382486761959,
+    (32, 0.5): 6.168741159970327e-13,
+    (32, 1.0): 0.003278075141665357,
+    (64, 0.3): 6.492503531148037e-35,
+}
+
+
+def test_ball_probability_matches_the_power_series_bit_for_bit():
+    for (N, r), want in _BALL_SERIES.items():
+        assert ball_probability(N, r) == want, (N, r)
+
+
+def test_ball_probability_reaches_bands_128_and_256():
+    for r in (0.3, 1.0):
+        last = ball_probability(64, r)
+        for N in (128, 256):
+            t0 = time.perf_counter()
+            p = ball_probability(N, r)
+            assert time.perf_counter() - t0 < 2.0, (N, r)
+            # a wider band only adds mass: the ball's probability falls
+            assert 0.0 < p < last < 1.0, (N, r)
+            last = p
+
+
+def test_ball_probability_underflows_to_plus_zero():
+    # P is about prod(lambda) x^5 / 5! = 100e-1000 / 120, below every float
+    p = ball_probability(2, 1e-100)
+    assert p == 0.0 and math.copysign(1.0, p) == 1.0
 
 
 def test_ball_probability_rejects_bad_arguments():
