@@ -42,7 +42,8 @@ from .sampling import (
     _BOOTSTRAP_RESAMPLES,
     _bootstrap_chunk,
     _bootstrap_starts,
-    phi_block,
+    phi_block,      # no call here; perfbench's tracer test wraps this binding
+    phi_block_in_ball,
 )
 from .chaos import _map_phases
 
@@ -325,18 +326,19 @@ def gauge_transform(traj: list) -> list:
     return out
 
 
-def _weighted_se(w: np.ndarray, vals: np.ndarray, counts: np.ndarray) -> float:
+def _weighted_se(counts: np.ndarray, denom: np.ndarray,
+                 wh: np.ndarray) -> float:
     """Bootstrap SE of the self-normalized mean sum(w h) / sum(w).
 
-    w and vals are the weights and values of the live samples, and row r
-    of counts says how often resample r draws each of them (see
-    bootstrap_counts); resamples whose weights sum to zero are left out.
-    The resample sums are numpy pairwise sums, not BLAS products, so
-    their bits do not depend on the BLAS kernel.
+    Row r of counts says how often resample r draws each live sample
+    (see bootstrap_counts), denom[r] = (counts * w).sum(axis=1)[r] is
+    its sum of weights, and wh holds the live samples' w * h; resamples
+    whose weights sum to zero are left out.  The resample sums are numpy
+    pairwise sums, not BLAS products, so their bits do not depend on the
+    BLAS kernel.
     """
-    denom = (counts * w).sum(axis=1)
     good = denom > 0
-    reps = (counts * (w * vals)).sum(axis=1)[good] / denom[good]
+    reps = (counts * wh).sum(axis=1)[good] / denom[good]
     return float(np.std(reps, ddof=1)) if len(reps) > 1 else 0.0
 
 
@@ -372,26 +374,34 @@ def invariance_experiment(N: int, params: DensityParams, t: float, count: int,
     The run forks once, one process per CPU and at most one per resample
     chunk (chaos._map_phases).  In phase 1 each process draws and weighs
     a contiguous shard of the samples and returns its weights and its
-    live rows.  This process then combines them, raises the errors
-    below, and sends the live indices to the workers.  In phase 2 it runs
-    the whole-ensemble flow, where its drift and non-finite errors are
-    raised and whose moved rows never leave it, while the workers draw
-    the bootstrap's resample chunks; every process pulls chunks from one
-    shared queue, as the tail and Cauchy-rate blocks do, until none is
-    left.  The report is the same at every worker count.  Fails fast
-    when every weight is zero, or when the effective sample size
-    (sum w)^2 / sum w^2 is below 100: the cutoff is then too tight for
-    this ensemble size.
+    live rows; it builds coefficients and weighs only the rows that
+    phi_block_in_ball keeps in the kappa ball, and the rest weigh 0, as
+    the density would give them.  This process then combines them,
+    raises the errors below, and sends the live indices to the workers.
+    In phase 2 it runs the whole-ensemble flow, where its drift and
+    non-finite errors are raised and whose moved rows never leave it,
+    while the workers draw the bootstrap's resample chunks; every
+    process pulls chunks from one shared queue, as the tail and
+    Cauchy-rate blocks do, until none is left, and sends them back as
+    int32, so count must be below 2^31.  The report is the same at every
+    worker count.  Fails fast when every weight is zero, or when the
+    effective sample size (sum w)^2 / sum w^2 is below 100: the cutoff
+    is then too tight for this ensemble size.
     """
     N = int(N)
     count = int(count)
+    if count >= 2 ** 31:
+        raise ValueError("count must be below 2^31")
     config = IntegratorConfig(step=step_size, max_drift=1e-5)
 
     def draw(shard, shards):                    # phase 1, on every process
         lo, hi = count * shard // shards, count * (shard + 1) // shards
-        rows = phi_block(int(seed), lo, hi - lo, N)
-        weights = batch_density_G(rows, params)
-        return weights, rows[weights > 0]
+        index, rows = phi_block_in_ball(int(seed), lo, hi - lo, N,
+                                        params.kappa)
+        inside = batch_density_G(rows, params)
+        weights = np.zeros(hi - lo)
+        weights[index] = inside
+        return weights, rows[inside > 0]
 
     def weigh_and_flow(drawn, broadcast):   # here, between and in phase 2
         w = np.concatenate([weights for weights, _ in drawn])
@@ -413,12 +423,13 @@ def invariance_experiment(N: int, params: DensityParams, t: float, count: int,
         return w, total, ess, live, start, moved
 
     def chunk(live, lo):                        # phase 2, on every process
+        # sent here as int32: no entry exceeds count < 2^31
         return _bootstrap_chunk(int(seed), count, _BOOTSTRAP_RESAMPLES,
-                                live, lo)
+                                live, lo).astype(np.int32)
 
     (w, total, ess, live, start, moved), chunks = _map_phases(
         draw, weigh_and_flow, chunk, _bootstrap_starts(_BOOTSTRAP_RESAMPLES))
-    counts = np.concatenate(chunks)
+    counts = np.concatenate(chunks, dtype=np.int64)
     report = {
         "band": N,
         "kappa": params.kappa,
@@ -431,6 +442,7 @@ def invariance_experiment(N: int, params: DensityParams, t: float, count: int,
     # the means are pairwise sums over all count samples, dead ones as
     # zeros, so their bits do not depend on which samples are live
     w_live = w[live]
+    denom = (counts * w_live).sum(axis=1)
     before = np.zeros(count)
     after = np.zeros(count)
     for k, observable in observables.items():
@@ -439,7 +451,7 @@ def invariance_experiment(N: int, params: DensityParams, t: float, count: int,
         mb = float(np.sum(w * before) / total)
         ma = float(np.sum(w * after) / total)
         # paired resampling: the SE of the difference, one draw for both
-        se = _weighted_se(w_live, a - b, counts)
+        se = _weighted_se(counts, denom, w_live * (a - b))
         delta = ma - mb
         report["observables"][k] = {
             "before": mb,

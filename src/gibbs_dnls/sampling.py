@@ -26,6 +26,7 @@ __all__ = [
     "sample_phi",
     "gaussian_block",
     "phi_block",
+    "phi_block_in_ball",
     "bootstrap_counts",
     "ball_probability",
 ]
@@ -63,10 +64,9 @@ _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 
 # gaussian_block runs the vectorized kernel on chunks of about
-# _CHUNK_COUNTERS Philox counters (496 rows at band 32), so the
-# temporaries stay cache-sized.  Below _BLOCK_MIN_ROWS rows it draws
-# stream by stream through numpy's Philox, whose fixed cost per call is
-# far below the kernel's
+# _CHUNK_COUNTERS Philox counters (_box_muller_chunks).  Below
+# _BLOCK_MIN_ROWS rows it draws stream by stream through numpy's Philox,
+# whose fixed cost per call is far below the kernel's
 _BLOCK_MIN_ROWS = 16
 _CHUNK_COUNTERS = 1 << 14
 
@@ -166,16 +166,16 @@ def _philox_words(master_seed: int, first_stream: int, rows: int,
     return out.reshape(rows, 4 * blocks)[:, :count]
 
 
-def _box_muller(u: np.ndarray) -> np.ndarray:
-    """Complex Gaussians from uniform pairs along the last axis of u.
+def _box_muller(e: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Complex Gaussians sqrt(e) exp(2 pi i v) from uniform pairs: e is
+    -log of the radius uniforms, v the angle uniforms.
 
-    Radius from the even entries, angle from the odd ones.  The two real
-    coordinates are independent N(0, 1/2), i.e. standard real normals
-    scaled by 1/sqrt(2).
+    The two real coordinates are independent N(0, 1/2), i.e. standard
+    real normals scaled by 1/sqrt(2).  One complex exp instead of np.cos
+    and np.sin: for a zero real part glibc's cexp returns sincos of the
+    angle times exactly 1.
     """
-    r = np.sqrt(-np.log(u[..., 0::2]))
-    theta = 2.0 * np.pi * u[..., 1::2]
-    return r * (np.cos(theta) + 1j * np.sin(theta))
+    return np.sqrt(e) * np.exp(1j * (2.0 * np.pi * v))
 
 
 def sample_gaussian(seed: SeedSpec, count: int) -> np.ndarray:
@@ -186,7 +186,8 @@ def sample_gaussian(seed: SeedSpec, count: int) -> np.ndarray:
     count = int(count)
     if count < 1:
         raise ValueError("count must be positive")
-    return _box_muller(_raw_uniforms(seed, 2 * count))
+    u = _raw_uniforms(seed, 2 * count)
+    return _box_muller(-np.log(u[0::2]), u[1::2])
 
 
 def _phi(g: np.ndarray) -> np.ndarray:
@@ -206,6 +207,38 @@ def sample_phi(N: int, seed: SeedSpec) -> FourierCoeffs:
     return FourierCoeffs(N, _phi(sample_gaussian(seed, 2 * N + 1)))
 
 
+def _block_args(master_seed: int, first_stream: int, rows: int,
+                count: int) -> tuple:
+    """(rows, count) as ints, once the block's streams are valid ones."""
+    rows = int(rows)
+    count = int(count)
+    if count < 1:
+        raise ValueError("count must be positive")
+    SeedSpec(master_seed, first_stream)     # both in 0 .. 2^64 - 1
+    if first_stream + rows > _FIRST_RESERVED_STREAM:
+        raise ValueError(
+            f"streams {first_stream}..{first_stream + rows - 1} reach the "
+            f"reserved streams from 2^64 - 3")
+    return rows, count
+
+
+def _box_muller_chunks(master_seed: int, first_stream: int, rows: int,
+                       count: int):
+    """Box-Muller's inputs for a rows x count block, a chunk at a time.
+
+    Yields (lo, e, v) for rows lo .. lo + len(e) - 1 of the block:
+    _box_muller(e, v) are their Gaussians.  A chunk holds about
+    _CHUNK_COUNTERS Philox counters (496 rows at band 32), so the
+    temporaries stay cache-sized.
+    """
+    # 2 * count words per row, four per Philox counter
+    step = max(1, _CHUNK_COUNTERS // -(-count // 2))
+    for lo in range(0, rows, step):
+        u = _uniforms(_philox_words(master_seed, first_stream + lo,
+                                    min(step, rows - lo), 2 * count))
+        yield lo, -np.log(u[:, 0::2]), u[:, 1::2]
+
+
 def gaussian_block(master_seed: int, first_stream: int, rows: int,
                    count: int) -> np.ndarray:
     """Matrix of draws, row i from stream first_stream + i.
@@ -216,27 +249,16 @@ def gaussian_block(master_seed: int, first_stream: int, rows: int,
     both share one Box-Muller.  Sample streams must stay below the
     reserved ones.
     """
-    rows = int(rows)
-    count = int(count)
-    if count < 1:
-        raise ValueError("count must be positive")
-    SeedSpec(master_seed, first_stream)     # both in 0 .. 2^64 - 1
-    if first_stream + rows > _FIRST_RESERVED_STREAM:
-        raise ValueError(
-            f"streams {first_stream}..{first_stream + rows - 1} reach the "
-            f"reserved streams from 2^64 - 3")
+    rows, count = _block_args(master_seed, first_stream, rows, count)
     out = np.empty((rows, count), dtype=np.complex128)
     if rows < _BLOCK_MIN_ROWS:
         for i in range(rows):
             out[i] = sample_gaussian(SeedSpec(master_seed, first_stream + i),
                                      count)
         return out
-    # 2 * count words per row, four per Philox counter
-    step = max(1, _CHUNK_COUNTERS // -(-count // 2))
-    for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
-        raw = _philox_words(master_seed, first_stream + lo, hi - lo, 2 * count)
-        out[lo:hi] = _box_muller(_uniforms(raw))
+    for lo, e, v in _box_muller_chunks(master_seed, first_stream, rows,
+                                       count):
+        out[lo:lo + len(e)] = _box_muller(e, v)
     return out
 
 
@@ -244,6 +266,52 @@ def phi_block(master_seed: int, first_stream: int, rows: int,
               band: int) -> np.ndarray:
     """rows x (2*band+1) matrix of field coefficients, one sample per row."""
     return _phi(gaussian_block(master_seed, first_stream, rows, 2 * band + 1))
+
+
+def phi_block_in_ball(master_seed: int, first_stream: int, rows: int,
+                      band: int, radius: float) -> tuple:
+    """The rows of phi_block that can lie in the L^2 ball of radius.
+
+    Returns (index, coeffs): coeffs is phi_block(...)[index] bit for
+    bit, and index, ascending, holds every row whose batch_mass is at
+    most radius, and maybe some just outside.  A row is screened on its
+    radius words alone, before its angles, Box-Muller and 1/<n> are
+    computed: |g_n|^2 = e_n = -log u_n for its radius uniform u_n, so
+    its mass squared is S = sum_n e_n / (n^2 + 1) up to rounding, and it
+    is kept when the float screen S' of S is at most radius^2 (1 + 2k u)
+    as floats, u = 2^-53, k = m + 10 for the m = 2 band + 1 terms.
+
+    The margin covers both sums' rounding.  Each e_n is the same float
+    in both, so log's own accuracy does not enter.  S' has one division
+    and m - 1 additions of nonnegative terms: S' <= (1 + gamma_m) S,
+    gamma_j = j u / (1 - j u).  The mass squared M^2 goes through, per
+    real coordinate x of c_n, the rounded sqrt(e_n) (squared: 2 u), cos
+    or sin of the angle within one ulp (squared: 4 u), the product and
+    the division by <n> (2 u each), <n>'s own rounded sqrt (2 u) and the
+    square (u); then the sum of the two squares (u) and m - 1 additions.
+    cos^2 + sin^2 = 1 for the float angle, so M^2 >= (1 - gamma_{m+13}) S.
+    batch_mass = fl(sqrt(M^2)) <= radius gives M^2 <= radius^2 / (1 - u)^2,
+    and the threshold, with radius^2 and its product rounded, is at
+    least radius^2 (1 + 2k u)(1 - u)^2.  So the row is kept if
+    (1 + gamma_m) / ((1 - gamma_{m+13})(1 - u)^4) <= 1 + 2k u, which
+    holds to first order with 2k = 2m + 17 and, at 2k = 2m + 20, for
+    every band below 2^24.  Nonzero terms lie far above the subnormals
+    (e_n is 0 or at least 2^-53), so a radius whose square underflows
+    keeps exactly the rows of mass 0, and one whose square overflows
+    keeps every row.
+    """
+    if not 0 <= radius < math.inf:
+        raise ValueError("radius must be finite and non-negative")
+    rows, m = _block_args(master_seed, first_stream, rows, 2 * band + 1)
+    lam = np.arange(-band, band + 1) ** 2 + 1.0
+    bound = radius * radius * (1.0 + (m + 10) * 2.0 ** -52)
+    index = [np.empty(0, dtype=np.int64)]
+    coeffs = [np.empty((0, m), dtype=np.complex128)]
+    for lo, e, v in _box_muller_chunks(master_seed, first_stream, rows, m):
+        keep = np.flatnonzero(np.sum(e / lam, axis=1) <= bound)
+        index.append(keep + lo)
+        coeffs.append(_phi(_box_muller(e[keep], v[keep])))
+    return np.concatenate(index), np.concatenate(coeffs)
 
 
 def bootstrap_counts(master_seed: int, count: int, resamples: int,
@@ -323,8 +391,9 @@ def ball_probability(N: int, radius: float) -> float:
 
     (a, b) = (H, 0) for the simple rate and (H D, H) for the double ones,
     H = -lambda^(m-1) prod_{mu != lambda} (mu / (mu - lambda))^m_mu at
-    multiplicity m, D = 1/lambda - sum_{mu != lambda} m_mu / (mu - lambda).
-    Each c = a + b x = H (D + x) is an exact Fraction.  The terms cancel
+    multiplicity m, D = 1/lambda - sum_{mu != lambda} m_mu / (mu - lambda),
+    the sum formed over one integer denominator per rate.  Each
+    c = a + b x = H (D + x) is an exact Fraction.  The terms cancel
     heavily, so they are summed in decimal at prec digits, where every
     operation rounds to within u/2 of its value, relative, u = 10^(1-prec).
     A term T = c e^(-lambda x) takes three roundings (c, the exp of the
@@ -346,13 +415,18 @@ def ball_probability(N: int, radius: float) -> float:
     from fractions import Fraction
     x = Fraction(radius) ** 2
     mult = {1: 1, **{n * n + 1: 2 for n in range(1, N + 1)}}
+    total = math.prod(mu ** k for mu, k in mult.items())
     coef = {}
     for lam, m in mult.items():
         others = [(mu, k) for mu, k in mult.items() if mu != lam]
-        h = -Fraction(lam ** (m - 1) * math.prod(mu ** k for mu, k in others),
-                      math.prod((mu - lam) ** k for mu, k in others))
-        d = Fraction(1, lam) - sum(Fraction(k, mu - lam) for mu, k in others)
-        coef[lam] = h if m == 1 else h * (d + x)
+        # sum m_mu / (mu - lambda) = s / p over p = prod (mu - lambda), so
+        # D = (p - lambda s) / (lambda p).  H's numerator is total / lambda,
+        # and as every m_mu is 1 or 2 its denominator is p^2 over the
+        # factors of the simple rate
+        s, p = _sum_over_product([(k, mu - lam) for mu, k in others])
+        h = -Fraction(total // lam, p * p // math.prod(
+            mu - lam for mu, k in others if k == 1))
+        coef[lam] = h if m == 1 else h * (Fraction(p - lam * s, lam * p) + x)
     # exact: the exp arguments -lambda x are products of exact decimals
     exact = decimal.Context(prec=decimal.MAX_PREC)
     x_dec = exact.multiply(decimal.Decimal(radius), decimal.Decimal(radius))
@@ -371,3 +445,18 @@ def ball_probability(N: int, radius: float) -> float:
         if lo == hi:
             return hi       # not lo, which is -0.0 where F underflows
         prec *= 2
+
+
+def _sum_over_product(terms: list) -> tuple:
+    """(a, b) with a / b = sum n / d over the integer pairs (n, d) of
+    terms and b = prod d, unreduced.
+
+    Neighbours are added pairwise, level by level, so the integers grow
+    evenly and no gcd is taken.
+    """
+    terms = terms or [(0, 1)]
+    while len(terms) > 1:
+        pairs = zip(terms[0::2], terms[1::2])
+        terms = [(a * d + c * b, b * d) for (a, b), (c, d) in pairs] \
+            + terms[len(terms) & ~1:]
+    return terms[0]

@@ -307,6 +307,14 @@ def test_invariance_small_run_passes():
         assert r["pass"], (name, r)
 
 
+def test_invariance_rejects_counts_int32_cannot_hold(monkeypatch):
+    # resample counts travel as int32; the check comes before any draw
+    monkeypatch.setattr(flow, "_map_phases", None)
+    with pytest.raises(ValueError, match="2\\^31"):
+        invariance_experiment(2, DensityParams(kappa=1.2, band=2), 0.05,
+                              2 ** 31, 91, {"m": batch_mass})
+
+
 def test_invariance_rejects_non_finite_values():
     # the observable turns NaN on one live row after the flow only
     calls = []
@@ -424,9 +432,9 @@ def test_invariance_report_does_not_depend_on_workers_or_chunks(
         pids.append(os.getpid())    # lost if a worker ran it
         return trajectory(*args, **kwargs)
 
-    def recording_se(w, vals, counts):
+    def recording_se(counts, denom, wh):
         layouts.append(counts.flags.c_contiguous)
-        return weighted_se(w, vals, counts)
+        return weighted_se(counts, denom, wh)
 
     monkeypatch.setattr(flow, "_trajectory", recording_trajectory)
     monkeypatch.setattr(flow, "_weighted_se", recording_se)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gibbs_dnls import chaos, flow, sampling
+from gibbs_dnls.observables import batch_mass
 from gibbs_dnls.spectral import _modes
 from gibbs_dnls.sampling import (
     GENERATOR_NAME,
@@ -17,6 +18,7 @@ from gibbs_dnls.sampling import (
     bootstrap_counts,
     gaussian_block,
     phi_block,
+    phi_block_in_ball,
     sample_gaussian,
     sample_phi,
 )
@@ -194,6 +196,61 @@ def test_blocks_stop_before_the_reserved_streams(rows):
         gaussian_block(TOP + 1, 0, rows, 2)
 
 
+def _assert_in_ball_rows(master_seed, first_stream, rows, band, radius):
+    """phi_block_in_ball's rows are phi_block's, and no row of the ball
+    is missing; returns the index."""
+    full = phi_block(master_seed, first_stream, rows, band)
+    index, coeffs = phi_block_in_ball(master_seed, first_stream, rows, band,
+                                      radius)
+    assert index.dtype == np.int64 and np.all(np.diff(index) > 0)
+    assert coeffs.shape == (len(index), 2 * band + 1)
+    assert np.array_equal(_bits(coeffs), _bits(full[index]))
+    assert set(np.flatnonzero(batch_mass(full) <= radius)) <= set(index)
+    return index
+
+
+# 15 rows: below gaussian_block's per-stream threshold; 1200 rows span
+# several chunks at band 32
+@pytest.mark.parametrize("rows", [15, 1200])
+@pytest.mark.parametrize("band", [0, 1, 4, 16, 32])
+def test_phi_block_in_ball_rows_are_phi_block_rows(rows, band):
+    mass = batch_mass(phi_block(404 + band, 9, rows, band))
+    for q in (0.1, 0.5, 0.9):
+        index = _assert_in_ball_rows(404 + band, 9, rows, band,
+                                     float(np.quantile(mass, q)))
+        assert 0 < len(index) < rows
+
+
+@pytest.mark.parametrize("band", [0, 4, 32])
+def test_phi_block_in_ball_empty_and_full(band):
+    for radius in (0.0, 1e-300, 1e-8):
+        index, coeffs = phi_block_in_ball(17, 0, 40, band, radius)
+        assert index.shape == (0,) and coeffs.shape == (0, 2 * band + 1)
+    index = _assert_in_ball_rows(17, 0, 40, band, 1e200)
+    assert np.array_equal(index, np.arange(40))
+    assert phi_block_in_ball(17, 0, 0, band, 1.0)[1].shape == (0, 2 * band + 1)
+
+
+@pytest.mark.parametrize("band", [0, 1, 4, 16, 32])
+def test_phi_block_in_ball_keeps_a_row_on_the_sphere(band):
+    # the radius is exactly each row's own mass; about half the rows
+    # screen above their mass squared, so the margin is what keeps them
+    mass = batch_mass(phi_block(52, 0, 48, band))
+    for j, radius in enumerate(mass):
+        index, _ = phi_block_in_ball(52, 0, 48, band, float(radius))
+        assert j in index, (band, j)
+
+
+def test_phi_block_in_ball_rejects_bad_radius_and_streams():
+    for radius in (-1e-300, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="radius"):
+            phi_block_in_ball(1, 0, 3, 2, radius)
+    with pytest.raises(ValueError, match="reserved"):
+        phi_block_in_ball(1, LAST_SAMPLE_STREAM, 2, 2, 1.0)
+    with pytest.raises(ValueError, match="positive"):
+        phi_block_in_ball(1, 0, 3, -1, 1.0)
+
+
 def test_reserved_streams_defined_together():
     assert RESERVED_STREAM == TOP
     assert chaos._TABLE_INDEX_STREAM is sampling._TABLE_INDEX_STREAM
@@ -344,7 +401,8 @@ def test_weighted_mean_se_matches_gather(live_count):
     ref_se = np.std(reps, ddof=1)
 
     counts = bootstrap_counts(9, count, resamples, live)
-    se = flow._weighted_se(w[live], vals[live], counts)
+    denom = (counts * w[live]).sum(axis=1)
+    se = flow._weighted_se(counts, denom, w[live] * vals[live])
     assert se == pytest.approx(ref_se, rel=1e-13)
 
 
