@@ -262,22 +262,28 @@ def _check(rows: np.ndarray, t: float, mass0: np.ndarray, max_drift: float,
 
 
 def _step_sizes(T: float, step: float) -> list:
-    """[0, T] as full steps of the given size plus a trailing fractional step."""
+    """[0, T] as full steps of the given size plus a trailing fractional step.
+
+    ValueError if T is nan or infinite.
+    """
+    if not math.isfinite(T):
+        raise ValueError(f"time T must be finite, got {T}")
     h = math.copysign(step, T)
     n_full = int(abs(T) / step + 1e-12)
     rem = T - n_full * h
     return [h] * n_full + ([rem] if abs(rem) > 1e-12 * max(1.0, abs(T)) else [])
 
 
-def _trajectory(rows: np.ndarray, N: int, T: float, config: IntegratorConfig,
-                streams=None):
-    """Yield (t, rows) after each RK4 step of every row from 0 to T.
+def _trajectory(rows: np.ndarray, N: int, steps: list,
+                config: IntegratorConfig, streams=None):
+    """Yield (t, rows) after each RK4 step of every row, one step per
+    entry of steps (_step_sizes).
 
     Checks finiteness and the mass drift of every row after every step.
     """
     mass0 = batch_mass(rows)
     t = 0.0
-    for h in _step_sizes(float(T), config.step):
+    for h in steps:
         rows = _rk4(rows, N, h)
         t += h
         _check(rows, t, mass0, config.max_drift, streams)
@@ -290,12 +296,14 @@ def evolve(u0: FourierCoeffs, N: int, T: float, config: IntegratorConfig) -> lis
     Aborts with the offending time if the mass drifts further than
     config.max_drift from its initial value after any step, the trailing
     fractional step (covering T not divisible by the step) included.
+    A T that is nan or infinite is refused before anything is computed.
     """
+    steps = _step_sizes(float(T), config.step)
     N = int(N)
     grid = QuadratureGrid.for_degree(6 * N)
     u0 = project(u0, N)
     traj = [FlowState(u0, 0.0, _log_invariants(u0, N, grid))]
-    for t, rows in _trajectory(u0.coeffs[None, :], N, T, config):
+    for t, rows in _trajectory(u0.coeffs[None, :], N, steps, config):
         u = FourierCoeffs(N, rows[0])
         traj.append(FlowState(u, t, _log_invariants(u, N, grid)))
     return traj
@@ -386,13 +394,15 @@ def invariance_experiment(N: int, params: DensityParams, t: float, count: int,
     int32, so count must be below 2^31.  The report is the same at every
     worker count.  Fails fast when every weight is zero, or when the
     effective sample size (sum w)^2 / sum w^2 is below 100: the cutoff
-    is then too tight for this ensemble size.
+    is then too tight for this ensemble size.  A t that is nan or
+    infinite is refused before any fork or draw.
     """
     N = int(N)
     count = int(count)
     if count >= 2 ** 31:
         raise ValueError("count must be below 2^31")
     config = IntegratorConfig(step=step_size, max_drift=1e-5)
+    steps = _step_sizes(float(t), config.step)
 
     def draw(shard, shards):                    # phase 1, on every process
         lo, hi = count * shard // shards, count * (shard + 1) // shards
@@ -418,7 +428,7 @@ def invariance_experiment(N: int, params: DensityParams, t: float, count: int,
         broadcast(live)                 # the workers start on the chunks
         start = np.concatenate([rows for _, rows in drawn])
         moved = start
-        for _, moved in _trajectory(start, N, t, config, streams=live):
+        for _, moved in _trajectory(start, N, steps, config, streams=live):
             pass
         return w, total, ess, live, start, moved
 

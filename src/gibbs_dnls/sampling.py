@@ -63,10 +63,10 @@ _PHILOX_W1 = np.uint64(0xBB67AE8584CAA73B)
 _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 
-# gaussian_block runs the vectorized kernel on chunks of about
-# _CHUNK_COUNTERS Philox counters (_box_muller_chunks).  Below
-# _BLOCK_MIN_ROWS rows it draws stream by stream through numpy's Philox,
-# whose fixed cost per call is far below the kernel's
+# gaussian_block and phi_block_in_ball run the vectorized kernel on at
+# most about _CHUNK_COUNTERS Philox counters a call.  Below
+# _BLOCK_MIN_ROWS rows gaussian_block draws stream by stream through
+# numpy's Philox, whose fixed cost per call is far below the kernel's
 _BLOCK_MIN_ROWS = 16
 _CHUNK_COUNTERS = 1 << 14
 
@@ -137,22 +137,25 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple:
     return x * np.uint64(m), x_hi
 
 
-def _philox_words(master_seed: int, first_stream: int, rows: int,
-                  count: int) -> np.ndarray:
-    """rows x count Philox4x64-10 words, row i keyed (master_seed, first_stream + i).
+def _philox_words(master_seed: int, streams: np.ndarray,
+                  blocks: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 words of a grid of streams and counters.
 
-    Row i equals np.random.Philox(key=(master_seed, first_stream + i))
-    .random_raw(count) bit for bit: counters 1, 2, ... in word 0 of the
-    counter, four output words per counter, ten rounds with the key
-    bumped between them.  All keys and counters go through each round at
-    once; the 4-word state broadcasts from (1, 1) up to (rows, blocks) as
-    the rounds mix in the stream key.
+    Entry [i, j] holds the four words of block blocks[j] of the stream
+    keyed (master_seed, streams[i]): words 4 b .. 4 b + 3 of
+    np.random.Philox(key=(master_seed, streams[i])).random_raw, bit for
+    bit, for b = blocks[j].  That block is counter b + 1 in word 0 of
+    the counter, ten rounds with the key bumped between them.  Both
+    index arrays may be in any order and need not be contiguous.  All
+    keys and counters go through each round at once; the 4-word state
+    broadcasts from (1, 1) up to (streams, blocks) as the rounds mix in
+    the stream key.
     """
-    blocks = -(-count // 4)
-    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
+    k1 = np.asarray(streams, dtype=np.uint64)[:, None]
+    c0 = (np.asarray(blocks, dtype=np.uint64) + np.uint64(1))[None, :]
+    out = np.empty((k1.shape[0], c0.shape[1], 4), dtype=np.uint64)
     c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
     k0 = np.full((1, 1), master_seed, dtype=np.uint64)
-    k1 = (np.uint64(first_stream) + np.arange(rows, dtype=np.uint64))[:, None]
     for r in range(10):
         if r:
             k0 = k0 + _PHILOX_W0
@@ -160,10 +163,9 @@ def _philox_words(master_seed: int, first_stream: int, rows: int,
         lo0, hi0 = _mulhilo(_PHILOX_M0, c0)
         lo1, hi1 = _mulhilo(_PHILOX_M1, c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    out = np.empty((rows, blocks, 4), dtype=np.uint64)
     for j, c in enumerate((c0, c1, c2, c3)):
         out[..., j] = c
-    return out.reshape(rows, 4 * blocks)[:, :count]
+    return out
 
 
 def _box_muller(e: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -222,21 +224,9 @@ def _block_args(master_seed: int, first_stream: int, rows: int,
     return rows, count
 
 
-def _box_muller_chunks(master_seed: int, first_stream: int, rows: int,
-                       count: int):
-    """Box-Muller's inputs for a rows x count block, a chunk at a time.
-
-    Yields (lo, e, v) for rows lo .. lo + len(e) - 1 of the block:
-    _box_muller(e, v) are their Gaussians.  A chunk holds about
-    _CHUNK_COUNTERS Philox counters (496 rows at band 32), so the
-    temporaries stay cache-sized.
-    """
-    # 2 * count words per row, four per Philox counter
-    step = max(1, _CHUNK_COUNTERS // -(-count // 2))
-    for lo in range(0, rows, step):
-        u = _uniforms(_philox_words(master_seed, first_stream + lo,
-                                    min(step, rows - lo), 2 * count))
-        yield lo, -np.log(u[:, 0::2]), u[:, 1::2]
+def _streams(first_stream: int, offsets: np.ndarray) -> np.ndarray:
+    """Stream indices first_stream + offsets, as the kernel's uint64 keys."""
+    return np.uint64(first_stream) + offsets.astype(np.uint64)
 
 
 def gaussian_block(master_seed: int, first_stream: int, rows: int,
@@ -246,8 +236,9 @@ def gaussian_block(master_seed: int, first_stream: int, rows: int,
     Bit for bit the rows of sample_gaussian on each stream: blocks of
     _BLOCK_MIN_ROWS rows or more go through the vectorized Philox kernel
     (_philox_words), smaller ones through sample_gaussian itself, and
-    both share one Box-Muller.  Sample streams must stay below the
-    reserved ones.
+    both share one Box-Muller.  The kernel draws about _CHUNK_COUNTERS
+    Philox counters a call (496 rows at band 32), so the temporaries
+    stay cache-sized.  Sample streams must stay below the reserved ones.
     """
     rows, count = _block_args(master_seed, first_stream, rows, count)
     out = np.empty((rows, count), dtype=np.complex128)
@@ -256,9 +247,16 @@ def gaussian_block(master_seed: int, first_stream: int, rows: int,
             out[i] = sample_gaussian(SeedSpec(master_seed, first_stream + i),
                                      count)
         return out
-    for lo, e, v in _box_muller_chunks(master_seed, first_stream, rows,
-                                       count):
-        out[lo:lo + len(e)] = _box_muller(e, v)
+    # 2 * count words per row, four per Philox counter
+    blocks = np.arange(-(-count // 2))
+    step = max(1, _CHUNK_COUNTERS // len(blocks))
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        words = _philox_words(master_seed,
+                              _streams(first_stream, np.arange(lo, hi)),
+                              blocks)
+        u = _uniforms(words.reshape(hi - lo, -1)[:, :2 * count])
+        out[lo:hi] = _box_muller(-np.log(u[:, 0::2]), u[:, 1::2])
     return out
 
 
@@ -266,6 +264,44 @@ def phi_block(master_seed: int, first_stream: int, rows: int,
               band: int) -> np.ndarray:
     """rows x (2*band+1) matrix of field coefficients, one sample per row."""
     return _phi(gaussian_block(master_seed, first_stream, rows, 2 * band + 1))
+
+
+def _screen_stages(band: int) -> list:
+    """phi_block_in_ball's stages: a row's Philox blocks, heaviest first.
+
+    Block k carries modes n = 2k - band and 2k + 1 - band (the last one
+    only the first), and weighs sum 1/(n^2 + 1) over them.  The blocks go
+    in order of decreasing weight, ties in block order, in stages of 1,
+    1, 2, 4, ... blocks; the last stage takes what is left.  Each stage
+    lists its blocks in ascending order, so a stage that holds the last
+    block holds it last.
+    """
+    n = np.arange(-band, band + 2)
+    w = 1.0 / (n * n + 1.0)
+    w[-1] = 0.0                 # the last block's second mode is past the band
+    order = np.argsort(-(w[0::2] + w[1::2]), kind="stable")
+    ends = [1]
+    while ends[-1] < len(order):
+        ends.append(min(2 * ends[-1], len(order)))
+    return [np.sort(blocks) for blocks in np.split(order, ends[:-1])]
+
+
+def _stage_modes(blocks: np.ndarray, m: int) -> np.ndarray:
+    """The modes of a stage's Philox blocks, two a block in block order,
+    minus the last block's second one, past the m modes of the band."""
+    modes = (2 * blocks[:, None] + np.arange(2)).ravel()
+    return modes[:np.searchsorted(modes, m)]
+
+
+def _stage_draw(master_seed: int, streams: np.ndarray, blocks: np.ndarray,
+                width: int) -> tuple:
+    """(e, v) for a grid of streams and a stage's Philox blocks: e holds
+    -log u of the radius uniforms and v the angle words of the stage's
+    first width modes (_stage_modes), one row per stream."""
+    words = _philox_words(master_seed, streams, blocks)
+    e = -np.log(_uniforms(words[..., 0::2]))
+    return (e.reshape(len(streams), -1)[:, :width],
+            words[..., 1::2].reshape(len(streams), -1)[:, :width])
 
 
 def phi_block_in_ball(master_seed: int, first_stream: int, rows: int,
@@ -278,8 +314,9 @@ def phi_block_in_ball(master_seed: int, first_stream: int, rows: int,
     radius words alone, before its angles, Box-Muller and 1/<n> are
     computed: |g_n|^2 = e_n = -log u_n for its radius uniform u_n, so
     its mass squared is S = sum_n e_n / (n^2 + 1) up to rounding, and it
-    is kept when the float screen S' of S is at most radius^2 (1 + 2k u)
-    as floats, u = 2^-53, k = m + 10 for the m = 2 band + 1 terms.
+    is kept when the float screen S' of S is at most
+    bound = radius^2 (1 + 2k u) as floats, u = 2^-53, k = m + 10 for the
+    m = 2 band + 1 terms.
 
     The margin covers both sums' rounding.  Each e_n is the same float
     in both, so log's own accuracy does not enter.  S' has one division
@@ -298,19 +335,93 @@ def phi_block_in_ball(master_seed: int, first_stream: int, rows: int,
     every band below 2^24.  Nonzero terms lie far above the subnormals
     (e_n is 0 or at least 2^-53), so a radius whose square underflows
     keeps exactly the rows of mass 0, and one whose square overflows
-    keeps every row.
+    keeps every row and draws it in one stage.
+
+    Most rows leave the ball on their heaviest modes, so the Philox
+    words are drawn in stages (_screen_stages), each only for the rows
+    still inside: the block holding n = 0 first, then the others by
+    decreasing sum of 1/(n^2 + 1) over their two modes, 1, 1, 2, 4, ...
+    blocks a stage.  After a stage a row's terms t_n = fl(e_n /
+    (n^2 + 1)) so far are added, in any order, to its partial sum P',
+    and the row is dropped once P' > bound (1 + (j + m) 2u), rounded
+    up, for its j terms so far.  That drops only rows that S' <= bound
+    rejects: the t_n are the same floats in both sums, so with P their
+    exact sum and T that of all m, P' <= (1 + gamma_{j-1}) P, and
+    S' >= (1 - gamma_{m-1}) T in any order of the additions.
+    (1 + gamma_{j-1}) / (1 - gamma_{m-1}) <= 1 + (j + m) u for every
+    band below 2^24, so a dropped row has T >= P > bound / (1 -
+    gamma_{m-1}) and S' > bound.
+    Once a stage keeps more than three quarters of its rows, as it does
+    for a radius that holds most of the measure, the blocks left form
+    the last stage: screening them would cost more kernel calls than it
+    saves draws.  The last stage runs a chunk of rows at a time, and
+    each row left gets its whole row's S', summed as phi_block's rows
+    are; those within bound go on to the angles, Box-Muller and 1/<n>.
+    Each stage reuses the e_n and angle words of the stages before it,
+    so every (stream, counter) pair is drawn at most once, in kernel
+    calls of at most _CHUNK_COUNTERS counters.
     """
     if not 0 <= radius < math.inf:
         raise ValueError("radius must be finite and non-negative")
     rows, m = _block_args(master_seed, first_stream, rows, 2 * band + 1)
     lam = np.arange(-band, band + 1) ** 2 + 1.0
     bound = radius * radius * (1.0 + (m + 10) * 2.0 ** -52)
+    # an infinite bound drops no row: one stage draws every block
+    stages = _screen_stages(band) if bound < math.inf else [
+        np.arange(band + 1)]
+    alive = np.arange(rows)
+    partial = np.zeros(rows)
+    drawn = []          # per stage: (its rows, its modes, e_n, angle words)
+    terms = 0
+    while len(stages) > 1:
+        blocks = stages.pop(0)
+        modes = _stage_modes(blocks, m)
+        streams = _streams(first_stream, alive)
+        e = np.empty((len(alive), len(modes)))
+        v = np.empty((len(alive), len(modes)), dtype=np.uint64)
+        rates = lam[modes]
+        step = max(1, _CHUNK_COUNTERS // len(blocks))
+        for lo in range(0, len(alive), step):
+            hi = min(lo + step, len(alive))
+            e[lo:hi], v[lo:hi] = _stage_draw(master_seed, streams[lo:hi],
+                                             blocks, len(modes))
+            # the bound holds for any order of the additions, and
+            # einsum's is faster than np.sum's on narrow rows
+            partial[lo:hi] += np.einsum("ij->i", e[lo:hi] / rates)
+        drawn.append((alive, modes, e, v))
+        terms += len(modes)
+        limit = math.nextafter(bound * (1.0 + (terms + m) * 2.0 ** -52),
+                               math.inf)
+        inside = partial <= limit
+        if 4 * np.count_nonzero(inside) > 3 * len(inside):
+            stages = [np.sort(np.concatenate(stages))]
+        if not inside.all():
+            alive, partial = alive[inside], partial[inside]
+    # the last stage, a chunk of rows at a time: the rest of each row's
+    # words, then the whole row from every stage, screened on one sum
+    blocks, = stages
+    modes = _stage_modes(blocks, m)
+    streams = _streams(first_stream, alive)
+    drawn = [(None if len(at) == len(alive) else np.searchsorted(at, alive),
+              modes, e, v) for at, modes, e, v in drawn]
     index = [np.empty(0, dtype=np.int64)]
     coeffs = [np.empty((0, m), dtype=np.complex128)]
-    for lo, e, v in _box_muller_chunks(master_seed, first_stream, rows, m):
-        keep = np.flatnonzero(np.sum(e / lam, axis=1) <= bound)
-        index.append(keep + lo)
-        coeffs.append(_phi(_box_muller(e[keep], v[keep])))
+    step = max(1, _CHUNK_COUNTERS // (band + 1))
+    for lo in range(0, len(alive), step):
+        hi = min(lo + step, len(alive))
+        e = np.empty((hi - lo, m))
+        v = np.empty((hi - lo, m), dtype=np.uint64)
+        e[:, modes], v[:, modes] = _stage_draw(master_seed, streams[lo:hi],
+                                               blocks, len(modes))
+        for pos, modes_s, e_s, v_s in drawn:
+            at = slice(lo, hi) if pos is None else pos[lo:hi]
+            e[:, modes_s] = e_s[at]
+            v[:, modes_s] = v_s[at]
+        keep = np.sum(e / lam, axis=1) <= bound
+        if not keep.all():
+            e, v = e[keep], v[keep]
+        index.append(alive[lo:hi][keep])
+        coeffs.append(_phi(_box_muller(e, _uniforms(v))))
     return np.concatenate(index), np.concatenate(coeffs)
 
 

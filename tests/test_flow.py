@@ -1,5 +1,6 @@
 """Hamiltonian structure, integrator conservation, gauge identities."""
 
+import math
 import os
 import time
 
@@ -232,6 +233,21 @@ def test_evolve_drift_abort_names_time():
         evolve(u0, 8, 1.0, IntegratorConfig(step=1e-2, max_drift=1e-18))
 
 
+@pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+def test_step_sizes_reject_non_finite_time(T):
+    with pytest.raises(ValueError, match=f"^time T must be finite, got {T}$"):
+        flow._step_sizes(T, 1e-2)
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+def test_evolve_refuses_non_finite_time(T, monkeypatch):
+    # refused before the projection, the grid or any step
+    monkeypatch.setattr(flow, "project", None)
+    monkeypatch.setattr(flow, "QuadratureGrid", None)
+    with pytest.raises(ValueError, match=f"^time T must be finite, got {T}$"):
+        evolve(draw(3, 8, scale=0.5), 8, T, IntegratorConfig(step=1e-2))
+
+
 def test_evolve_fractional_step_checks_drift():
     # T below one step: the only step is the trailing fractional one
     u0 = draw(3, 8, scale=0.5)
@@ -313,6 +329,16 @@ def test_invariance_rejects_counts_int32_cannot_hold(monkeypatch):
     with pytest.raises(ValueError, match="2\\^31"):
         invariance_experiment(2, DensityParams(kappa=1.2, band=2), 0.05,
                               2 ** 31, 91, {"m": batch_mass})
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_invariance_refuses_non_finite_time(t, monkeypatch):
+    # refused before any fork or draw: either would call None here
+    monkeypatch.setattr(flow, "_map_phases", None)
+    monkeypatch.setattr(flow, "phi_block_in_ball", None)
+    with pytest.raises(ValueError, match=f"^time T must be finite, got {t}$"):
+        invariance_experiment(2, DensityParams(kappa=1.2, band=2), t, 3000,
+                              91, {"m": batch_mass})
 
 
 def test_invariance_rejects_non_finite_values():

@@ -133,12 +133,28 @@ def test_gaussian_block_matches_per_stream():
     (12345, TOP - 2, 3, 9),     # keys up to 2^64 - 1
 ])
 def test_philox_words_match_numpy_philox(master_seed, first_stream, rows, count):
-    words = sampling._philox_words(master_seed, first_stream, rows, count)
-    assert words.shape == (rows, count) and words.dtype == np.uint64
+    # the whole grid: rows streams from first_stream, blocks 0, 1, ... of
+    # four words each
+    blocks = -(-count // 4)
+    streams = np.uint64(first_stream) + np.arange(rows, dtype=np.uint64)
+    words = sampling._philox_words(master_seed, streams, np.arange(blocks))
+    assert words.shape == (rows, blocks, 4) and words.dtype == np.uint64
     for j in range(rows):
         key = np.array([master_seed, first_stream + j], dtype=np.uint64)
         want = np.random.Philox(key=key).random_raw(count)
-        assert np.array_equal(words[j], want), j
+        assert np.array_equal(words[j].ravel()[:count], want), j
+    # a grid of streams and blocks out of order and with gaps: entry
+    # (i, j) is the block numpy's stream gives after advancing to it
+    pick = streams[::-2]
+    some = np.array([blocks + 2, 0, 2 ** 40 + 7, blocks // 2, 3])
+    words = sampling._philox_words(master_seed, pick, some)
+    assert words.shape == (len(pick), len(some), 4)
+    for i, stream in enumerate(pick):
+        for j, block in enumerate(some):
+            bits = np.random.Philox(
+                key=np.array([master_seed, stream], dtype=np.uint64))
+            bits.advance(int(block))
+            assert np.array_equal(words[i, j], bits.random_raw(4)), (i, j)
 
 
 # blocks of 16 rows and more go through the vectorized kernel
@@ -239,6 +255,103 @@ def test_phi_block_in_ball_keeps_a_row_on_the_sphere(band):
     for j, radius in enumerate(mass):
         index, _ = phi_block_in_ball(52, 0, 48, band, float(radius))
         assert j in index, (band, j)
+
+
+@pytest.mark.parametrize("band", [0, 1, 2, 3, 4, 8, 16, 64])
+def test_screen_stages_partition_the_blocks_heaviest_first(band):
+    stages = sampling._screen_stages(band)
+    assert [len(s) for s in stages[:-1]] == [1, 1, 2, 4, 8, 16, 32][
+        :len(stages) - 1]
+    assert 0 < len(stages[-1]) <= max(1, 2 ** (len(stages) - 2))
+    assert np.array_equal(np.sort(np.concatenate(stages)), np.arange(band + 1))
+    assert list(stages[0]) == [band // 2]     # the block holding n = 0
+    # each stage's lightest block weighs at least the next one's heaviest
+    n = np.arange(-band, band + 2)
+    w = np.where(n <= band, 1.0 / (n * n + 1.0), 0.0)
+    weight = w[0::2] + w[1::2]
+    for a, b in zip(stages, stages[1:]):
+        assert weight[a].min() >= weight[b].max()
+
+
+def _one_pass_screen(master_seed, first_stream, rows, band):
+    """(S', e, v): phi_block_in_ball's float screen S' of every row, in
+    one pass over the full words, with the rows' -log u of the radius
+    uniforms and their angle uniforms."""
+    m = 2 * band + 1
+    streams = np.uint64(first_stream) + np.arange(rows, dtype=np.uint64)
+    words = sampling._philox_words(master_seed, streams, np.arange(band + 1))
+    u = sampling._uniforms(words.reshape(rows, -1)[:, :2 * m])
+    e = -np.log(u[:, 0::2])
+    return np.sum(e / (np.arange(-band, band + 1) ** 2 + 1.0), axis=1), e, \
+        u[:, 1::2]
+
+
+def _counting_kernel(monkeypatch) -> list:
+    """The (stream, block) pairs of each _philox_words call from now on."""
+    grids = []
+    kernel = sampling._philox_words
+
+    def counting(master_seed, streams, blocks):
+        assert len(streams) * len(blocks) <= sampling._CHUNK_COUNTERS
+        s, b = np.meshgrid(streams, np.asarray(blocks, dtype=np.uint64),
+                           indexing="ij")
+        grids.append(np.stack([s.ravel(), b.ravel()], axis=1))
+        return kernel(master_seed, streams, blocks)
+
+    monkeypatch.setattr(sampling, "_philox_words", counting)
+    return grids
+
+
+def _drawn_pairs(grids) -> np.ndarray:
+    """Every (stream, block) pair of the recorded calls; no pair twice."""
+    pairs = np.concatenate(grids) if grids else np.empty((0, 2), np.uint64)
+    assert len(np.unique(pairs, axis=0)) == len(pairs)
+    grids.clear()
+    return pairs
+
+
+@pytest.mark.parametrize("band", [0, 1, 2, 4, 8, 16, 64])
+def test_staged_screen_equals_the_one_pass_screen(band, monkeypatch):
+    # index and coefficients are those of the one-pass screen over the
+    # full words, bit for bit, at mass quantiles, at each row's own mass
+    # and at the extreme radii; a row dropped before the last stage, not
+    # drawn on every block, screens above the bound in one pass too
+    rows, m = 600, 2 * band + 1
+    screen, e, v = _one_pass_screen(2024 + band, 7, rows, band)
+    mass = batch_mass(phi_block(2024 + band, 7, rows, band))
+    radii = [float(r) for r in np.quantile(mass, [0.01, 0.1, 0.5, 0.9])]
+    radii += [float(r) for r in mass[:12]] + [0.0, 1e-300, 1e200]
+    grids = _counting_kernel(monkeypatch)
+    for radius in radii:
+        bound = radius * radius * (1.0 + (m + 10) * 2.0 ** -52)
+        want = np.flatnonzero(screen <= bound)
+        index, coeffs = phi_block_in_ball(2024 + band, 7, rows, band, radius)
+        assert np.array_equal(index, want), radius
+        coeffs_want = sampling._phi(sampling._box_muller(e[want], v[want]))
+        assert np.array_equal(_bits(coeffs), _bits(coeffs_want)), radius
+        pairs = _drawn_pairs(grids)
+        drawn = np.bincount((pairs[:, 0] - np.uint64(7)).astype(np.int64),
+                            minlength=rows)
+        assert drawn.max() <= band + 1
+        early = np.flatnonzero(drawn < band + 1)
+        assert np.all(screen[early] > bound), radius
+        if radius == 1e200:
+            assert len(early) == 0 and len(pairs) == rows * (band + 1)
+
+
+def test_staged_screen_draws_a_fraction_of_the_words(monkeypatch):
+    # band 8, kappa 1: about 3% of the rows are kept, and each row's
+    # heaviest blocks decide most of the others, so well under half of
+    # the rows x counters are drawn, none twice; a radius that keeps
+    # every row draws every pair once
+    rows, blocks = 4000, 9
+    grids = _counting_kernel(monkeypatch)
+    index, _ = phi_block_in_ball(2024, 0, rows, 8, 1.0)
+    assert 0 < len(index) < 0.1 * rows
+    assert len(_drawn_pairs(grids)) <= 0.4 * rows * blocks
+    index, _ = phi_block_in_ball(2024, 0, rows, 8, 1e200)
+    assert len(index) == rows
+    assert len(_drawn_pairs(grids)) == rows * blocks
 
 
 def test_phi_block_in_ball_rejects_bad_radius_and_streams():
