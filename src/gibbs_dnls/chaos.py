@@ -560,6 +560,20 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple:
     return slope, intercept, r2
 
 
+def _fit_window(counts) -> np.ndarray:
+    """Mask of the thresholds that still have >= 50 exceedances.
+
+    A line through fewer than two points has an arbitrary slope, so a
+    window that short is refused rather than fitted.
+    """
+    win = np.asarray(counts) >= 50
+    if np.count_nonzero(win) < 2:
+        raise ValueError(
+            f"only {np.count_nonzero(win)} threshold(s) with >= 50 "
+            f"exceedances; a tail fit needs two")
+    return win
+
+
 #: the tail shapes tail_survival fits: log survival linear in lambda^theta
 _THETAS = (0.5, 1.0, 2.0)
 
@@ -609,8 +623,7 @@ def tail_survival(observable, N: int, lambdas, sample_count: int, seed: int,
             f"insufficient tail data"
         )
     survival = exceed / kept
-    # fit window: thresholds that still have >= 50 exceedances
-    win = exceed >= 50
+    win = _fit_window(exceed)
     slope, intercept, r2 = _line_fit(lambdas[win] ** theta,
                                      np.log(survival[win]))
     return TailFit(
@@ -632,7 +645,7 @@ def erfc_fit_r2(fit: TailFit) -> float:
     erfc(lambda), so a sampler with the right tail gives r^2 near 1.
     """
     lam = np.asarray(fit.lambdas)
-    win = np.asarray(fit.counts) >= 50
+    win = _fit_window(fit.counts)
     y = np.log(np.asarray(fit.survival)[win])
     x = np.log(np.array([math.erfc(v) for v in lam[win]]))
     return _line_fit(x, y)[2]

@@ -113,20 +113,30 @@ def batch_multiply(a: np.ndarray, b: np.ndarray, band: int = None) -> np.ndarray
     return (windows @ a[:, ::-1, None])[:, :, 0]
 
 
-def batch_square(rows: np.ndarray) -> np.ndarray:
+def batch_square(rows: np.ndarray, grid: bool = False) -> np.ndarray:
     """Row-wise self-convolution: coefficients of u^2, width 2d-1.
 
-    Zero-padded FFT; the pad length is the smallest 5-smooth length at
+    Zero-padded FFT; the pad length L is the smallest 5-smooth length at
     or above 2d-1 (_fft_len), so the linear convolution comes out
     alias-free.  Each row is transformed on its own, so a row's result
     does not depend on the other rows.  The product is squared and
     transformed back in the forward transform's buffer: at Monte Carlo
     block sizes a second multi-MB array would be faulted in per call.
+
+    grid=True stops before the inverse transform and returns F^2, the
+    squared forward transform on all L padded points.  For a row of
+    modes n = -N..N, F_j = sum_n c_n e^{-2 pi i (n + N) j / L}
+    = e^{-2 pi i N j / L} u(x_j) at x_j = -2 pi j / L: the field's
+    values on L equispaced nodes, each times a unit phase.  That is all
+    batch_quartic_integral needs; batch_f_quartic and batch_grid_sup_dsq
+    take the coefficients.
     """
     d = rows.shape[1]
     L = _fft_len(2 * d - 1)
     F = np.fft.fft(rows, n=L, axis=1)
     F *= F
+    if grid:
+        return F
     return np.fft.ifft(F, axis=1, out=F)[:, : 2 * d - 1]
 
 
@@ -183,8 +193,18 @@ def batch_X(rows: np.ndarray) -> np.ndarray:
 
 
 def batch_quartic_integral(rows: np.ndarray) -> np.ndarray:
-    """int |u|^4 per row: Parseval on the squared field."""
-    return np.sum(_abs2_inplace(batch_square(rows)), axis=1)
+    """int |u|^4 per row, normalized measure: a node mean of |F^2|^2.
+
+    F^2 = batch_square(rows, grid=True) is u(x_j)^2 times a unit phase
+    on L equispaced nodes, so |F_j^2|^2 = |u(x_j)|^4 with no inverse
+    transform.  |u|^4 is a trigonometric polynomial of degree 4N, and
+    L >= 2d - 1 = 4N + 1 > 4N, so the mean over the L nodes integrates
+    it exactly: up to rounding, this is Parseval's sum of |(u^2)_k|^2
+    over the squared field's coefficients.  The mean is taken in F's
+    own buffer.
+    """
+    w = batch_square(rows, grid=True)
+    return np.sum(_abs2_inplace(w), axis=1) / w.shape[1]
 
 
 def batch_sextic_integral(rows: np.ndarray) -> np.ndarray:

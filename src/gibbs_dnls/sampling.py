@@ -209,13 +209,26 @@ def sample_phi(N: int, seed: SeedSpec) -> FourierCoeffs:
     return FourierCoeffs(N, _phi(sample_gaussian(seed, 2 * N + 1)))
 
 
+def _integer(name: str, v) -> int:
+    """v as an int, once it is a Python or numpy integer.
+
+    A float or a bool would be truncated to some other size, so both are
+    refused, as SeedSpec refuses them in a key.
+    """
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _block_args(master_seed: int, first_stream: int, rows: int,
                 count: int) -> tuple:
     """(rows, count) as ints, once the block's streams are valid ones."""
-    rows = int(rows)
-    count = int(count)
+    rows = _integer("rows", rows)
+    count = _integer("count", count)
     if count < 1:
-        raise ValueError("count must be positive")
+        raise ValueError(f"count must be positive, got {count}")
+    if rows < 0:
+        raise ValueError(f"rows must be non-negative, got {rows}")
     SeedSpec(master_seed, first_stream)     # both in 0 .. 2^64 - 1
     if first_stream + rows > _FIRST_RESERVED_STREAM:
         raise ValueError(
@@ -263,7 +276,8 @@ def gaussian_block(master_seed: int, first_stream: int, rows: int,
 def phi_block(master_seed: int, first_stream: int, rows: int,
               band: int) -> np.ndarray:
     """rows x (2*band+1) matrix of field coefficients, one sample per row."""
-    return _phi(gaussian_block(master_seed, first_stream, rows, 2 * band + 1))
+    return _phi(gaussian_block(master_seed, first_stream, rows,
+                               2 * _integer("band", band) + 1))
 
 
 def _screen_stages(band: int) -> list:
@@ -363,6 +377,7 @@ def phi_block_in_ball(master_seed: int, first_stream: int, rows: int,
     """
     if not 0 <= radius < math.inf:
         raise ValueError("radius must be finite and non-negative")
+    band = _integer("band", band)
     rows, m = _block_args(master_seed, first_stream, rows, 2 * band + 1)
     lam = np.arange(-band, band + 1) ** 2 + 1.0
     bound = radius * radius * (1.0 + (m + 10) * 2.0 ** -52)

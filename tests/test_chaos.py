@@ -9,6 +9,7 @@ import select
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from gibbs_dnls.chaos import (
     TailFit,
     cauchy_rate,
     chaos_ratio,
+    erfc_fit_r2,
     f_decompose,
     kernel_tail_sum,
     random_coeff_table,
@@ -534,6 +536,21 @@ def test_tail_survival_errors():
         tail_survival(batch_mass, 2, [1.0], 2000, 3)
     with pytest.raises(ValueError):
         tail_survival(batch_mass, 2, [0.5, 1.0], 2000, 3, theta=3.0)
+
+
+def test_tail_fit_needs_two_thresholds_in_its_window():
+    # band 0, |Re c_0| over 2000 samples: counts (974, 0, 0), so only the
+    # first threshold has >= 50 exceedances; a line through that one
+    # point used to give an arbitrary rate (1.44) and a numpy RankWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="needs two"):
+            tail_survival(lambda r: np.abs(r[:, 0].real), 0,
+                          [0.5, 3.0, 3.5], 2000, 5)
+        one_point = TailFit((0.5, 3.0, 3.5), (0.487, 0.0, 0.0), (974, 0, 0),
+                            2.0, 1.44, 0.0, 0.0, 2000)
+        with pytest.raises(ValueError, match="needs two"):
+            erfc_fit_r2(one_point)
 
 
 def test_tail_fit_validation():

@@ -83,12 +83,16 @@ _BIT_ROWS = (1, 2, 3, 15, 16, 17, 700)
 @pytest.mark.parametrize("band", list(range(41)) + [64, 128])
 def test_in_place_fft_kernels_keep_the_fresh_array_bits(band):
     # references: the same transforms with a fresh ifft output, a fresh
-    # |w|^2 array and a fresh k |w|^2 array
+    # |w|^2 array and a fresh k |w|^2 array; int |u|^4 is the mean over
+    # the padded grid of a fresh |F * F|^2
     for rows_n in _BIT_ROWS:
         rows = phi_block(609 + band, 0, rows_n, band)
         keep = rows.copy()
         d = rows.shape[1]
-        F = np.fft.fft(rows, n=_fft_len(2 * d - 1), axis=1)
+        L = _fft_len(2 * d - 1)
+        F = np.fft.fft(rows, n=L, axis=1)
+        F2 = F * F
+        quartic = np.sum(F2.real ** 2 + F2.imag ** 2, axis=1) / L
         F *= F
         sq = np.fft.ifft(F, axis=1)[:, : 2 * d - 1]
         F = np.fft.fft(rows, n=_fft_len(3 * d - 2), axis=1)
@@ -97,7 +101,7 @@ def test_in_place_fft_kernels_keep_the_fresh_array_bits(band):
         cases = [
             (batch_square(rows), sq),
             (batch_cube(rows), cube),
-            (batch_quartic_integral(rows), np.sum(abs2_sq, axis=1)),
+            (batch_quartic_integral(rows), quartic),
             (batch_sextic_integral(rows),
              np.sum(cube.real ** 2 + cube.imag ** 2, axis=1)),
             (batch_f_quartic(rows), np.sum(_modes(sq) * abs2_sq, axis=1)),

@@ -212,6 +212,46 @@ def test_blocks_stop_before_the_reserved_streams(rows):
         gaussian_block(TOP + 1, 0, rows, 2)
 
 
+#: sizes int() used to truncate, or left to fail inside numpy
+_NOT_INTEGERS = (2.7, 3.0, True)
+
+
+def test_gaussian_block_rejects_a_bad_size():
+    for v in _NOT_INTEGERS:
+        with pytest.raises(ValueError, match="^rows must be an integer"):
+            gaussian_block(7, 0, v, 3)
+        with pytest.raises(ValueError, match="^count must be an integer"):
+            gaussian_block(7, 0, 3, v)
+    with pytest.raises(ValueError, match="^rows must be non-negative, got -1"):
+        gaussian_block(7, 0, -1, 3)
+    assert np.array_equal(gaussian_block(7, 0, np.int64(3), np.int32(3)),
+                          gaussian_block(7, 0, 3, 3))
+
+
+def test_phi_block_rejects_a_bad_size():
+    for v in _NOT_INTEGERS:
+        with pytest.raises(ValueError, match="^rows must be an integer"):
+            phi_block(7, 0, v, 3)
+        with pytest.raises(ValueError, match="^band must be an integer"):
+            phi_block(7, 0, 3, v / 2)
+    with pytest.raises(ValueError, match="^rows must be non-negative, got -1"):
+        phi_block(7, 0, -1, 3)
+    assert np.array_equal(phi_block(7, 0, np.int64(3), np.int64(1)),
+                          phi_block(7, 0, 3, 1))
+
+
+def test_phi_block_in_ball_rejects_a_bad_size():
+    for v in _NOT_INTEGERS:
+        with pytest.raises(ValueError, match="^rows must be an integer"):
+            phi_block_in_ball(7, 0, v, 3, 1.0)
+        with pytest.raises(ValueError, match="^band must be an integer"):
+            phi_block_in_ball(7, 0, 3, v / 2, 1.0)
+    with pytest.raises(ValueError, match="^rows must be non-negative, got -1"):
+        phi_block_in_ball(7, 0, -1, 3, 1.0)
+    index, coeffs = phi_block_in_ball(7, 0, np.int64(40), np.int64(1), 1.0)
+    assert np.array_equal(coeffs, phi_block(7, 0, 40, 1)[index])
+
+
 def _assert_in_ball_rows(master_seed, first_stream, rows, band, radius):
     """phi_block_in_ball's rows are phi_block's, and no row of the ball
     is missing; returns the index."""
