@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .observables import batch_f_quartic, batch_X
-from .spectral import _project
+from .spectral import _integer, _project
 from .sampling import (
     _BOOTSTRAP_RESAMPLES,
     _TABLE_INDEX_STREAM,
@@ -137,14 +137,13 @@ def chaos_ratio(k: int, d: int, coeffs: dict, p: float, sample_count: int,
     bound = sqrt(k+1) * (p-1)^{k/2}; the ratio can exceed the bound only
     by Monte Carlo noise.
     """
-    k = int(k)
-    d = int(d)
-    if k < 1:
-        raise ValueError("degree k must be at least 1")
+    k = _integer("k", k, 1)
+    d = _integer("d", d, 1)
+    count = _integer("sample_count", sample_count, 1)
     if not coeffs:
         raise ValueError("empty coefficient table")
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    if not 2 <= p < math.inf:
+        raise ValueError(f"p must be finite and at least 2, got {p}")
     for idx in coeffs:
         if len(idx) != k:
             raise ValueError(f"multi-index {idx} does not have length {k}")
@@ -152,8 +151,7 @@ def chaos_ratio(k: int, d: int, coeffs: dict, p: float, sample_count: int,
             raise ValueError(f"multi-index {idx} outside 1..{d}")
         if any(a > b for a, b in zip(idx, idx[1:])):
             raise ValueError(f"multi-index {idx} is not non-decreasing")
-    count = int(sample_count)
-    g = sample_gaussian(SeedSpec(int(seed), 0), count * d).reshape(count, d)
+    g = sample_gaussian(SeedSpec(seed, 0), count * d).reshape(count, d)
     S = np.zeros(count, dtype=np.complex128)
     for idx, c in coeffs.items():
         prod = np.ones(count, dtype=np.complex128)
@@ -175,14 +173,12 @@ def random_coeff_table(k: int, d: int, terms: int, seed: int) -> dict:
     of the master seed, so tables are reproducible and independent of the
     evaluation samples.  Colliding indices accumulate.
     """
-    k = int(k)
-    d = int(d)
-    terms = int(terms)
-    if k < 1 or d < 1 or terms < 1:
-        raise ValueError("k, d and terms must all be positive")
-    u = _raw_uniforms(SeedSpec(int(seed), _TABLE_INDEX_STREAM), terms * k)
+    k = _integer("k", k, 1)
+    d = _integer("d", d, 1)
+    terms = _integer("terms", terms, 1)
+    u = _raw_uniforms(SeedSpec(seed, _TABLE_INDEX_STREAM), terms * k)
     digits = np.minimum(np.floor(u * d).astype(int) + 1, d).reshape(terms, k)
-    values = sample_gaussian(SeedSpec(int(seed), _TABLE_VALUE_STREAM), terms)
+    values = sample_gaussian(SeedSpec(seed, _TABLE_VALUE_STREAM), terms)
     table: dict = {}
     for row, val in zip(digits, values):
         idx = tuple(sorted(int(m) for m in row))
@@ -218,9 +214,9 @@ def f_decompose(N: int, seed) -> tuple:
 
     Returns (S1, S2, X, Y1, Y2); S1 + S2 = i * f_N(draw).
     """
-    N = int(N)
+    N = _integer("N", N, 0)
     if not isinstance(seed, SeedSpec):
-        seed = SeedSpec(int(seed), 0)
+        seed = SeedSpec(seed, 0)
     u = sample_phi(N, seed)
     c = u.coeffs
     n = np.arange(-N, N + 1, dtype=np.float64)
@@ -267,7 +263,7 @@ def y3_sum(N: int) -> complex:
     cancel exactly rather than to roundoff dust.
     """
     from fractions import Fraction     # here: the package import skips it
-    N = int(N)
+    N = _integer("N", N, 0)
     b = {n: Fraction(1, n * n + 1) for n in range(-N, N + 1)}
     total = sum(2 * (n1 + n2) * b1 * b2 for n1, b1 in b.items()
                 for n2, b2 in b.items() if n1 != n2)
@@ -508,12 +504,12 @@ def cauchy_rate(bands, sample_count: int, seed: int,
     differences are pulled from one shared queue by one forked process
     per CPU (_map_blocks); the fits and the bootstrap run here.
     """
-    bands = [int(b) for b in bands]
+    bands = [_integer("bands", b, 1) for b in bands]
     if len(bands) < 2:
         raise ValueError("need at least two bands for a rate")
     if any(b2 <= b1 for b1, b2 in zip(bands, bands[1:])):
         raise ValueError("bands must be strictly increasing")
-    count = int(sample_count)
+    count = _integer("sample_count", sample_count)
     if count < 100:
         raise ValueError("sample_count below 100: confidence interval meaningless")
     if mode not in _RATE_WINDOWS:
@@ -524,7 +520,7 @@ def cauchy_rate(bands, sample_count: int, seed: int,
     def block(span):
         j, lo, hi = span
         # disjoint stream range per band pair
-        rows = phi_block(int(seed), j * count + lo, hi - lo, 2 * bands[j])
+        rows = phi_block(seed, j * count + lo, hi - lo, 2 * bands[j])
         d = evaluate(rows) - evaluate(_project(rows, bands[j]))
         return d * d
 
@@ -538,7 +534,7 @@ def cauchy_rate(bands, sample_count: int, seed: int,
     logb = np.log(np.asarray(bands, dtype=np.float64))
     slope = float(np.polyfit(logb, np.log(values), 1)[0])
 
-    counts = bootstrap_counts(int(seed), count, _BOOTSTRAP_RESAMPLES,
+    counts = bootstrap_counts(seed, count, _BOOTSTRAP_RESAMPLES,
                               np.arange(count))
     # one column per resample: polyfit fits every column at once
     rms = np.sqrt([(counts * d2).sum(axis=1) / count for d2 in sq_diffs])
@@ -592,15 +588,16 @@ def tail_survival(observable, N: int, lambdas, sample_count: int, seed: int,
     lambdas = np.asarray(sorted(float(x) for x in lambdas))
     if len(lambdas) < 2:
         raise ValueError("need at least two thresholds")
+    if not np.all(np.isfinite(lambdas)):
+        raise ValueError("lambdas must all be finite")
     if theta not in _THETAS:
         raise ValueError("theta must be one of 1/2, 1, 2")
-    count = int(sample_count)
-    if count < 1:
-        raise ValueError("sample_count must be at least 1")
+    N = _integer("N", N, 0)
+    count = _integer("sample_count", sample_count, 1)
 
     def block(span):
         lo, hi = span
-        rows = phi_block(int(seed), lo, hi - lo, int(N))
+        rows = phi_block(seed, lo, hi - lo, N)
         if condition is not None:
             rows = rows[condition(rows)]
             if rows.shape[0] == 0:
@@ -612,7 +609,7 @@ def tail_survival(observable, N: int, lambdas, sample_count: int, seed: int,
 
     exceed = np.zeros(len(lambdas), dtype=np.int64)
     kept = 0
-    for n, e in _map_blocks(block, _blocks(count, 2 * int(N) + 1)):
+    for n, e in _map_blocks(block, _blocks(count, 2 * N + 1)):
         kept += n
         exceed += e
     if kept == 0:
@@ -670,10 +667,8 @@ def kernel_tail_sum(n: int, N: int, eps: float = 0.25) -> tuple:
     staying bounded over (n, N) sweeps is the content of the kernel bound.
     Its two powers come from _power, not from the C library's pow.
     """
-    n = int(n)
-    N = int(N)
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    n = _integer("n", n)
+    N = _integer("N", N, 1)
     if abs(n) > _KERNEL_MAX or N > _KERNEL_MAX:
         raise ValueError(f"|n| and N must be at most {_KERNEL_MAX}, where the "
                          f"summation window is accurate")

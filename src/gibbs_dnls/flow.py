@@ -27,8 +27,10 @@ from .spectral import (
     FourierCoeffs,
     QuadratureGrid,
     _antiderivative,
+    _band,
     _conjugate,
     _derivative,
+    _integer,
     antiderivative,
     conjugate,
     derivative,
@@ -40,6 +42,7 @@ from .functionals import energy, gauge_F, mass
 from .observables import DensityParams, batch_density_G, batch_mass, batch_multiply
 from .sampling import (
     _BOOTSTRAP_RESAMPLES,
+    SeedSpec,
     _bootstrap_chunk,
     _bootstrap_starts,
     phi_block,      # no call here; perfbench's tracer test wraps this binding
@@ -137,7 +140,7 @@ def rhs_hamiltonian(u: FourierCoeffs, N: int) -> FourierCoeffs:
     The reference right-hand side: project, take gradients at
     (Pi_N u, conj Pi_N u), project them, apply K, project again.
     """
-    N = int(N)
+    N = _integer("N", N, 0)
     uN = project(u, N)
     vN = conjugate(uN)
     du, dv = variational_derivatives(uN, vN)
@@ -145,8 +148,9 @@ def rhs_hamiltonian(u: FourierCoeffs, N: int) -> FourierCoeffs:
     return project(z1, N)
 
 
-def batch_rhs_hamiltonian(rows: np.ndarray, N: int) -> np.ndarray:
-    """rhs_hamiltonian of every row of a coefficient matrix at band N.
+def batch_rhs_hamiltonian(rows: np.ndarray) -> np.ndarray:
+    """rhs_hamiltonian of every row of a coefficient matrix, at the rows'
+    own band N.
 
     The same composition on arrays, valid only on the physical slice
     v = conj u: there v^2 = conj(u^2), v^2 v = conj(u^2 u), w2 = conj(w1)
@@ -154,11 +158,10 @@ def batch_rhs_hamiltonian(rows: np.ndarray, N: int) -> np.ndarray:
     (batch_multiply) suffice: u^2, u^2 u, u w1 and, at band N only,
     u (conj u^2)', u^2 conj(u^2 u) and u (D(v w2) - D(u w1)).  Modes the
     flow cannot reach stay exactly zero; the bits differ from the
-    reference's by roundoff only.
+    reference's by roundoff only.  Rows of even width have no band and
+    are refused.
     """
-    N = int(N)
-    if rows.shape[1] != 2 * N + 1:
-        raise ValueError(f"rows of width {rows.shape[1]} are not at band {N}")
+    N = _band(rows)
     mul = batch_multiply
     u = rows
     u2 = mul(u, u)
@@ -194,7 +197,7 @@ def rhs_expanded(u: FourierCoeffs, N: int) -> tuple:
     on the same input; the composition form stays the integrator's
     source of truth.
     """
-    N = int(N)
+    N = _integer("N", N, 0)
     uN = project(u, N)
     ub = conjugate(uN)
     u2 = multiply(uN, uN)
@@ -223,20 +226,19 @@ def rhs_expanded(u: FourierCoeffs, N: int) -> tuple:
     return rhs, R, discrepancy
 
 
-def _log_invariants(u: FourierCoeffs, N: int, grid: QuadratureGrid) -> dict:
-    uN = project(u, N)
+def _log_invariants(u: FourierCoeffs, grid: QuadratureGrid) -> dict:
     return {
-        "mass": mass(uN),
-        "energy": energy(uN, grid),
-        "F_u": gauge_F(uN, grid),
+        "mass": mass(u),
+        "energy": energy(u, grid),
+        "F_u": gauge_F(u, grid),
     }
 
 
-def _rk4(rows: np.ndarray, N: int, h: float) -> np.ndarray:
-    k1 = batch_rhs_hamiltonian(rows, N)
-    k2 = batch_rhs_hamiltonian(rows + (0.5 * h) * k1, N)
-    k3 = batch_rhs_hamiltonian(rows + (0.5 * h) * k2, N)
-    k4 = batch_rhs_hamiltonian(rows + h * k3, N)
+def _rk4(rows: np.ndarray, h: float) -> np.ndarray:
+    k1 = batch_rhs_hamiltonian(rows)
+    k2 = batch_rhs_hamiltonian(rows + (0.5 * h) * k1)
+    k3 = batch_rhs_hamiltonian(rows + (0.5 * h) * k2)
+    k4 = batch_rhs_hamiltonian(rows + h * k3)
     return rows + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -274,8 +276,8 @@ def _step_sizes(T: float, step: float) -> list:
     return [h] * n_full + ([rem] if abs(rem) > 1e-12 * max(1.0, abs(T)) else [])
 
 
-def _trajectory(rows: np.ndarray, N: int, steps: list,
-                config: IntegratorConfig, streams=None):
+def _trajectory(rows: np.ndarray, steps: list, config: IntegratorConfig,
+                streams=None):
     """Yield (t, rows) after each RK4 step of every row, one step per
     entry of steps (_step_sizes).
 
@@ -284,7 +286,7 @@ def _trajectory(rows: np.ndarray, N: int, steps: list,
     mass0 = batch_mass(rows)
     t = 0.0
     for h in steps:
-        rows = _rk4(rows, N, h)
+        rows = _rk4(rows, h)
         t += h
         _check(rows, t, mass0, config.max_drift, streams)
         yield t, rows
@@ -299,13 +301,13 @@ def evolve(u0: FourierCoeffs, N: int, T: float, config: IntegratorConfig) -> lis
     A T that is nan or infinite is refused before anything is computed.
     """
     steps = _step_sizes(float(T), config.step)
-    N = int(N)
+    N = _integer("N", N, 0)
     grid = QuadratureGrid.for_degree(6 * N)
     u0 = project(u0, N)
-    traj = [FlowState(u0, 0.0, _log_invariants(u0, N, grid))]
-    for t, rows in _trajectory(u0.coeffs[None, :], N, steps, config):
+    traj = [FlowState(u0, 0.0, _log_invariants(u0, grid))]
+    for t, rows in _trajectory(u0.coeffs[None, :], steps, config):
         u = FourierCoeffs(N, rows[0])
-        traj.append(FlowState(u, t, _log_invariants(u, N, grid)))
+        traj.append(FlowState(u, t, _log_invariants(u, grid)))
     return traj
 
 
@@ -318,8 +320,7 @@ def gauge_transform(traj: list) -> list:
     """
     if not traj:
         return []
-    N = traj[0].u.band
-    grid = QuadratureGrid.for_degree(6 * N)
+    grid = QuadratureGrid.for_degree(6 * traj[0].u.band)
     out = []
     phase = 0.0
     prev = traj[0]
@@ -330,7 +331,7 @@ def gauge_transform(traj: list) -> list:
             )
             prev = st
         v = st.u.scale(np.exp(1j * phase)) if k > 0 else st.u
-        out.append(FlowState(v, st.t, _log_invariants(v, N, grid)))
+        out.append(FlowState(v, st.t, _log_invariants(v, grid)))
     return out
 
 
@@ -395,19 +396,20 @@ def invariance_experiment(N: int, params: DensityParams, t: float, count: int,
     worker count.  Fails fast when every weight is zero, or when the
     effective sample size (sum w)^2 / sum w^2 is below 100: the cutoff
     is then too tight for this ensemble size.  A t that is nan or
-    infinite is refused before any fork or draw.
+    infinite, or a seed that is no Philox key, is refused before any
+    fork or draw.
     """
-    N = int(N)
-    count = int(count)
+    N = _integer("N", N, 0)
+    count = _integer("count", count, 1)
     if count >= 2 ** 31:
         raise ValueError("count must be below 2^31")
+    SeedSpec(seed, 0)                   # a Philox key word, before any fork
     config = IntegratorConfig(step=step_size, max_drift=1e-5)
     steps = _step_sizes(float(t), config.step)
 
     def draw(shard, shards):                    # phase 1, on every process
         lo, hi = count * shard // shards, count * (shard + 1) // shards
-        index, rows = phi_block_in_ball(int(seed), lo, hi - lo, N,
-                                        params.kappa)
+        index, rows = phi_block_in_ball(seed, lo, hi - lo, N, params.kappa)
         inside = batch_density_G(rows, params)
         weights = np.zeros(hi - lo)
         weights[index] = inside
@@ -428,13 +430,13 @@ def invariance_experiment(N: int, params: DensityParams, t: float, count: int,
         broadcast(live)                 # the workers start on the chunks
         start = np.concatenate([rows for _, rows in drawn])
         moved = start
-        for _, moved in _trajectory(start, N, steps, config, streams=live):
+        for _, moved in _trajectory(start, steps, config, streams=live):
             pass
         return w, total, ess, live, start, moved
 
     def chunk(live, lo):                        # phase 2, on every process
         # sent here as int32: no entry exceeds count < 2^31
-        return _bootstrap_chunk(int(seed), count, _BOOTSTRAP_RESAMPLES,
+        return _bootstrap_chunk(seed, count, _BOOTSTRAP_RESAMPLES,
                                 live, lo).astype(np.int32)
 
     (w, total, ess, live, start, moved), chunks = _map_phases(

@@ -22,6 +22,7 @@ from .observables import (
 from .spectral import (
     FourierCoeffs,
     QuadratureGrid,
+    _integer,
     derivative,
     inner_product_hermitian,
     lp_norm,
@@ -67,6 +68,7 @@ def f_quartic(u: FourierCoeffs, N: int) -> float:
     int conj(w) w' = sum_k conj(w_k) (ik w_k) = i sum_k k |w_k|^2,
     so the imaginary part is exactly sum_k k |w_k|^2.
     """
+    N = _integer("N", N, 0)
     uN = project(u, N)
     w = multiply(uN, uN).coeffs
     k = np.arange(-2 * N, 2 * N + 1, dtype=np.float64)
@@ -81,7 +83,7 @@ def f_quadrature_oracle(u: FourierCoeffs, N: int, grid: QuadratureGrid) -> float
     with f_quartic is the coefficient-to-point transform.  Exact when
     the grid resolves degree 4N.
     """
-    uN = project(u, N)
+    uN = project(u, _integer("N", N, 0))
     vals = uN.evaluate(grid.nodes)
     dvals = derivative(uN).evaluate(grid.nodes)
     w = vals * vals
@@ -101,9 +103,8 @@ def energy(u: FourierCoeffs, grid: QuadratureGrid) -> float:
 
 
 def density_G(u: FourierCoeffs, params: DensityParams) -> float:
-    """Cutoff Gibbs density of Pi_N u: batch_density_G on one row."""
-    uN = project(u, params.band)
-    return float(batch_density_G(uN.coeffs[None, :], params)[0])
+    """Cutoff Gibbs density of u at its own band: batch_density_G on one row."""
+    return float(batch_density_G(u.coeffs[None, :], params)[0])
 
 
 def gauge_F(u: FourierCoeffs, grid: QuadratureGrid) -> float:

@@ -382,7 +382,7 @@ def _run_sample(p: dict):
 
 def _run_functionals(p: dict):
     N = p["N"]
-    params = DensityParams(kappa=p["kappa"], band=N)
+    params = DensityParams(kappa=p["kappa"])
     grid4 = QuadratureGrid.for_degree(4 * N)
     grid6 = QuadratureGrid.for_degree(6 * N)
     block = phi_block(p["seed"], 0, p["count"], N)
@@ -539,7 +539,7 @@ def _run_flow(p: dict):
 
 def _run_invariance(p: dict):
     N = p["N"]
-    params = DensityParams(kappa=p["kappa"], band=N)
+    params = DensityParams(kappa=p["kappa"])
     report = invariance_experiment(N, params, p["t"], p["count"], p["seed"],
                                    _INVARIANCE_OBSERVABLES, step_size=p["h"])
     rows = []
@@ -566,6 +566,7 @@ def _run_gn_lp(p: dict):
     must lie within 3 sqrt(b (1 - b) / count) of it.
     """
     kappa = p["kappa"]
+    params = DensityParams(kappa=kappa)
     pw = float(p["p"])
     count = p["count"]
     seed = p["seed"]
@@ -578,9 +579,8 @@ def _run_gn_lp(p: dict):
     for j, N in enumerate(p["bands"]):
         base = 2 * j * count
         rows = phi_block(seed, base, count, 2 * N)
-        inner = _project(rows, N)
-        gN = batch_density_G(inner, DensityParams(kappa=kappa, band=N))
-        gM = batch_density_G(rows, DensityParams(kappa=kappa, band=2 * N))
+        gN = batch_density_G(_project(rows, N), params)
+        gM = batch_density_G(rows, params)
         ball = ball_probability(N, kappa)
         frac = float(np.mean(gN > 0))
         moment = float(np.mean(gN ** pw))

@@ -13,12 +13,13 @@ functionals golden pins their last bits).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .spectral import QuadratureGrid, _band, _derivative, _evaluate, _modes
+from .spectral import QuadratureGrid, _band, _derivative, _evaluate, _integer, _modes
 
 __all__ = [
     "DensityParams",
@@ -41,16 +42,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DensityParams:
-    """Cutoff radius and truncation band of the density."""
+    """Cutoff radius of the density; its band is that of the rows it weighs."""
 
     kappa: float
-    band: int
 
     def __post_init__(self):
-        if not self.kappa > 0:
-            raise ValueError("kappa must be positive")
-        if self.band < 0:
-            raise ValueError("band must be non-negative")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError(
+                f"kappa must be finite and positive, got {self.kappa}")
 
 
 def chi(x, params: DensityParams):
@@ -100,7 +99,7 @@ def batch_multiply(a: np.ndarray, b: np.ndarray, band: int = None) -> np.ndarray
         a, b = b, a
     da, db = a.shape[1], b.shape[1]
     top = (da + db - 2) // 2
-    M = top if band is None else int(band)
+    M = top if band is None else _integer("band", band)
     if not 0 <= M <= top:
         raise ValueError(f"band {band} is outside 0 .. {top}, the product's band")
     padded = np.zeros((b.shape[0], db + 2 * (da - 1)), dtype=np.complex128)
@@ -237,14 +236,12 @@ def batch_grid_sup_dsq(rows: np.ndarray) -> np.ndarray:
 def batch_density_G(rows: np.ndarray, params: DensityParams) -> np.ndarray:
     """Density chi(||u||_L2) exp((3/4) f_N(u) - 1/2 int |u|^6) per row.
 
-    Rows must live at params.band.  Zero outside the cutoff ball without
+    The density at the rows' own band N: G_N is a function of Pi_N u,
+    and the rows are that projection.  Zero outside the cutoff ball without
     touching the exponential.  An exponent beyond _EXP_CAP cannot happen
     inside the kappa-ball at reasonable kappa; if it does, that is a
     usage fault and is reported as OverflowError instead of returning inf.
     """
-    band = _band(rows)
-    if band != params.band:
-        raise ValueError(f"rows at band {band}, density wants {params.band}")
     cut = chi(batch_mass(rows), params)
     out = np.zeros(rows.shape[0])
     inside = cut > 0.0
@@ -262,6 +259,7 @@ def batch_density_G(rows: np.ndarray, params: DensityParams) -> np.ndarray:
 
 def batch_re_coeff(rows: np.ndarray, n: int) -> np.ndarray:
     """Re c_n per row."""
+    n = _integer("n", n)
     band = _band(rows)
     if abs(n) > band:
         return np.zeros(rows.shape[0])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import FourierCoeffs, _modes
+from .spectral import FourierCoeffs, _integer, _modes
 
 __all__ = [
     "GENERATOR_NAME",
@@ -78,22 +78,17 @@ class SeedSpec:
     master_seed scopes the whole experiment; stream_index scopes one
     sample within it.  Together they are the 128-bit Philox key, so each
     must lie in 0 .. 2^64 - 1; larger values would alias smaller ones.
-    Both must be Python or numpy integers: a float or a bool would be
-    truncated to some other stream's key.
+    Both must be Python or numpy integers (_integer): a float or a bool
+    would be truncated to some other stream's key.
     """
 
     master_seed: int
     stream_index: int
 
     def __post_init__(self):
-        for v in (self.master_seed, self.stream_index):
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(
-                    f"seed components must be integers, got {v!r}")
-        if self.master_seed < 0 or self.stream_index < 0:
-            raise ValueError("seed components must be non-negative")
-        if self.master_seed > _MASK64 or self.stream_index > _MASK64:
-            raise ValueError("seed components must be below 2^64")
+        for name in ("master_seed", "stream_index"):
+            if _integer(name, getattr(self, name), 0) > _MASK64:
+                raise ValueError(f"{name} must be below 2^64")
 
 
 def _uniforms(raw: np.ndarray) -> np.ndarray:
@@ -185,10 +180,7 @@ def sample_gaussian(seed: SeedSpec, count: int) -> np.ndarray:
 
     Box-Muller on two uniforms per draw: radius from u1, angle from u2.
     """
-    count = int(count)
-    if count < 1:
-        raise ValueError("count must be positive")
-    u = _raw_uniforms(seed, 2 * count)
+    u = _raw_uniforms(seed, 2 * _integer("count", count, 1))
     return _box_muller(-np.log(u[0::2]), u[1::2])
 
 
@@ -203,32 +195,16 @@ def _phi(g: np.ndarray) -> np.ndarray:
 
 def sample_phi(N: int, seed: SeedSpec) -> FourierCoeffs:
     """One draw of the truncated field: c_n = g_n / <n>, n = -N..N in order."""
-    N = int(N)
-    if N < 0:
-        raise ValueError("band must be non-negative")
+    N = _integer("N", N, 0)
     return FourierCoeffs(N, _phi(sample_gaussian(seed, 2 * N + 1)))
-
-
-def _integer(name: str, v) -> int:
-    """v as an int, once it is a Python or numpy integer.
-
-    A float or a bool would be truncated to some other size, so both are
-    refused, as SeedSpec refuses them in a key.
-    """
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {v!r}")
-    return int(v)
 
 
 def _block_args(master_seed: int, first_stream: int, rows: int,
                 count: int) -> tuple:
     """(rows, count) as ints, once the block's streams are valid ones."""
-    rows = _integer("rows", rows)
-    count = _integer("count", count)
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
-    if rows < 0:
-        raise ValueError(f"rows must be non-negative, got {rows}")
+    rows = _integer("rows", rows, 0)
+    count = _integer("count", count, 1)
+    first_stream = _integer("first_stream", first_stream, 0)
     SeedSpec(master_seed, first_stream)     # both in 0 .. 2^64 - 1
     if first_stream + rows > _FIRST_RESERVED_STREAM:
         raise ValueError(
@@ -277,7 +253,7 @@ def phi_block(master_seed: int, first_stream: int, rows: int,
               band: int) -> np.ndarray:
     """rows x (2*band+1) matrix of field coefficients, one sample per row."""
     return _phi(gaussian_block(master_seed, first_stream, rows,
-                               2 * _integer("band", band) + 1))
+                               2 * _integer("band", band, 0) + 1))
 
 
 def _screen_stages(band: int) -> list:
@@ -348,8 +324,7 @@ def phi_block_in_ball(master_seed: int, first_stream: int, rows: int,
     holds to first order with 2k = 2m + 17 and, at 2k = 2m + 20, for
     every band below 2^24.  Nonzero terms lie far above the subnormals
     (e_n is 0 or at least 2^-53), so a radius whose square underflows
-    keeps exactly the rows of mass 0, and one whose square overflows
-    keeps every row and draws it in one stage.
+    keeps exactly the rows of mass 0.
 
     Most rows leave the ball on their heaviest modes, so the Philox
     words are drawn in stages (_screen_stages), each only for the rows
@@ -377,13 +352,11 @@ def phi_block_in_ball(master_seed: int, first_stream: int, rows: int,
     """
     if not 0 <= radius < math.inf:
         raise ValueError("radius must be finite and non-negative")
-    band = _integer("band", band)
+    band = _integer("band", band, 0)
     rows, m = _block_args(master_seed, first_stream, rows, 2 * band + 1)
     lam = np.arange(-band, band + 1) ** 2 + 1.0
     bound = radius * radius * (1.0 + (m + 10) * 2.0 ** -52)
-    # an infinite bound drops no row: one stage draws every block
-    stages = _screen_stages(band) if bound < math.inf else [
-        np.arange(band + 1)]
+    stages = _screen_stages(band)
     alive = np.arange(rows)
     partial = np.zeros(rows)
     drawn = []          # per stage: (its rows, its modes, e_n, angle words)
@@ -454,6 +427,8 @@ def bootstrap_counts(master_seed: int, count: int, resamples: int,
     The matrix is assembled here, chunk by chunk, from _bootstrap_chunk,
     which can also draw any one chunk alone, in another process.
     """
+    count = _integer("count", count, 1)
+    resamples = _integer("resamples", resamples, 1)
     live = np.asarray(live, dtype=np.int64)
     if live.size and not (0 <= live.min() and live.max() < count):
         raise ValueError(f"live indices must lie in 0 .. {count - 1}")
@@ -530,9 +505,7 @@ def ball_probability(N: int, radius: float) -> float:
     rounds to one float, F correctly rounded, it is returned; until then
     prec doubles, from 32.
     """
-    N = int(N)
-    if N < 0:
-        raise ValueError("band must be non-negative")
+    N = _integer("N", N, 0)
     if not 0 <= radius < math.inf:
         raise ValueError("radius must be finite and non-negative")
     if radius == 0:

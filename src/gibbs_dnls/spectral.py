@@ -8,6 +8,8 @@ function 1 has norm 1 in every L^p.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = [
@@ -24,6 +26,20 @@ __all__ = [
 ]
 
 
+def _integer(name: str, v, lo: int | None = None) -> int:
+    """v as an int, once it is a Python or numpy integer of at least lo.
+
+    The one check of the public API's integer arguments.  A float or a
+    bool would be truncated to some other size, band or seed, so both
+    are refused, with a message that names the argument.
+    """
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    if lo is not None and v < lo:
+        raise ValueError(f"{name} must be at least {lo}, got {v}")
+    return operator.index(v)
+
+
 # -- the coefficient layout: n = -band..band on the last axis of an array ----
 #
 # The operators below act on every row of a coefficient matrix at once.
@@ -34,8 +50,14 @@ __all__ = [
 
 
 def _band(a: np.ndarray) -> int:
-    """Band of a coefficient axis of width 2*band + 1."""
-    return (a.shape[-1] - 1) // 2
+    """Band of a coefficient axis of width 2*band + 1.
+
+    An even width is no band's, and is refused.
+    """
+    width = a.shape[-1]
+    if width % 2 == 0:
+        raise ValueError(f"a coefficient axis of width {width} has no band")
+    return (width - 1) // 2
 
 
 def _modes(a: np.ndarray) -> np.ndarray:
@@ -96,9 +118,7 @@ class FourierCoeffs:
     __slots__ = ("band", "coeffs")
 
     def __init__(self, band: int, coeffs):
-        band = int(band)
-        if band < 0:
-            raise ValueError("band must be non-negative")
+        band = _integer("band", band, 0)
         arr = np.asarray(coeffs, dtype=np.complex128)
         if arr.shape != (2 * band + 1,):
             raise ValueError(
@@ -118,17 +138,17 @@ class FourierCoeffs:
 
     @classmethod
     def zero(cls, band: int = 0) -> "FourierCoeffs":
-        return cls(band, np.zeros(2 * band + 1, dtype=np.complex128))
+        return cls.from_pairs({}, band)
 
     @classmethod
     def from_pairs(cls, pairs, band: int | None = None) -> "FourierCoeffs":
         """Build from {mode: coefficient} with zeros elsewhere."""
-        pairs = dict(pairs)
+        pairs = {_integer("mode", n): v for n, v in dict(pairs).items()}
         if band is None:
-            band = max((abs(int(n)) for n in pairs), default=0)
+            band = max(map(abs, pairs), default=0)
+        band = _integer("band", band, 0)
         c = np.zeros(2 * band + 1, dtype=np.complex128)
         for n, v in pairs.items():
-            n = int(n)
             if abs(n) > band:
                 raise ValueError(f"mode {n} outside band {band}")
             c[n + band] = v
@@ -138,6 +158,7 @@ class FourierCoeffs:
 
     def coeff(self, n: int) -> complex:
         """Coefficient c_n, zero outside the band."""
+        n = _integer("n", n)
         if abs(n) > self.band:
             return 0.0 + 0.0j
         return complex(self.coeffs[n + self.band])
@@ -189,9 +210,7 @@ class QuadratureGrid:
     __slots__ = ("size", "nodes")
 
     def __init__(self, size: int):
-        size = int(size)
-        if size < 1:
-            raise ValueError("grid needs at least one node")
+        size = _integer("size", size, 1)
         object.__setattr__(self, "size", size)
         nodes = 2.0 * np.pi * np.arange(size) / size
         nodes.setflags(write=False)
@@ -203,7 +222,7 @@ class QuadratureGrid:
     @classmethod
     def for_degree(cls, degree: int) -> "QuadratureGrid":
         """Smallest grid integrating trig polynomials of the given degree exactly."""
-        return cls(max(int(degree) + 1, 1))
+        return cls(_integer("degree", degree, 0) + 1)
 
     def __repr__(self):
         return f"QuadratureGrid(size={self.size})"
@@ -214,9 +233,7 @@ class QuadratureGrid:
 
 def project(u: FourierCoeffs, M: int) -> FourierCoeffs:
     """Truncation Pi_M: keep modes |n| <= M, drop the rest; result has band M."""
-    M = int(M)
-    if M < 0:
-        raise ValueError("band must be non-negative")
+    M = _integer("M", M, 0)
     return FourierCoeffs(M, _project(u.coeffs, M))
 
 
@@ -270,15 +287,15 @@ def lp_norm(u: FourierCoeffs, p, grid: QuadratureGrid) -> float:
     p * band).  Too-coarse grids are rejected for even p; other p are
     grid approximations, as close as the grid is dense.
     """
-    if p != np.inf and p < 1:
-        raise ValueError("p must be >= 1 or inf")
+    if not p >= 1:
+        raise ValueError(f"p must be >= 1 or inf, got {p}")
     vals = np.abs(u.evaluate(grid.nodes))
     if p == np.inf:
         return float(np.max(vals))
     p = float(p)
-    if p == int(p) and int(p) % 2 == 0 and grid.size <= int(p) * u.band:
+    if p % 2 == 0 and grid.size <= p * u.band:
         raise ValueError(
-            f"grid with {grid.size} nodes is too coarse for exact L^{int(p)} "
-            f"norm at band {u.band}; need more than {int(p) * u.band}"
+            f"grid with {grid.size} nodes is too coarse for exact L^{p:g} "
+            f"norm at band {u.band}; need more than {p * u.band:g}"
         )
     return float(np.mean(vals ** p) ** (1.0 / p))

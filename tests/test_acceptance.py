@@ -301,8 +301,8 @@ def test_criterion_08_density_trends(acceptance_report):
     for j, N in enumerate((8, 16, 32, 64)):
         rows = phi_block(seed, 2 * j * count, count, 2 * N)
         inner = rows[:, N: 3 * N + 1]
-        gN = batch_density_G(inner, DensityParams(kappa=kappa, band=N))
-        gM = batch_density_G(rows, DensityParams(kappa=kappa, band=2 * N))
+        gN = batch_density_G(inner, DensityParams(kappa=kappa))
+        gM = batch_density_G(rows, DensityParams(kappa=kappa))
         moments[N] = float(np.mean(gN ** 2))
         fracs[N] = float(np.mean(gN > 0))
         control = phi_block(seed, 2 * j * count + count, count, N)
@@ -344,8 +344,8 @@ def test_criterion_08_substance_at_wider_cutoff():
     for j, N in enumerate((8, 16, 32)):
         rows = phi_block(seed, 2 * j * count, count, 2 * N)
         inner = rows[:, N: 3 * N + 1]
-        gN = batch_density_G(inner, DensityParams(kappa=kappa, band=N))
-        gM = batch_density_G(rows, DensityParams(kappa=kappa, band=2 * N))
+        gN = batch_density_G(inner, DensityParams(kappa=kappa))
+        gM = batch_density_G(rows, DensityParams(kappa=kappa))
         assert np.any(gN > 0)
         diffs.append(float(np.mean(np.abs(gM - gN))))
     assert diffs[0] > diffs[1] > diffs[2] > 0
@@ -451,7 +451,7 @@ def test_criterion_10_conservation(acceptance_report, reference_trajectory):
 def test_criterion_11_invariance(acceptance_report):
     t0 = time.perf_counter()
     N = 4
-    rep = invariance_experiment(N, DensityParams(kappa=1.0, band=N),
+    rep = invariance_experiment(N, DensityParams(kappa=1.0),
                                 0.5, 20000, 2024, _INVARIANCE_OBSERVABLES)
     wall = time.perf_counter() - t0
     ok = rep["ess"] >= 100.0 and wall <= 600.0

@@ -63,6 +63,14 @@ def test_chaos_ratio_validation():
         chaos_ratio(2, 4, {(3, 1): 1.0}, 4, 100, 1)     # not sorted
 
 
+def test_chaos_ratio_refuses_a_non_finite_p():
+    # nan gave (nan, nan), and inf a bound of inf that any ratio is below
+    for p in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^p must be finite and at "
+                                             f"least 2, got {p}$"):
+            chaos_ratio(1, 4, {(1,): 1.0}, p, 100, 1)
+
+
 def _ratio_stats(k, d, table, p, seeds, count=50000):
     vals = [chaos_ratio(k, d, table, p, count, s)[0] for s in seeds]
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
@@ -385,7 +393,7 @@ chaos._BLOCK_COEFFS = 9 * 37
 sys.stdout.buffer.write(pickle.dumps((
     chaos._QUEUE_SLOTS,
     chaos.tail_survival(batch_l4_norm, 4, [0.6, 0.8, 1.0, 1.2], 5000, 19),
-    invariance_experiment(2, DensityParams(kappa=1.2, band=2), 0.05, 3000,
+    invariance_experiment(2, DensityParams(kappa=1.2), 0.05, 3000,
                           91, {"m": batch_mass}),
 )))
 """
@@ -400,7 +408,7 @@ def test_a_platform_without_fork_imports_and_runs_serially():
     assert pickle.loads(out) == (
         512 // chaos._INDEX_BYTES,
         tail_survival(batch_l4_norm, 4, _PARTITION_LAMBDAS, 5000, 19),
-        invariance_experiment(2, DensityParams(kappa=1.2, band=2), 0.05,
+        invariance_experiment(2, DensityParams(kappa=1.2), 0.05,
                               3000, 91, {"m": batch_mass}),
     )
 
@@ -525,7 +533,7 @@ def test_queue_past_its_slots_computes_each_span_once_in_order(
 def test_tail_survival_errors():
     for count in (0, -5):
         with pytest.raises(ValueError, match="^sample_count must be at "
-                                             "least 1$"):
+                                             f"least 1, got {count}$"):
             tail_survival(batch_mass, 2, [0.5, 1.0], count, 3)
     with pytest.raises(ValueError, match="exceedances"):
         tail_survival(batch_mass, 2, [50.0, 60.0], 2000, 3)
@@ -536,6 +544,13 @@ def test_tail_survival_errors():
         tail_survival(batch_mass, 2, [1.0], 2000, 3)
     with pytest.raises(ValueError):
         tail_survival(batch_mass, 2, [0.5, 1.0], 2000, 3, theta=3.0)
+
+
+def test_tail_survival_refuses_a_non_finite_threshold():
+    # no sample exceeds nan, so it read as a threshold of count 0
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^lambdas must all be finite$"):
+            tail_survival(batch_mass, 2, [0.5, 1.0, bad], 2000, 3)
 
 
 def test_tail_fit_needs_two_thresholds_in_its_window():

@@ -145,16 +145,18 @@ def test_batch_rhs_matches_reference_per_row(band, count):
     rows = phi_block(700 + band, 0, count, band)
     # masses spread from the linear regime to past the cutoff radius
     rows = rows * (np.linspace(0.1, 1.5, count) / batch_mass(rows))[:, None]
-    got = batch_rhs_hamiltonian(rows, band)
+    got = batch_rhs_hamiltonian(rows)
     assert got.shape == rows.shape
     for j in range(count):
         want = rhs_hamiltonian(FourierCoeffs(band, rows[j]), band).coeffs
         assert np.max(np.abs(got[j] - want)) <= 1e-13 * np.max(np.abs(want)), j
 
 
-def test_batch_rhs_rejects_other_band():
-    with pytest.raises(ValueError, match="band 4"):
-        batch_rhs_hamiltonian(phi_block(1, 0, 2, 3), 4)
+def test_batch_rhs_rejects_a_width_of_no_band():
+    # the band is read from the rows, and an even width has none
+    with pytest.raises(ValueError, match="^a coefficient axis of width 8 has "
+                                         "no band$"):
+        batch_rhs_hamiltonian(phi_block(1, 0, 2, 4)[:, :8])
 
 
 def test_rhs_pair_conjugacy():
@@ -297,14 +299,14 @@ def test_gauge_empty_trajectory():
 # --- measure invariance ----------------------------------------------------
 
 def test_invariance_ess_error():
-    params = DensityParams(kappa=1.0, band=4)
+    params = DensityParams(kappa=1.0)
     obs = {"m": batch_mass}
     with pytest.raises(ValueError, match="effective sample size"):
         invariance_experiment(4, params, 0.1, 300, 77, obs)
 
 
 def test_invariance_zero_weights_error():
-    params = DensityParams(kappa=1e-6, band=4)
+    params = DensityParams(kappa=1e-6)
     obs = {"m": batch_mass}
     with pytest.raises(ValueError):
         invariance_experiment(4, params, 0.1, 200, 78, obs)
@@ -312,7 +314,7 @@ def test_invariance_zero_weights_error():
 
 def test_invariance_small_run_passes():
     # moderate cutoff at a small band: decent acceptance, quick flow
-    params = DensityParams(kappa=1.2, band=2)
+    params = DensityParams(kappa=1.2)
     obs = {
         "l4": batch_quartic_integral,
         "re_c1": lambda rows: rows[:, 3].real,
@@ -327,7 +329,7 @@ def test_invariance_rejects_counts_int32_cannot_hold(monkeypatch):
     # resample counts travel as int32; the check comes before any draw
     monkeypatch.setattr(flow, "_map_phases", None)
     with pytest.raises(ValueError, match="2\\^31"):
-        invariance_experiment(2, DensityParams(kappa=1.2, band=2), 0.05,
+        invariance_experiment(2, DensityParams(kappa=1.2), 0.05,
                               2 ** 31, 91, {"m": batch_mass})
 
 
@@ -337,7 +339,7 @@ def test_invariance_refuses_non_finite_time(t, monkeypatch):
     monkeypatch.setattr(flow, "_map_phases", None)
     monkeypatch.setattr(flow, "phi_block_in_ball", None)
     with pytest.raises(ValueError, match=f"^time T must be finite, got {t}$"):
-        invariance_experiment(2, DensityParams(kappa=1.2, band=2), t, 3000,
+        invariance_experiment(2, DensityParams(kappa=1.2), t, 3000,
                               91, {"m": batch_mass})
 
 
@@ -352,7 +354,7 @@ def test_invariance_rejects_non_finite_values():
         calls.append(len(rows))
         return v
 
-    params = DensityParams(kappa=1.2, band=2)
+    params = DensityParams(kappa=1.2)
     live = np.flatnonzero(batch_density_G(phi_block(91, 0, 3000, 2), params))
     with pytest.raises(ValueError, match=rf"observable 'l' is nan on the "
                                          rf"sample of stream {live[3]}$"):
@@ -370,7 +372,7 @@ def test_ensemble_observables_build_no_fourier_coeffs(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(FourierCoeffs, "__init__", counting_init)
-    invariance_experiment(2, DensityParams(kappa=1.2, band=2), 0.05, 3000, 91,
+    invariance_experiment(2, DensityParams(kappa=1.2), 0.05, 3000, 91,
                           {"m": batch_mass})
     assert built == []
     FourierCoeffs(0, np.zeros(1))
@@ -391,7 +393,7 @@ def test_invariance_rows_match_reference_rk4():
     # records the live rows it sees, before and after the flow
     seen = []
     rep = invariance_experiment(
-        2, DensityParams(kappa=1.2, band=2), 0.05, 3000, 91,
+        2, DensityParams(kappa=1.2), 0.05, 3000, 91,
         {"c": lambda rows: seen.append(rows.copy()) or np.zeros(len(rows))})
     before, after = seen
     assert before.shape == after.shape == (rep["positive_weights"], 5)
@@ -406,7 +408,7 @@ def test_invariance_rows_match_reference_rk4():
 def test_invariance_drift_names_stream():
     # at h = 0.005 this seed trips the 1e-5 mass-drift guard; the error
     # names the stream, and that stream alone trips it at the same time
-    params = DensityParams(kappa=1.0, band=4)
+    params = DensityParams(kappa=1.0)
     with pytest.raises(RuntimeError, match=r"at t = 0\.04 in stream (\d+)$") as exc:
         invariance_experiment(4, params, 0.05, 20000, 2046, {"m": batch_mass})
     stream = int(str(exc.value).split()[-1])
@@ -415,7 +417,7 @@ def test_invariance_drift_names_stream():
         evolve(u0, 4, 0.05, IntegratorConfig(step=0.005, max_drift=1e-5))
 
 
-_SMALL_RUN = (2, DensityParams(kappa=1.2, band=2), 0.05, 3000, 91)
+_SMALL_RUN = (2, DensityParams(kappa=1.2), 0.05, 3000, 91)
 
 
 def _no_child_left():

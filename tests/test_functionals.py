@@ -1,5 +1,7 @@
 """Closed-form and invariance tests for the conserved functionals."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -93,7 +95,7 @@ def test_energy_closed_forms():
 
 
 def test_chi_linear():
-    p = DensityParams(kappa=1.0, band=4)
+    p = DensityParams(kappa=1.0)
     assert chi(0.2, p) == 1.0
     assert chi(0.5, p) == 1.0
     assert chi(0.75, p) == pytest.approx(0.5)
@@ -103,13 +105,19 @@ def test_chi_linear():
 
 def test_density_params_validation():
     with pytest.raises(ValueError):
-        DensityParams(kappa=0.0, band=4)
-    with pytest.raises(ValueError):
-        DensityParams(kappa=1.0, band=-1)
+        DensityParams(kappa=0.0)
+
+
+def test_density_params_refuse_a_non_finite_kappa():
+    # an infinite cutoff took every field into the ball: density_G read
+    # 1.00015 at E1 / 10
+    for kappa in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^kappa must be finite"):
+            DensityParams(kappa=kappa)
 
 
 def test_density_value():
-    p = DensityParams(kappa=1.0, band=1)
+    p = DensityParams(kappa=1.0)
     u = E1.scale(0.1)
     want = np.exp(0.75 * f_quartic(u, 1) - 0.5 * 0.1 ** 6)
     assert density_G(u, p) == pytest.approx(want)
@@ -118,14 +126,14 @@ def test_density_value():
 
 def test_density_zero_without_exp():
     # mass far beyond the cutoff: the exponent would overflow if evaluated
-    p = DensityParams(kappa=1.0, band=16)
+    p = DensityParams(kappa=1.0)
     u = FourierCoeffs.from_pairs({15: 40.0, 16: 40.0})
     assert density_G(u, p) == 0.0
 
 
 def test_density_overflow_diagnostic():
     # inside the cutoff but with a huge quartic term
-    p = DensityParams(kappa=10.0, band=16)
+    p = DensityParams(kappa=10.0)
     a = np.sqrt(9.6)
     u = FourierCoeffs.from_pairs({15: a, 16: a})
     with pytest.raises(OverflowError, match="exponent"):

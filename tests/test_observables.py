@@ -214,7 +214,7 @@ def test_batch_grid_sup_dsq():
 def test_batch_density_matches_scalar():
     # reference composition through the quadrature oracle and grid norms;
     # it shares only the cutoff chi with batch_density_G
-    params = DensityParams(kappa=2.0, band=BAND)
+    params = DensityParams(kappa=2.0)
     grid4 = QuadratureGrid.for_degree(4 * BAND)
     grid6 = QuadratureGrid.for_degree(6 * BAND)
     got = batch_density_G(ROWS, params)
@@ -224,11 +224,6 @@ def test_batch_density_matches_scalar():
     assert np.allclose(got, want, rtol=1e-11, atol=0)
     # some weight must be positive at this kappa, some zero
     assert np.any(got > 0) and np.any(got == 0)
-
-
-def test_batch_density_band_guard():
-    with pytest.raises(ValueError):
-        batch_density_G(ROWS, DensityParams(kappa=1.0, band=BAND + 1))
 
 
 def test_batch_re_coeff():

@@ -56,12 +56,14 @@ def test_seed_spec_rejects_components_that_alias():
             SeedSpec(*bad)
     SeedSpec(TOP, TOP)
     # a float or bool would be truncated to another stream's key
-    for bad in ((7.5, 0), (7, 2.5), (7.0, 0), (True, 0), (0, False)):
-        with pytest.raises(ValueError, match="integers"):
+    for bad, name in (((7.5, 0), "master_seed"), ((7, 2.5), "stream_index"),
+                      ((7.0, 0), "master_seed"), ((True, 0), "master_seed"),
+                      ((0, False), "stream_index")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             SeedSpec(*bad)
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match="^master_seed must be an integer"):
         phi_block(7.9, 0, 20, 2)
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match="^first_stream must be an integer"):
         phi_block(7, 0.5, 3, 2)
     SeedSpec(np.int64(7), np.uint64(TOP))
 
@@ -222,7 +224,7 @@ def test_gaussian_block_rejects_a_bad_size():
             gaussian_block(7, 0, v, 3)
         with pytest.raises(ValueError, match="^count must be an integer"):
             gaussian_block(7, 0, 3, v)
-    with pytest.raises(ValueError, match="^rows must be non-negative, got -1"):
+    with pytest.raises(ValueError, match="^rows must be at least 0, got -1$"):
         gaussian_block(7, 0, -1, 3)
     assert np.array_equal(gaussian_block(7, 0, np.int64(3), np.int32(3)),
                           gaussian_block(7, 0, 3, 3))
@@ -234,7 +236,7 @@ def test_phi_block_rejects_a_bad_size():
             phi_block(7, 0, v, 3)
         with pytest.raises(ValueError, match="^band must be an integer"):
             phi_block(7, 0, 3, v / 2)
-    with pytest.raises(ValueError, match="^rows must be non-negative, got -1"):
+    with pytest.raises(ValueError, match="^rows must be at least 0, got -1$"):
         phi_block(7, 0, -1, 3)
     assert np.array_equal(phi_block(7, 0, np.int64(3), np.int64(1)),
                           phi_block(7, 0, 3, 1))
@@ -246,7 +248,7 @@ def test_phi_block_in_ball_rejects_a_bad_size():
             phi_block_in_ball(7, 0, v, 3, 1.0)
         with pytest.raises(ValueError, match="^band must be an integer"):
             phi_block_in_ball(7, 0, 3, v / 2, 1.0)
-    with pytest.raises(ValueError, match="^rows must be non-negative, got -1"):
+    with pytest.raises(ValueError, match="^rows must be at least 0, got -1$"):
         phi_block_in_ball(7, 0, -1, 3, 1.0)
     index, coeffs = phi_block_in_ball(7, 0, np.int64(40), np.int64(1), 1.0)
     assert np.array_equal(coeffs, phi_block(7, 0, 40, 1)[index])
@@ -400,7 +402,7 @@ def test_phi_block_in_ball_rejects_bad_radius_and_streams():
             phi_block_in_ball(1, 0, 3, 2, radius)
     with pytest.raises(ValueError, match="reserved"):
         phi_block_in_ball(1, LAST_SAMPLE_STREAM, 2, 2, 1.0)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="^band must be at least 0, got -1$"):
         phi_block_in_ball(1, 0, 3, -1, 1.0)
 
 

@@ -194,6 +194,12 @@ def test_lp_norms():
     assert lp_norm(u, np.inf, g) == pytest.approx(2.0, abs=1e-3)
 
 
+def test_lp_norm_refuses_a_nan_p():
+    # nan passed the p >= 1 check and then failed in int(p)
+    with pytest.raises(ValueError, match="^p must be >= 1 or inf, got nan$"):
+        lp_norm(E1, float("nan"), QuadratureGrid.for_degree(4))
+
+
 def test_lp_norm_exactness_guard():
     g = QuadratureGrid(4)  # too small for degree-4 integrand at band 1
     with pytest.raises(ValueError):
