@@ -26,7 +26,6 @@ from .sampling import (
     sample_phi,
 )
 from .functionals import (
-    DensityParams,
     chi,
     density_G,
     energy,
@@ -85,7 +84,6 @@ __all__ = [
     "SeedSpec",
     "sample_gaussian",
     "sample_phi",
-    "DensityParams",
     "chi",
     "density_G",
     "energy",

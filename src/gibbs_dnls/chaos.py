@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observables import batch_f_quartic, batch_X
-from .spectral import _integer, _project
+from .observables import batch_f_quartic, batch_mass, batch_X
+from .spectral import _integer, _project, _real
 from .sampling import (
     _BOOTSTRAP_RESAMPLES,
     _TABLE_INDEX_STREAM,
@@ -31,6 +31,7 @@ from .sampling import (
     _raw_uniforms,
     bootstrap_counts,
     phi_block,
+    phi_block_in_ball,
     sample_gaussian,
     sample_phi,
 )
@@ -142,8 +143,7 @@ def chaos_ratio(k: int, d: int, coeffs: dict, p: float, sample_count: int,
     count = _integer("sample_count", sample_count, 1)
     if not coeffs:
         raise ValueError("empty coefficient table")
-    if not 2 <= p < math.inf:
-        raise ValueError(f"p must be finite and at least 2, got {p}")
+    p = _real("p", p, at_least=2)
     for idx in coeffs:
         if len(idx) != k:
             raise ValueError(f"multi-index {idx} does not have length {k}")
@@ -575,31 +575,36 @@ _THETAS = (0.5, 1.0, 2.0)
 
 
 def tail_survival(observable, N: int, lambdas, sample_count: int, seed: int,
-                  condition=None, theta: float = 2.0) -> TailFit:
+                  kappa: float = None, theta: float = 2.0) -> TailFit:
     """Empirical survival of a field observable with a lambda^theta fit.
 
-    observable and condition act on coefficient blocks (rows at band N)
-    and return a value per row / a boolean keep-mask per row; samples
-    stream through in blocks so million-sample runs stay in memory, and
-    the blocks are pulled from one shared queue by one forked process
-    per CPU (_map_blocks), their counts summed as integers.  theta in
-    {1/2, 1, 2} selects the candidate tail shape.
+    observable acts on coefficient blocks (rows at band N) and returns a
+    value per row; samples stream through in blocks so million-sample
+    runs stay in memory, and the blocks are pulled from one shared queue
+    by one forked process per CPU (_map_blocks), their counts summed as
+    integers.  A cutoff radius kappa conditions on the L^2 ball: the
+    rows of phi_block with batch_mass at most kappa are kept, drawn by
+    phi_block_in_ball, which screens rows before building them.  theta
+    in {1/2, 1, 2} selects the candidate tail shape.
     """
-    lambdas = np.asarray(sorted(float(x) for x in lambdas))
+    lambdas = np.asarray(sorted(_real("lambdas", x) for x in lambdas))
     if len(lambdas) < 2:
         raise ValueError("need at least two thresholds")
-    if not np.all(np.isfinite(lambdas)):
-        raise ValueError("lambdas must all be finite")
+    theta = _real("theta", theta)
     if theta not in _THETAS:
         raise ValueError("theta must be one of 1/2, 1, 2")
+    if kappa is not None:
+        kappa = _real("kappa", kappa, above=0)
     N = _integer("N", N, 0)
     count = _integer("sample_count", sample_count, 1)
 
     def block(span):
         lo, hi = span
-        rows = phi_block(seed, lo, hi - lo, N)
-        if condition is not None:
-            rows = rows[condition(rows)]
+        if kappa is None:
+            rows = phi_block(seed, lo, hi - lo, N)
+        else:
+            rows = phi_block_in_ball(seed, lo, hi - lo, N, kappa)[1]
+            rows = rows[batch_mass(rows) <= kappa]
             if rows.shape[0] == 0:
                 return 0, 0
         # one sort per block, then positions of the thresholds
@@ -613,7 +618,8 @@ def tail_survival(observable, N: int, lambdas, sample_count: int, seed: int,
         kept += n
         exceed += e
     if kept == 0:
-        raise ValueError("condition rejected every sample")
+        raise ValueError(f"the ball of radius kappa = {kappa} rejected "
+                         f"every sample")
     if exceed[0] < 50:
         raise ValueError(
             f"only {exceed[0]} exceedances at the smallest threshold; "
@@ -627,7 +633,7 @@ def tail_survival(observable, N: int, lambdas, sample_count: int, seed: int,
         lambdas=tuple(float(x) for x in lambdas),
         survival=tuple(float(s) for s in survival),
         counts=tuple(int(c) for c in exceed),
-        theta=float(theta),
+        theta=theta,
         rate=float(-slope),
         intercept=float(intercept),
         r_squared=r2,
@@ -672,8 +678,7 @@ def kernel_tail_sum(n: int, N: int, eps: float = 0.25) -> tuple:
     if abs(n) > _KERNEL_MAX or N > _KERNEL_MAX:
         raise ValueError(f"|n| and N must be at most {_KERNEL_MAX}, where the "
                          f"summation window is accurate")
-    if not 0.0 < eps <= 0.5:
-        raise ValueError("eps must lie in (0, 1/2]")
+    eps = _real("eps", eps, above=0, at_most=0.5)
     R = 100000 + abs(n)
     n1 = np.arange(-R, R + 1, dtype=np.float64)
     mask = (np.abs(n1) >= N) & (np.abs(n - n1) >= N)

@@ -31,6 +31,7 @@ from .spectral import (
     _conjugate,
     _derivative,
     _integer,
+    _real,
     antiderivative,
     conjugate,
     derivative,
@@ -39,7 +40,7 @@ from .spectral import (
     project,
 )
 from .functionals import energy, gauge_F, mass
-from .observables import DensityParams, batch_density_G, batch_mass, batch_multiply
+from .observables import batch_density_G, batch_mass, batch_multiply
 from .sampling import (
     _BOOTSTRAP_RESAMPLES,
     SeedSpec,
@@ -78,19 +79,19 @@ class IntegratorConfig:
     """Fixed-step RK4 integrator settings.
 
     max_drift bounds the allowed |mass(t) - mass(0)|; the run aborts when
-    the integrator error grows past it.  Both must be finite and positive:
-    an infinite step takes no steps at all, and a NaN or negative bound
-    would switch the guard off or trip it at once.
+    the integrator error grows past it.  Both must be finite and positive
+    real numbers (spectral._real), and are kept as floats: an infinite
+    step takes no steps at all, and a NaN or negative bound would switch
+    the guard off or trip it at once.
     """
 
     step: float
     max_drift: float = 1e-6
 
     def __post_init__(self):
-        if not 0 < self.step < math.inf:
-            raise ValueError("step must be finite and positive")
-        if not 0 < self.max_drift < math.inf:
-            raise ValueError("max_drift must be finite and positive")
+        for name in ("step", "max_drift"):
+            object.__setattr__(self, name,
+                               _real(name, getattr(self, name), above=0))
 
 
 def variational_derivatives(u: FourierCoeffs, v: FourierCoeffs) -> tuple:
@@ -266,10 +267,9 @@ def _check(rows: np.ndarray, t: float, mass0: np.ndarray, max_drift: float,
 def _step_sizes(T: float, step: float) -> list:
     """[0, T] as full steps of the given size plus a trailing fractional step.
 
-    ValueError if T is nan or infinite.
+    ValueError unless T is a finite real number (spectral._real).
     """
-    if not math.isfinite(T):
-        raise ValueError(f"time T must be finite, got {T}")
+    T = _real("T", T)
     h = math.copysign(step, T)
     n_full = int(abs(T) / step + 1e-12)
     rem = T - n_full * h
@@ -298,9 +298,10 @@ def evolve(u0: FourierCoeffs, N: int, T: float, config: IntegratorConfig) -> lis
     Aborts with the offending time if the mass drifts further than
     config.max_drift from its initial value after any step, the trailing
     fractional step (covering T not divisible by the step) included.
-    A T that is nan or infinite is refused before anything is computed.
+    A T that is no finite real number is refused before anything is
+    computed.
     """
-    steps = _step_sizes(float(T), config.step)
+    steps = _step_sizes(T, config.step)
     N = _integer("N", N, 0)
     grid = QuadratureGrid.for_degree(6 * N)
     u0 = project(u0, N)
@@ -364,17 +365,17 @@ def _finite_values(name, vals, streams) -> np.ndarray:
     return vals
 
 
-def invariance_experiment(N: int, params: DensityParams, t: float, count: int,
+def invariance_experiment(N: int, kappa: float, t: float, count: int,
                           seed: int, observables: dict,
                           step_size: float = 0.005) -> dict:
     """Push a weighted ensemble through the flow and compare means.
 
-    Draws count Gaussian field samples, weights them by the cutoff
-    density, evolves the samples with positive weight to time t together
-    (one coefficient matrix through one RK4 loop), and reports the
-    self-normalized weighted mean of each observable before and after,
-    with a paired bootstrap standard error of the difference.  Each
-    observable maps a coefficient matrix to one value per row; it is
+    Draws count Gaussian field samples, weights them by the density of
+    cutoff radius kappa, evolves the samples with positive weight to
+    time t together (one coefficient matrix through one RK4 loop), and
+    reports the self-normalized weighted mean of each observable before
+    and after, with a paired bootstrap standard error of the difference.
+    Each observable maps a coefficient matrix to one value per row; it is
     called once on the live rows before the flow and once after, and a
     non-finite value on a live row raises ValueError naming it.
     Zero-weight samples never move (they contribute nothing to either
@@ -395,22 +396,25 @@ def invariance_experiment(N: int, params: DensityParams, t: float, count: int,
     int32, so count must be below 2^31.  The report is the same at every
     worker count.  Fails fast when every weight is zero, or when the
     effective sample size (sum w)^2 / sum w^2 is below 100: the cutoff
-    is then too tight for this ensemble size.  A t that is nan or
-    infinite, or a seed that is no Philox key, is refused before any
-    fork or draw.
+    is then too tight for this ensemble size.  A kappa or t that is no
+    finite real number (kappa must also be positive), or a seed that is
+    no Philox key, is refused before any fork or draw.
     """
     N = _integer("N", N, 0)
     count = _integer("count", count, 1)
     if count >= 2 ** 31:
         raise ValueError("count must be below 2^31")
     SeedSpec(seed, 0)                   # a Philox key word, before any fork
-    config = IntegratorConfig(step=step_size, max_drift=1e-5)
-    steps = _step_sizes(float(t), config.step)
+    kappa = _real("kappa", kappa, above=0)
+    t = _real("t", t)
+    config = IntegratorConfig(step=_real("step_size", step_size, above=0),
+                              max_drift=1e-5)
+    steps = _step_sizes(t, config.step)
 
     def draw(shard, shards):                    # phase 1, on every process
         lo, hi = count * shard // shards, count * (shard + 1) // shards
-        index, rows = phi_block_in_ball(seed, lo, hi - lo, N, params.kappa)
-        inside = batch_density_G(rows, params)
+        index, rows = phi_block_in_ball(seed, lo, hi - lo, N, kappa)
+        inside = batch_density_G(rows, kappa)
         weights = np.zeros(hi - lo)
         weights[index] = inside
         return weights, rows[inside > 0]
@@ -444,8 +448,8 @@ def invariance_experiment(N: int, params: DensityParams, t: float, count: int,
     counts = np.concatenate(chunks, dtype=np.int64)
     report = {
         "band": N,
-        "kappa": params.kappa,
-        "t": float(t),
+        "kappa": kappa,
+        "t": t,
         "count": count,
         "ess": ess,
         "positive_weights": int(len(live)),

@@ -5,7 +5,7 @@ measure-side objects (the quartic functional f, the density G) and the
 flow-side objects (mass, momentum, energy, the gauge phase rate) live
 together because the tests constantly play them against each other.
 mass, density_G and the kinetic term of energy call the observables
-kernels on one row; DensityParams and chi are re-exported from there.
+kernels on one row; chi is re-exported from there.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .observables import (
-    DensityParams,
     batch_density_G,
     batch_h1_seminorm_sq,
     batch_mass,
@@ -31,7 +30,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "DensityParams",
     "mass",
     "momentum",
     "f_quartic",
@@ -102,9 +100,10 @@ def energy(u: FourierCoeffs, grid: QuadratureGrid) -> float:
     return kinetic - 0.75 * f_quartic(u, u.band) + 0.5 * sextic
 
 
-def density_G(u: FourierCoeffs, params: DensityParams) -> float:
-    """Cutoff Gibbs density of u at its own band: batch_density_G on one row."""
-    return float(batch_density_G(u.coeffs[None, :], params)[0])
+def density_G(u: FourierCoeffs, kappa: float) -> float:
+    """Cutoff Gibbs density of u at its own band and cutoff radius kappa:
+    batch_density_G on one row."""
+    return float(batch_density_G(u.coeffs[None, :], kappa)[0])
 
 
 def gauge_F(u: FourierCoeffs, grid: QuadratureGrid) -> float:

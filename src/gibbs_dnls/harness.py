@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import FourierCoeffs, QuadratureGrid, _modes, _project
+from .spectral import (FourierCoeffs, QuadratureGrid, _integer, _modes,
+                       _project, _real)
 from .functionals import (
-    DensityParams,
     density_G,
     energy,
     f_quadrature_oracle,
@@ -47,7 +47,6 @@ from .observables import (
     batch_grid_sup_dsq,
     batch_h1_seminorm_sq,
     batch_l4_norm,
-    batch_mass,
     batch_quartic_integral,
     batch_re_coeff,
 )
@@ -127,71 +126,51 @@ class RunRecord:
 # config validation
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+# Each checker takes a parameter's key and value and raises ValueError
+# on a bad value; integers and reals go through spectral's _integer and
+# _real, the public API's own checks.
 
 
-def _int_at_least(lo):
-    def check(v):
-        if not _is_int(v) or v < lo:
-            return f"expected integer >= {lo}, got {v!r}"
+def _int_at_least(lo, at_most=math.inf):
+    def check(key, v):
+        if _integer(key, v, lo) > at_most:
+            raise ValueError(f"{key} must be at most {at_most}, got {v}")
     return check
 
 
 def _seed(spare=0):
     # a Philox key word: larger seeds would alias smaller ones mod 2^64;
     # spare leaves room for the master seeds seed + 1 .. seed + spare
-    def check(v):
-        if not _is_int(v) or not 0 <= v < 2 ** 64 - spare:
-            return f"expected integer in 0 .. 2^64 - {1 + spare}, got {v!r}"
+    def check(key, v):
+        if _integer(key, v, 0) >= 2 ** 64 - spare:
+            raise ValueError(f"{key} must be at most 2^64 - {1 + spare}, "
+                             f"got {v}")
     return check
 
 
-def _number(lo=None, hi=None, lo_strict=False):
-    def check(v):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) \
-                or not math.isfinite(v):
-            return f"expected finite number, got {v!r}"
-        if lo is not None and (v <= lo if lo_strict else v < lo):
-            return f"must be {'>' if lo_strict else '>='} {lo}, got {v!r}"
-        if hi is not None and v > hi:
-            return f"must be <= {hi}, got {v!r}"
-    return check
+def _number(**bounds):
+    return lambda key, v: _real(key, v, **bounds)
 
 
 def _choice(*opts):
-    def check(v):
+    def check(key, v):
         # True == 1 in Python, so a JSON boolean would pass as a number
         if isinstance(v, bool) or v not in opts:
-            return f"must be one of {opts}, got {v!r}"
+            raise ValueError(f"must be one of {opts}, got {v!r}")
     return check
 
 
-def _int_list(min_len, lo, hi=None, increasing=False):
-    bound = f">= {lo}" if hi is None else f"in {lo} .. {hi}"
-
-    def check(v):
+def _list_of(entry, min_len, increasing=False):
+    """A list of at least min_len entries, entry i checked by the checker
+    entry under the key f"{key}[{i}]", strictly increasing if asked."""
+    def check(key, v):
         if not isinstance(v, list) or len(v) < min_len:
-            return f"expected list of >= {min_len} integers, got {v!r}"
-        if any(not _is_int(x) or x < lo or hi is not None and x > hi
-               for x in v):
-            return f"entries must be integers {bound}, got {v!r}"
+            raise ValueError(f"expected list of >= {min_len} entries, "
+                             f"got {v!r}")
+        for i, x in enumerate(v):
+            entry(f"{key}[{i}]", x)
         if increasing and any(b <= a for a, b in zip(v, v[1:])):
-            return f"entries must be strictly increasing, got {v!r}"
-    return check
-
-
-def _number_list(min_len, lo=None, increasing=False):
-    def check(v):
-        if not isinstance(v, list) or len(v) < min_len:
-            return f"expected list of >= {min_len} numbers, got {v!r}"
-        if any(isinstance(x, bool) or not isinstance(x, (int, float))
-               or not math.isfinite(x) for x in v):
-            return f"entries must be finite numbers, got {v!r}"
-        if lo is not None and any(x < lo for x in v):
-            return f"entries must be >= {lo}, got {v!r}"
-        if increasing and any(b <= a for a, b in zip(v, v[1:])):
-            return f"entries must be strictly increasing, got {v!r}"
+            raise ValueError(f"entries must be strictly increasing, got {v!r}")
     return check
 
 
@@ -233,10 +212,10 @@ _SCHEMAS = {
         "N": (True, None, _int_at_least(0)),
         "count": (True, None, _int_at_least(1)),
         "seed": (True, None, _seed()),
-        "kappa": (False, 1.0, _number(lo=0, lo_strict=True)),
+        "kappa": (False, 1.0, _number(above=0)),
     },
     "cauchy_rate": {
-        "bands": (True, None, _int_list(2, 1, increasing=True)),
+        "bands": (True, None, _list_of(_int_at_least(1), 2, increasing=True)),
         "count": (True, None, _int_at_least(100)),
         "seed": (True, None, _seed()),
         "mode": (False, "f_full", _choice(*_RATE_WINDOWS)),
@@ -244,45 +223,47 @@ _SCHEMAS = {
     "chaos": {
         "k": (True, None, _int_at_least(1)),
         "d": (True, None, _int_at_least(1)),
-        "p": (True, None, _number(lo=2)),
+        "p": (True, None, _number(at_least=2)),
         "count": (True, None, _int_at_least(1000)),
         "seed": (True, None, _seed(_CHAOS_BATCHES)),
     },
     "tails": {
         "observable": (True, None, _choice(*_TAIL_OBSERVABLES)),
         "N": (True, None, _int_at_least(0)),
-        "lambdas": (True, None, _number_list(2, lo=0, increasing=True)),
+        "lambdas": (True, None, _list_of(_number(at_least=0), 2,
+                                        increasing=True)),
         "count": (True, None, _int_at_least(1000)),
         "seed": (True, None, _seed()),
         "theta": (False, 2.0, _choice(*_THETAS)),
-        "condition_kappa": (False, None, _number(lo=0, lo_strict=True)),
+        "condition_kappa": (False, None, _number(above=0)),
     },
     "kernel_sum": {
-        "ns": (True, None, _int_list(1, -_KERNEL_MAX, _KERNEL_MAX)),
-        "Ns": (True, None, _int_list(1, 1, _KERNEL_MAX)),
-        "eps": (False, 0.25, _number(lo=0, hi=0.5, lo_strict=True)),
+        "ns": (True, None, _list_of(
+            _int_at_least(-_KERNEL_MAX, at_most=_KERNEL_MAX), 1)),
+        "Ns": (True, None, _list_of(_int_at_least(1, at_most=_KERNEL_MAX), 1)),
+        "eps": (False, 0.25, _number(above=0, at_most=0.5)),
     },
     "flow": {
         "N": (True, None, _int_at_least(0)),
         "T": (True, None, _number()),
-        "h": (True, None, _number(lo=0, lo_strict=True)),
+        "h": (True, None, _number(above=0)),
         "u0_seed": (True, None, _seed()),
-        "u0_norm": (True, None, _number(lo=0, lo_strict=True)),
-        "max_drift": (False, 1e-6, _number(lo=0, lo_strict=True)),
-        "energy_tol": (False, 1e-6, _number(lo=0, lo_strict=True)),
+        "u0_norm": (True, None, _number(above=0)),
+        "max_drift": (False, 1e-6, _number(above=0)),
+        "energy_tol": (False, 1e-6, _number(above=0)),
     },
     "invariance": {
         "N": (True, None, _int_at_least(0)),
-        "kappa": (True, None, _number(lo=0, lo_strict=True)),
+        "kappa": (True, None, _number(above=0)),
         "t": (True, None, _number()),
         "count": (True, None, _int_at_least(100)),
         "seed": (True, None, _seed()),
-        "h": (False, 0.005, _number(lo=0, lo_strict=True)),
+        "h": (False, 0.005, _number(above=0)),
     },
     "gn_lp": {
-        "p": (True, None, _number(lo=1)),
-        "kappa": (True, None, _number(lo=0, lo_strict=True)),
-        "bands": (True, None, _int_list(1, 1, increasing=True)),
+        "p": (True, None, _number(at_least=1)),
+        "kappa": (True, None, _number(above=0)),
+        "bands": (True, None, _list_of(_int_at_least(1), 1, increasing=True)),
         "count": (True, None, _int_at_least(100)),
         "seed": (True, None, _seed()),
     },
@@ -325,9 +306,10 @@ def parse_config(text: str) -> ExperimentConfig:
                 resolved[key] = default
             continue
         value = params[key]
-        msg = check(value)
-        if msg:
-            violations.append(f"parameter {key!r}: {msg}")
+        try:
+            check(key, value)
+        except ValueError as exc:
+            violations.append(f"parameter {key!r}: {exc}")
         else:
             resolved[key] = value
 
@@ -382,7 +364,6 @@ def _run_sample(p: dict):
 
 def _run_functionals(p: dict):
     N = p["N"]
-    params = DensityParams(kappa=p["kappa"])
     grid4 = QuadratureGrid.for_degree(4 * N)
     grid6 = QuadratureGrid.for_degree(6 * N)
     block = phi_block(p["seed"], 0, p["count"], N)
@@ -395,7 +376,7 @@ def _run_functionals(p: dict):
         pm = momentum(u, grid4)
         fq = f_quartic(u, N)
         en = energy(u, grid6)
-        gn = density_G(u, params)
+        gn = density_G(u, p["kappa"])
         fu = gauge_F(u, grid4)
         oracle = f_quadrature_oracle(u, N, grid4)
         denom = max(abs(fq), abs(oracle))
@@ -460,13 +441,9 @@ def _run_chaos(p: dict):
 def _run_tails(p: dict):
     N = p["N"]
     name = p["observable"]
-    obs = _TAIL_OBSERVABLES[name]
-    condition = None
-    if p.get("condition_kappa") is not None:
-        kap = p["condition_kappa"]
-        condition = lambda rows: batch_mass(rows) <= kap  # noqa: E731
-    fit = tail_survival(obs, N, p["lambdas"], p["count"], p["seed"],
-                        condition=condition, theta=float(p["theta"]))
+    fit = tail_survival(_TAIL_OBSERVABLES[name], N, p["lambdas"], p["count"],
+                        p["seed"], kappa=p.get("condition_kappa"),
+                        theta=p["theta"])
     payload = {"fit": fit.to_json_dict(), "observable": name}
     verdicts = [
         _verdict("fit_quality", fit.r_squared >= 0.9,
@@ -539,9 +516,9 @@ def _run_flow(p: dict):
 
 def _run_invariance(p: dict):
     N = p["N"]
-    params = DensityParams(kappa=p["kappa"])
-    report = invariance_experiment(N, params, p["t"], p["count"], p["seed"],
-                                   _INVARIANCE_OBSERVABLES, step_size=p["h"])
+    report = invariance_experiment(N, p["kappa"], p["t"], p["count"],
+                                   p["seed"], _INVARIANCE_OBSERVABLES,
+                                   step_size=p["h"])
     rows = []
     verdicts = []
     for k, r in report["observables"].items():
@@ -566,7 +543,6 @@ def _run_gn_lp(p: dict):
     must lie within 3 sqrt(b (1 - b) / count) of it.
     """
     kappa = p["kappa"]
-    params = DensityParams(kappa=kappa)
     pw = float(p["p"])
     count = p["count"]
     seed = p["seed"]
@@ -579,8 +555,8 @@ def _run_gn_lp(p: dict):
     for j, N in enumerate(p["bands"]):
         base = 2 * j * count
         rows = phi_block(seed, base, count, 2 * N)
-        gN = batch_density_G(_project(rows, N), params)
-        gM = batch_density_G(rows, params)
+        gN = batch_density_G(_project(rows, N), kappa)
+        gM = batch_density_G(rows, kappa)
         ball = ball_probability(N, kappa)
         frac = float(np.mean(gN > 0))
         moment = float(np.mean(gN ** pw))

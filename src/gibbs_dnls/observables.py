@@ -13,16 +13,13 @@ functionals golden pins their last bits).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .spectral import QuadratureGrid, _band, _derivative, _evaluate, _integer, _modes
+from .spectral import (QuadratureGrid, _band, _derivative, _evaluate, _integer,
+                       _modes, _real)
 
 __all__ = [
-    "DensityParams",
     "chi",
     "batch_multiply",
     "batch_square",
@@ -40,27 +37,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DensityParams:
-    """Cutoff radius of the density; its band is that of the rows it weighs."""
-
-    kappa: float
-
-    def __post_init__(self):
-        if not 0 < self.kappa < math.inf:
-            raise ValueError(
-                f"kappa must be finite and positive, got {self.kappa}")
-
-
-def chi(x, params: DensityParams):
+def chi(x, kappa: float):
     """Radial cutoff: 1 on [0, kappa/2], linear down to 0 at kappa, even in x.
 
-    Elementwise on arrays; a scalar x gives a float.
+    kappa, the cutoff radius, must be finite and positive.  Elementwise
+    on arrays; a scalar x gives a float.
     """
+    kappa = _real("kappa", kappa, above=0)
     t = np.abs(np.asarray(x, dtype=np.float64))
-    half = 0.5 * params.kappa
-    ramp = (params.kappa - t) / half
-    out = np.where(t <= half, 1.0, np.where(t >= params.kappa, 0.0, ramp))
+    half = 0.5 * kappa
+    ramp = (kappa - t) / half
+    out = np.where(t <= half, 1.0, np.where(t >= kappa, 0.0, ramp))
     return out if out.ndim else float(out)
 
 
@@ -233,16 +220,17 @@ def batch_grid_sup_dsq(rows: np.ndarray) -> np.ndarray:
     return np.max(np.abs(_evaluate(dw, x)), axis=1)
 
 
-def batch_density_G(rows: np.ndarray, params: DensityParams) -> np.ndarray:
+def batch_density_G(rows: np.ndarray, kappa: float) -> np.ndarray:
     """Density chi(||u||_L2) exp((3/4) f_N(u) - 1/2 int |u|^6) per row.
 
-    The density at the rows' own band N: G_N is a function of Pi_N u,
-    and the rows are that projection.  Zero outside the cutoff ball without
-    touching the exponential.  An exponent beyond _EXP_CAP cannot happen
-    inside the kappa-ball at reasonable kappa; if it does, that is a
-    usage fault and is reported as OverflowError instead of returning inf.
+    The density at the rows' own band N and cutoff radius kappa: G_N is
+    a function of Pi_N u, and the rows are that projection.  Zero outside
+    the cutoff ball without touching the exponential.  An exponent beyond
+    _EXP_CAP cannot happen inside the kappa-ball at reasonable kappa; if
+    it does, that is a usage fault and is reported as OverflowError
+    instead of returning inf.
     """
-    cut = chi(batch_mass(rows), params)
+    cut = chi(batch_mass(rows), kappa)
     out = np.zeros(rows.shape[0])
     inside = cut > 0.0
     if np.any(inside):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import FourierCoeffs, _integer, _modes
+from .spectral import FourierCoeffs, _integer, _modes, _real
 
 __all__ = [
     "GENERATOR_NAME",
@@ -350,8 +350,7 @@ def phi_block_in_ball(master_seed: int, first_stream: int, rows: int,
     so every (stream, counter) pair is drawn at most once, in kernel
     calls of at most _CHUNK_COUNTERS counters.
     """
-    if not 0 <= radius < math.inf:
-        raise ValueError("radius must be finite and non-negative")
+    radius = _real("radius", radius, at_least=0)
     band = _integer("band", band, 0)
     rows, m = _block_args(master_seed, first_stream, rows, 2 * band + 1)
     lam = np.arange(-band, band + 1) ** 2 + 1.0
@@ -506,8 +505,7 @@ def ball_probability(N: int, radius: float) -> float:
     prec doubles, from 32.
     """
     N = _integer("N", N, 0)
-    if not 0 <= radius < math.inf:
-        raise ValueError("radius must be finite and non-negative")
+    radius = _real("radius", radius, at_least=0)
     if radius == 0:
         return 0.0
     import decimal      # here: the package import skips both

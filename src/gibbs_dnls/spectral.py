@@ -8,6 +8,8 @@ function 1 has norm 1 in every L^p.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 
 import numpy as np
@@ -38,6 +40,34 @@ def _integer(name: str, v, lo: int | None = None) -> int:
     if lo is not None and v < lo:
         raise ValueError(f"{name} must be at least {lo}, got {v}")
     return operator.index(v)
+
+
+def _real(name: str, v, at_least=None, above=None, at_most=None) -> float:
+    """v as a float, once it is a finite real number in the given range.
+
+    The one check of the public API's real arguments, beside _integer:
+    a bool would pass as 0 or 1, and a nan fails every comparison, so
+    both are refused, as are infinities and non-numbers, with a message
+    that names the argument.  Python and numpy integers and floats pass.
+    """
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {v!r}")
+    try:
+        x = float(v)
+    except OverflowError:           # an int beyond the float range
+        x = math.inf
+    ok, need = math.isfinite(x), ["finite"]
+    for bound, words, holds in ((at_least, "at least", operator.ge),
+                                (above, "above", operator.gt),
+                                (at_most, "at most", operator.le)):
+        if bound is not None:
+            ok = ok and holds(x, bound)
+            need.append(f"{words} {bound}")
+    if not ok:
+        *rest, last = need
+        raise ValueError(f"{name} must be {', '.join(rest)}"
+                         f"{' and ' if rest else ''}{last}, got {x!r}")
+    return x
 
 
 # -- the coefficient layout: n = -band..band on the last axis of an array ----
@@ -287,15 +317,13 @@ def lp_norm(u: FourierCoeffs, p, grid: QuadratureGrid) -> float:
     p * band).  Too-coarse grids are rejected for even p; other p are
     grid approximations, as close as the grid is dense.
     """
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
-    vals = np.abs(u.evaluate(grid.nodes))
-    if p == np.inf:
-        return float(np.max(vals))
-    p = float(p)
+    if p == math.inf:
+        return float(np.max(np.abs(u.evaluate(grid.nodes))))
+    p = _real("p", p, at_least=1)
     if p % 2 == 0 and grid.size <= p * u.band:
         raise ValueError(
             f"grid with {grid.size} nodes is too coarse for exact L^{p:g} "
             f"norm at band {u.band}; need more than {p * u.band:g}"
         )
+    vals = np.abs(u.evaluate(grid.nodes))
     return float(np.mean(vals ** p) ** (1.0 / p))

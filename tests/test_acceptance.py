@@ -27,7 +27,6 @@ from gibbs_dnls.spectral import (
     project,
 )
 from gibbs_dnls.functionals import (
-    DensityParams,
     energy,
     f_quadrature_oracle,
     f_quartic,
@@ -273,7 +272,7 @@ def test_criterion_07_conditional_tail(acceptance_report):
     try:
         fit = tail_survival(
             batch_grid_sup_dsq, 16, [1.0, 2.0, 4.0, 8.0], 10 ** 6, 71,
-            condition=lambda rows: batch_mass(rows) <= 0.4, theta=1.0)
+            kappa=0.4, theta=1.0)
     except ValueError as exc:
         pytest.fail(f"stated protocol unrealizable: {exc}")
     assert fit.r_squared >= 0.9 and fit.rate > 0
@@ -284,7 +283,7 @@ def test_criterion_07_machinery_at_feasible_cutoff():
     fit = tail_survival(
         batch_grid_sup_dsq, 16,
         list(np.linspace(50.0, 100.0, 8)), 200000, 72,
-        condition=lambda rows: batch_mass(rows) <= 2.0, theta=1.0)
+        kappa=2.0, theta=1.0)
     assert fit.rate > 0
     assert fit.r_squared >= 0.9
     assert fit.total < 200000  # the condition actually filtered
@@ -301,8 +300,8 @@ def test_criterion_08_density_trends(acceptance_report):
     for j, N in enumerate((8, 16, 32, 64)):
         rows = phi_block(seed, 2 * j * count, count, 2 * N)
         inner = rows[:, N: 3 * N + 1]
-        gN = batch_density_G(inner, DensityParams(kappa=kappa))
-        gM = batch_density_G(rows, DensityParams(kappa=kappa))
+        gN = batch_density_G(inner, kappa)
+        gM = batch_density_G(rows, kappa)
         moments[N] = float(np.mean(gN ** 2))
         fracs[N] = float(np.mean(gN > 0))
         control = phi_block(seed, 2 * j * count + count, count, N)
@@ -344,8 +343,8 @@ def test_criterion_08_substance_at_wider_cutoff():
     for j, N in enumerate((8, 16, 32)):
         rows = phi_block(seed, 2 * j * count, count, 2 * N)
         inner = rows[:, N: 3 * N + 1]
-        gN = batch_density_G(inner, DensityParams(kappa=kappa))
-        gM = batch_density_G(rows, DensityParams(kappa=kappa))
+        gN = batch_density_G(inner, kappa)
+        gM = batch_density_G(rows, kappa)
         assert np.any(gN > 0)
         diffs.append(float(np.mean(np.abs(gM - gN))))
     assert diffs[0] > diffs[1] > diffs[2] > 0
@@ -451,7 +450,7 @@ def test_criterion_10_conservation(acceptance_report, reference_trajectory):
 def test_criterion_11_invariance(acceptance_report):
     t0 = time.perf_counter()
     N = 4
-    rep = invariance_experiment(N, DensityParams(kappa=1.0),
+    rep = invariance_experiment(N, 1.0,
                                 0.5, 20000, 2024, _INVARIANCE_OBSERVABLES)
     wall = time.perf_counter() - t0
     ok = rep["ess"] >= 100.0 and wall <= 600.0

@@ -1,12 +1,17 @@
-"""The public API's size, band and seed arguments: one integer check.
+"""The public API's arguments: one integer check and one real check.
 
-Every such argument goes through spectral._integer, which refuses a
-float, a bool and a value below the argument's range with a message that
-names the argument, and accepts numpy integers as Python ones.  The AST
-guard keeps int(), which truncates, away from the package's parameters.
+Every size, band and seed argument goes through spectral._integer, which
+refuses a float, a bool and a value below the argument's range with a
+message that names the argument, and accepts numpy integers as Python
+ones.  Every real argument goes through spectral._real, which refuses a
+bool, a non-number, a nan or infinity and a value outside the
+argument's range, and accepts numpy floats as Python ones.  The AST
+guard keeps int(), which truncates, and float(), which takes a bool as
+a number, away from the package's parameters.
 """
 
 import ast
+import math
 import pickle
 import re
 from pathlib import Path
@@ -30,8 +35,13 @@ from gibbs_dnls.flow import (
     rhs_expanded,
     rhs_hamiltonian,
 )
-from gibbs_dnls.functionals import f_quadrature_oracle, f_quartic
-from gibbs_dnls.observables import DensityParams, batch_mass, batch_re_coeff
+from gibbs_dnls.functionals import density_G, f_quadrature_oracle, f_quartic
+from gibbs_dnls.observables import (
+    batch_density_G,
+    batch_mass,
+    batch_re_coeff,
+    chi,
+)
 from gibbs_dnls.sampling import (
     SeedSpec,
     ball_probability,
@@ -42,13 +52,13 @@ from gibbs_dnls.sampling import (
     sample_gaussian,
     sample_phi,
 )
-from gibbs_dnls.spectral import FourierCoeffs, QuadratureGrid, project
+from gibbs_dnls.spectral import FourierCoeffs, QuadratureGrid, lp_norm, project
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gibbs_dnls"
 
 U = FourierCoeffs.from_pairs({-1: 0.2, 1: 0.1j})
 TABLE = {(1,): 1.0, (2,): 0.5}
-KAPPA = DensityParams(kappa=1.2)
+KAPPA = 1.2
 STEP = IntegratorConfig(step=0.01)
 
 #: (entry point, argument, call with the argument set to v, a valid value,
@@ -145,9 +155,75 @@ def test_integer_arguments_are_checked_once(name, arg, call, valid, low):
         assert pickle.dumps(call(kind(valid))) == want, kind
 
 
-def _int_of_a_parameter(source: str) -> list:
-    """(function, line) of each int(p) call on a parameter p of an
-    enclosing function, nested functions and lambdas included."""
+#: (entry point, real argument, call with the argument set to v, a valid
+#: value, the values outside the argument's range, infinities included)
+REAL_CASES = [
+    ("chi", "kappa", lambda v: chi(0.3, v), 1.2, (math.inf, 0.0)),
+    ("batch_density_G", "kappa",
+     lambda v: batch_density_G(phi_block(1, 0, 3, 2), v), 1.2,
+     (math.inf, -1.0)),
+    ("density_G", "kappa", lambda v: density_G(U, v), 1.2, (math.inf, 0.0)),
+    ("IntegratorConfig", "step", lambda v: IntegratorConfig(step=v), 0.01,
+     (math.inf, 0.0)),
+    ("IntegratorConfig", "max_drift",
+     lambda v: IntegratorConfig(step=0.01, max_drift=v), 1e-5,
+     (math.inf, -1e-5)),
+    ("evolve", "T", lambda v: evolve(U, 2, v, STEP), 0.02,
+     (math.inf, -math.inf, 10 ** 400)),     # the int overflows a float
+    *[("invariance_experiment", arg, call, valid, bad)
+      for arg, call, valid, bad in (
+          ("kappa", lambda v: invariance_experiment(2, v, 0.01, 2000, 91, {}),
+           1.2, (math.inf, 0.0)),
+          ("t", lambda v: invariance_experiment(2, 1.2, v, 2000, 91, {}),
+           0.01, (math.inf, -math.inf)),
+          ("step_size",
+           lambda v: invariance_experiment(2, 1.2, 0.01, 2000, 91, {}, v),
+           0.005, (math.inf, 0.0)))],
+    ("lp_norm", "p", lambda v: lp_norm(U, v, QuadratureGrid(9)), 4.0,
+     (-math.inf, 0.5)),
+    ("ball_probability", "radius", lambda v: ball_probability(2, v), 0.8,
+     (math.inf, -0.1)),
+    ("phi_block_in_ball", "radius",
+     lambda v: phi_block_in_ball(1, 0, 20, 2, v), 1.0, (math.inf, -1.0)),
+    *[("tail_survival", arg, call, valid, bad)
+      for arg, call, valid, bad in (
+          ("lambdas", lambda v: tail_survival(batch_mass, 2, [0.5, v], 500, 3),
+           1.0, (math.inf, -math.inf)),
+          ("kappa",
+           lambda v: tail_survival(batch_mass, 2, [0.5, 1.0], 500, 3, kappa=v),
+           2.0, (math.inf, 0.0)),
+          ("theta",
+           lambda v: tail_survival(batch_mass, 2, [0.5, 1.0], 500, 3, theta=v),
+           1.0, (math.inf, 3.0)))],
+    ("chaos_ratio", "p", lambda v: chaos_ratio(1, 2, TABLE, v, 100, 1), 4.0,
+     (math.inf, 1.5)),
+    ("kernel_tail_sum", "eps", lambda v: kernel_tail_sum(3, 4, v), 0.25,
+     (math.inf, 0.0, 0.75)),
+]
+
+
+@pytest.mark.parametrize("name, arg, call, valid, bad", REAL_CASES,
+                         ids=[f"{name}-{arg}" for name, arg, *_ in REAL_CASES])
+def test_real_arguments_are_checked_once(name, arg, call, valid, bad):
+    # the message starts with the argument's name
+    for v in (True, math.nan) + bad:
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(arg)} must be "):
+            call(v)
+    # a numpy float is the Python float it holds, in every result
+    assert pickle.dumps(call(np.float64(valid))) == pickle.dumps(call(valid))
+
+
+#: functions allowed to call float() on a parameter, each with its reason
+_FLOAT_OF_A_PARAMETER = {
+    "_real": "the real-argument check itself, once the value is a number",
+    "_fmt": "formats a computed value for a CSV table, not an argument",
+}
+
+
+def _cast_of_a_parameter(source: str) -> list:
+    """(function, line) of each int(p) or float(p) call on a parameter p
+    of an enclosing function, nested functions and lambdas included."""
     found = []
 
     def visit(node, params, where):
@@ -158,9 +234,11 @@ def _int_of_a_parameter(source: str) -> list:
                                + a.kwonlyargs + [a.vararg, a.kwarg] if x}
             where = getattr(node, "name", where)
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-              and node.func.id == "int" and node.args
+              and node.func.id in ("int", "float") and node.args
               and isinstance(node.args[0], ast.Name)
-              and node.args[0].id in params):
+              and node.args[0].id in params
+              and not (node.func.id == "float"
+                       and where in _FLOAT_OF_A_PARAMETER)):
             found.append((where, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, params, where)
@@ -175,13 +253,23 @@ def test_the_guard_finds_int_of_a_parameter():
               "    def block(span):\n"
               "        return g(int(seed), int(span), int(len(span)))\n"
               "    return int(N + 1)\n")
-    assert _int_of_a_parameter(source) == [("f", 2), ("block", 4),
-                                           ("block", 4)]
+    assert _cast_of_a_parameter(source) == [("f", 2), ("block", 4),
+                                            ("block", 4)]
+
+
+def test_the_guard_finds_float_of_a_parameter():
+    source = ("def evolve(u, T, step):\n"
+              "    steps = sizes(float(T), float(step * 2))\n"
+              "    return [float(t) for t in steps]\n"
+              "def _real(name, v):\n"
+              "    return float(v), int(v)\n")
+    assert _cast_of_a_parameter(source) == [("evolve", 2), ("_real", 5)]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_parameter_passes_through_int(path):
-    # int() truncates 2.5 to 2 and True to 1: sizes, bands and seeds go
-    # through spectral._integer instead
-    assert _int_of_a_parameter(path.read_text(encoding="utf-8")) == []
+    # int() truncates 2.5 to 2 and True to 1, and float() reads True as
+    # 1.0: sizes, bands and seeds go through spectral._integer and real
+    # arguments through spectral._real instead
+    assert _cast_of_a_parameter(path.read_text(encoding="utf-8")) == []

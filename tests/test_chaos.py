@@ -29,7 +29,6 @@ from gibbs_dnls.chaos import (
 )
 from gibbs_dnls.flow import invariance_experiment
 from gibbs_dnls.observables import (
-    DensityParams,
     batch_f_quartic,
     batch_l4_norm,
     batch_mass,
@@ -252,6 +251,27 @@ def test_tail_survival_monotone_and_serialized():
     assert d["total"] == 20000
 
 
+@pytest.mark.parametrize("band, kappa, count, lambdas", [
+    (4, 0.8, 100000, [0.6, 0.7, 0.8, 0.9]),     # the screen drops most rows
+    (16, 2.0, 20000, [1.6, 1.8, 2.0, 2.2]),     # its 3/4 rule fires
+])
+def test_screened_conditional_tail_equals_the_unscreened_one(
+        monkeypatch, band, kappa, count, lambdas):
+    fit = tail_survival(batch_l4_norm, band, lambdas, count, 23, kappa=kappa)
+    # the rows in the ball, from the whole unscreened draw
+    rows = phi_block(23, 0, count, band)
+    vals = batch_l4_norm(rows[batch_mass(rows) <= kappa])
+    assert fit.total == len(vals) < count
+    assert fit.counts == tuple(int(np.count_nonzero(vals > lam))
+                               for lam in lambdas)
+    # the same fit with every block drawn whole by phi_block
+    monkeypatch.setattr(chaos, "phi_block_in_ball",
+                        lambda seed, lo, rows, band, radius: (
+                            np.arange(rows), phi_block(seed, lo, rows, band)))
+    assert tail_survival(batch_l4_norm, band, lambdas, count, 23,
+                         kappa=kappa) == fit
+
+
 _PARTITION_LAMBDAS = [0.6, 0.8, 1.0, 1.2]
 
 
@@ -259,7 +279,7 @@ def _partition_results():
     return (
         tail_survival(batch_l4_norm, 4, _PARTITION_LAMBDAS, 5000, 19),
         tail_survival(batch_l4_norm, 4, _PARTITION_LAMBDAS, 5000, 19,
-                      condition=lambda rows: batch_mass(rows) < 1.5),
+                      kappa=1.5),
         cauchy_rate([2, 4], 1000, 5),
     )
 
@@ -386,15 +406,14 @@ import os, pickle, select, sys
 del select.PIPE_BUF, os.fork    # as on a platform without fork
 import gibbs_dnls.chaos as chaos
 from gibbs_dnls.flow import invariance_experiment
-from gibbs_dnls.observables import DensityParams, batch_l4_norm, batch_mass
+from gibbs_dnls.observables import batch_l4_norm, batch_mass
 chaos._cpu_count = lambda: 3
 # 136 tail blocks: past the 128 slots of a 512-byte PIPE_BUF
 chaos._BLOCK_COEFFS = 9 * 37
 sys.stdout.buffer.write(pickle.dumps((
     chaos._QUEUE_SLOTS,
     chaos.tail_survival(batch_l4_norm, 4, [0.6, 0.8, 1.0, 1.2], 5000, 19),
-    invariance_experiment(2, DensityParams(kappa=1.2), 0.05, 3000,
-                          91, {"m": batch_mass}),
+    invariance_experiment(2, 1.2, 0.05, 3000, 91, {"m": batch_mass}),
 )))
 """
 
@@ -408,8 +427,7 @@ def test_a_platform_without_fork_imports_and_runs_serially():
     assert pickle.loads(out) == (
         512 // chaos._INDEX_BYTES,
         tail_survival(batch_l4_norm, 4, _PARTITION_LAMBDAS, 5000, 19),
-        invariance_experiment(2, DensityParams(kappa=1.2), 0.05,
-                              3000, 91, {"m": batch_mass}),
+        invariance_experiment(2, 1.2, 0.05, 3000, 91, {"m": batch_mass}),
     )
 
 
@@ -539,7 +557,7 @@ def test_tail_survival_errors():
         tail_survival(batch_mass, 2, [50.0, 60.0], 2000, 3)
     with pytest.raises(ValueError, match="rejected"):
         tail_survival(batch_mass, 2, [0.5, 1.0], 2000, 3,
-                      condition=lambda rows: batch_mass(rows) < 1e-9)
+                      kappa=1e-9)
     with pytest.raises(ValueError):
         tail_survival(batch_mass, 2, [1.0], 2000, 3)
     with pytest.raises(ValueError):
@@ -549,7 +567,8 @@ def test_tail_survival_errors():
 def test_tail_survival_refuses_a_non_finite_threshold():
     # no sample exceeds nan, so it read as a threshold of count 0
     for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="^lambdas must all be finite$"):
+        with pytest.raises(ValueError, match="^lambdas must be finite, "
+                                             f"got {bad}$"):
             tail_survival(batch_mass, 2, [0.5, 1.0, bad], 2000, 3)
 
 

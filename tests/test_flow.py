@@ -15,7 +15,7 @@ from gibbs_dnls.spectral import (
     pairing_bilinear,
     project,
 )
-from gibbs_dnls.functionals import DensityParams, hamiltonian_H2, mass
+from gibbs_dnls.functionals import hamiltonian_H2, mass
 from gibbs_dnls.flow import (
     IntegratorConfig,
     apply_K,
@@ -237,7 +237,7 @@ def test_evolve_drift_abort_names_time():
 
 @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
 def test_step_sizes_reject_non_finite_time(T):
-    with pytest.raises(ValueError, match=f"^time T must be finite, got {T}$"):
+    with pytest.raises(ValueError, match=f"^T must be finite, got {T}$"):
         flow._step_sizes(T, 1e-2)
 
 
@@ -246,7 +246,7 @@ def test_evolve_refuses_non_finite_time(T, monkeypatch):
     # refused before the projection, the grid or any step
     monkeypatch.setattr(flow, "project", None)
     monkeypatch.setattr(flow, "QuadratureGrid", None)
-    with pytest.raises(ValueError, match=f"^time T must be finite, got {T}$"):
+    with pytest.raises(ValueError, match=f"^T must be finite, got {T}$"):
         evolve(draw(3, 8, scale=0.5), 8, T, IntegratorConfig(step=1e-2))
 
 
@@ -299,27 +299,27 @@ def test_gauge_empty_trajectory():
 # --- measure invariance ----------------------------------------------------
 
 def test_invariance_ess_error():
-    params = DensityParams(kappa=1.0)
+    kappa = 1.0
     obs = {"m": batch_mass}
     with pytest.raises(ValueError, match="effective sample size"):
-        invariance_experiment(4, params, 0.1, 300, 77, obs)
+        invariance_experiment(4, kappa, 0.1, 300, 77, obs)
 
 
 def test_invariance_zero_weights_error():
-    params = DensityParams(kappa=1e-6)
+    kappa = 1e-6
     obs = {"m": batch_mass}
     with pytest.raises(ValueError):
-        invariance_experiment(4, params, 0.1, 200, 78, obs)
+        invariance_experiment(4, kappa, 0.1, 200, 78, obs)
 
 
 def test_invariance_small_run_passes():
     # moderate cutoff at a small band: decent acceptance, quick flow
-    params = DensityParams(kappa=1.2)
+    kappa = 1.2
     obs = {
         "l4": batch_quartic_integral,
         "re_c1": lambda rows: rows[:, 3].real,
     }
-    rep = invariance_experiment(2, params, 0.05, 3000, 91, obs)
+    rep = invariance_experiment(2, kappa, 0.05, 3000, 91, obs)
     assert rep["ess"] >= 100
     for name, r in rep["observables"].items():
         assert r["pass"], (name, r)
@@ -329,7 +329,7 @@ def test_invariance_rejects_counts_int32_cannot_hold(monkeypatch):
     # resample counts travel as int32; the check comes before any draw
     monkeypatch.setattr(flow, "_map_phases", None)
     with pytest.raises(ValueError, match="2\\^31"):
-        invariance_experiment(2, DensityParams(kappa=1.2), 0.05,
+        invariance_experiment(2, 1.2, 0.05,
                               2 ** 31, 91, {"m": batch_mass})
 
 
@@ -338,8 +338,8 @@ def test_invariance_refuses_non_finite_time(t, monkeypatch):
     # refused before any fork or draw: either would call None here
     monkeypatch.setattr(flow, "_map_phases", None)
     monkeypatch.setattr(flow, "phi_block_in_ball", None)
-    with pytest.raises(ValueError, match=f"^time T must be finite, got {t}$"):
-        invariance_experiment(2, DensityParams(kappa=1.2), t, 3000,
+    with pytest.raises(ValueError, match=f"^t must be finite, got {t}$"):
+        invariance_experiment(2, 1.2, t, 3000,
                               91, {"m": batch_mass})
 
 
@@ -354,11 +354,11 @@ def test_invariance_rejects_non_finite_values():
         calls.append(len(rows))
         return v
 
-    params = DensityParams(kappa=1.2)
-    live = np.flatnonzero(batch_density_G(phi_block(91, 0, 3000, 2), params))
+    kappa = 1.2
+    live = np.flatnonzero(batch_density_G(phi_block(91, 0, 3000, 2), kappa))
     with pytest.raises(ValueError, match=rf"observable 'l' is nan on the "
                                          rf"sample of stream {live[3]}$"):
-        invariance_experiment(2, params, 0.05, 3000, 91,
+        invariance_experiment(2, kappa, 0.05, 3000, 91,
                               {"m": batch_mass, "l": after_flow_nan})
     assert len(calls) == 2
 
@@ -372,7 +372,7 @@ def test_ensemble_observables_build_no_fourier_coeffs(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(FourierCoeffs, "__init__", counting_init)
-    invariance_experiment(2, DensityParams(kappa=1.2), 0.05, 3000, 91,
+    invariance_experiment(2, 1.2, 0.05, 3000, 91,
                           {"m": batch_mass})
     assert built == []
     FourierCoeffs(0, np.zeros(1))
@@ -393,7 +393,7 @@ def test_invariance_rows_match_reference_rk4():
     # records the live rows it sees, before and after the flow
     seen = []
     rep = invariance_experiment(
-        2, DensityParams(kappa=1.2), 0.05, 3000, 91,
+        2, 1.2, 0.05, 3000, 91,
         {"c": lambda rows: seen.append(rows.copy()) or np.zeros(len(rows))})
     before, after = seen
     assert before.shape == after.shape == (rep["positive_weights"], 5)
@@ -408,16 +408,16 @@ def test_invariance_rows_match_reference_rk4():
 def test_invariance_drift_names_stream():
     # at h = 0.005 this seed trips the 1e-5 mass-drift guard; the error
     # names the stream, and that stream alone trips it at the same time
-    params = DensityParams(kappa=1.0)
+    kappa = 1.0
     with pytest.raises(RuntimeError, match=r"at t = 0\.04 in stream (\d+)$") as exc:
-        invariance_experiment(4, params, 0.05, 20000, 2046, {"m": batch_mass})
+        invariance_experiment(4, kappa, 0.05, 20000, 2046, {"m": batch_mass})
     stream = int(str(exc.value).split()[-1])
     u0 = FourierCoeffs(4, phi_block(2046, stream, 1, 4)[0])
     with pytest.raises(RuntimeError, match=r"at t = 0\.04$"):
         evolve(u0, 4, 0.05, IntegratorConfig(step=0.005, max_drift=1e-5))
 
 
-_SMALL_RUN = (2, DensityParams(kappa=1.2), 0.05, 3000, 91)
+_SMALL_RUN = (2, 1.2, 0.05, 3000, 91)
 
 
 def _no_child_left():

@@ -7,7 +7,6 @@ import pytest
 
 from gibbs_dnls.spectral import FourierCoeffs, QuadratureGrid, conjugate, project
 from gibbs_dnls.functionals import (
-    DensityParams,
     chi,
     density_G,
     energy,
@@ -95,49 +94,50 @@ def test_energy_closed_forms():
 
 
 def test_chi_linear():
-    p = DensityParams(kappa=1.0)
-    assert chi(0.2, p) == 1.0
-    assert chi(0.5, p) == 1.0
-    assert chi(0.75, p) == pytest.approx(0.5)
-    assert chi(1.0, p) == 0.0
-    assert chi(2.0, p) == 0.0
+    assert chi(0.2, 1.0) == 1.0
+    assert chi(0.5, 1.0) == 1.0
+    assert chi(0.75, 1.0) == pytest.approx(0.5)
+    assert chi(1.0, 1.0) == 0.0
+    assert chi(2.0, 1.0) == 0.0
 
 
-def test_density_params_validation():
-    with pytest.raises(ValueError):
-        DensityParams(kappa=0.0)
+def test_chi_refuses_a_non_positive_kappa():
+    for kappa in (0.0, -1.0):
+        with pytest.raises(ValueError, match="^kappa must be finite and "
+                                             f"above 0, got {kappa}$"):
+            chi(0.5, kappa)
 
 
-def test_density_params_refuse_a_non_finite_kappa():
+def test_density_refuses_a_non_finite_kappa():
     # an infinite cutoff took every field into the ball: density_G read
     # 1.00015 at E1 / 10
     for kappa in (math.inf, math.nan):
         with pytest.raises(ValueError, match="^kappa must be finite"):
-            DensityParams(kappa=kappa)
+            density_G(E1.scale(0.1), kappa)
 
 
 def test_density_value():
-    p = DensityParams(kappa=1.0)
+    kappa = 1.0
     u = E1.scale(0.1)
     want = np.exp(0.75 * f_quartic(u, 1) - 0.5 * 0.1 ** 6)
-    assert density_G(u, p) == pytest.approx(want)
-    assert density_G(u, p) == pytest.approx(1.000149511175682)
+    assert density_G(u, kappa) == pytest.approx(want)
+    assert density_G(u, kappa) == pytest.approx(1.000149511175682)
 
 
 def test_density_zero_without_exp():
     # mass far beyond the cutoff: the exponent would overflow if evaluated
-    p = DensityParams(kappa=1.0)
+    kappa = 1.0
     u = FourierCoeffs.from_pairs({15: 40.0, 16: 40.0})
-    assert density_G(u, p) == 0.0
+    assert density_G(u, kappa) == 0.0
 
 
 def test_density_overflow_diagnostic():
     # inside the cutoff but with a huge quartic term
-    p = DensityParams(kappa=10.0)
+    kappa = 10.0
     a = np.sqrt(9.6)
     u = FourierCoeffs.from_pairs({15: a, 16: a})
     with pytest.raises(OverflowError, match="exponent"):
-        density_G(u, p)
+        density_G(u, kappa)
 
 
 def test_gauge_F_closed_forms():

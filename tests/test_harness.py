@@ -80,6 +80,10 @@ def test_parse_type_checks():
         parse_config(cfg_text("sample", N=True, count=10, seed=1))
     with pytest.raises(ConfigError):
         parse_config(cfg_text("sample", N=-1, count=10, seed=1))
+    # an integer past the float range is a violation, not an OverflowError
+    with pytest.raises(ConfigError, match="^parameter 'T': T must be finite"):
+        parse_config(cfg_text("flow", N=1, T=10 ** 400, h=0.001,
+                              u0_seed=1, u0_norm=0.1))
     with pytest.raises(ConfigError):
         parse_config(cfg_text("cauchy_rate", bands=[8, 8], count=200, seed=1))
     with pytest.raises(ConfigError):
@@ -142,7 +146,7 @@ def test_parse_chaos_batch_seeds_stay_below_2_64():
     with pytest.raises(ConfigError) as err:
         parse_config(cfg_text("chaos", **_CHAOS, seed=_TOP - 9))
     assert err.value.violations == [
-        f"parameter 'seed': expected integer in 0 .. 2^64 - 11, got {_TOP - 9}"]
+        f"parameter 'seed': seed must be at most 2^64 - 11, got {_TOP - 9}"]
     parse_config(cfg_text("chaos", **_CHAOS, seed=_TOP - 10))
 
 

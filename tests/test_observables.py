@@ -9,7 +9,6 @@ import pytest
 from gibbs_dnls.spectral import (
     FourierCoeffs, QuadratureGrid, _modes, _project, lp_norm, multiply)
 from gibbs_dnls.functionals import (
-    DensityParams,
     chi,
     f_quadrature_oracle,
     f_quartic,
@@ -214,11 +213,11 @@ def test_batch_grid_sup_dsq():
 def test_batch_density_matches_scalar():
     # reference composition through the quadrature oracle and grid norms;
     # it shares only the cutoff chi with batch_density_G
-    params = DensityParams(kappa=2.0)
+    kappa = 2.0
     grid4 = QuadratureGrid.for_degree(4 * BAND)
     grid6 = QuadratureGrid.for_degree(6 * BAND)
-    got = batch_density_G(ROWS, params)
-    want = [chi(np.linalg.norm(ROWS[j]), params) * np.exp(
+    got = batch_density_G(ROWS, kappa)
+    want = [chi(np.linalg.norm(ROWS[j]), kappa) * np.exp(
         0.75 * f_quadrature_oracle(row_field(j), BAND, grid4)
         - 0.5 * lp_norm(row_field(j), 6, grid6) ** 6) for j in range(40)]
     assert np.allclose(got, want, rtol=1e-11, atol=0)

@@ -196,7 +196,8 @@ def test_lp_norms():
 
 def test_lp_norm_refuses_a_nan_p():
     # nan passed the p >= 1 check and then failed in int(p)
-    with pytest.raises(ValueError, match="^p must be >= 1 or inf, got nan$"):
+    with pytest.raises(ValueError, match="^p must be finite and at least 1, "
+                                         "got nan$"):
         lp_norm(E1, float("nan"), QuadratureGrid.for_degree(4))
 
 
