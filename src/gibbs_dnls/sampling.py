@@ -63,12 +63,22 @@ _PHILOX_W1 = np.uint64(0xBB67AE8584CAA73B)
 _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 
-# gaussian_block and phi_block_in_ball run the vectorized kernel on at
-# most about _CHUNK_COUNTERS Philox counters a call.  Below
-# _BLOCK_MIN_ROWS rows gaussian_block draws stream by stream through
-# numpy's Philox, whose fixed cost per call is far below the kernel's
+# gaussian_block and phi_block_in_ball draw their words in chunks of at
+# most about _CHUNK_COUNTERS Philox counters.  Below _BLOCK_MIN_ROWS rows
+# gaussian_block draws stream by stream through sample_gaussian, whose
+# fixed cost per call is far below the kernel's.  From
+# _ENGINE_MIN_COUNTERS counters a row (band 15 up) it takes each chunk's
+# words from numpy's Philox re-keyed stream by stream (_stream_words),
+# below that from the vectorized kernel (_philox_words), as is every grid
+# of phi_block_in_ball.  Philox words alone, microseconds a row over 2000
+# rows on one core of a 2-core VM (numpy 2.4.6), kernel / engine: band 0
+# 0.36 / 1.67, band 8 1.53 / 1.92, band 14 2.08 / 2.08, band 15 2.25 /
+# 2.09, band 16 2.49 / 2.13, band 32 4.43 / 2.58, band 64 8.07 / 3.46,
+# band 128 17.1 / 4.98.  In slower periods of the same host both columns
+# rose and the crossover moved up to band 20
 _BLOCK_MIN_ROWS = 16
 _CHUNK_COUNTERS = 1 << 14
+_ENGINE_MIN_COUNTERS = 16
 
 
 @dataclass(frozen=True)
@@ -163,6 +173,31 @@ def _philox_words(master_seed: int, streams: np.ndarray,
     return out
 
 
+def _stream_words(bits: np.random.Philox, master_seed: int, streams: range,
+                  size: int) -> np.ndarray:
+    """len(streams) x size matrix: row i the first size words of the
+    stream keyed (master_seed, streams[i]), from the engine bits.
+
+    The rows of _philox_words over blocks 0, 1, ..., bit for bit, from
+    numpy's C Philox: bits is re-keyed through its state setter for each
+    stream, at counter 0 with an empty buffer, so its next word is word 0
+    of counter 1.  The state is a dict of Python ints, its key list
+    changed in place; the setter converts each int to a uint64 (a dict
+    of arrays costs several times more to set).
+    """
+    key = [master_seed, 0]
+    state = {"bit_generator": "Philox",
+             "state": {"counter": (0, 0, 0, 0), "key": key},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    out = np.empty((len(streams), size), dtype=np.uint64)
+    for i, stream in enumerate(streams):
+        key[1] = stream
+        bits.state = state
+        out[i] = bits.random_raw(size)
+    return out
+
+
 def _box_muller(e: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Complex Gaussians sqrt(e) exp(2 pi i v) from uniform pairs: e is
     -log of the radius uniforms, v the angle uniforms.
@@ -222,12 +257,15 @@ def gaussian_block(master_seed: int, first_stream: int, rows: int,
                    count: int) -> np.ndarray:
     """Matrix of draws, row i from stream first_stream + i.
 
-    Bit for bit the rows of sample_gaussian on each stream: blocks of
-    _BLOCK_MIN_ROWS rows or more go through the vectorized Philox kernel
-    (_philox_words), smaller ones through sample_gaussian itself, and
-    both share one Box-Muller.  The kernel draws about _CHUNK_COUNTERS
-    Philox counters a call (496 rows at band 32), so the temporaries
-    stay cache-sized.  Sample streams must stay below the reserved ones.
+    Bit for bit the rows of sample_gaussian on each stream.  Blocks of
+    fewer than _BLOCK_MIN_ROWS rows go through sample_gaussian itself.
+    Larger ones are drawn a chunk of about _CHUNK_COUNTERS Philox
+    counters at a time (496 rows at band 32), so the temporaries stay
+    cache-sized: rows of _ENGINE_MIN_COUNTERS counters or more take
+    their words from one numpy Philox re-keyed stream by stream
+    (_stream_words), narrower ones from the vectorized kernel
+    (_philox_words).  All three share one Box-Muller.  Sample streams
+    must stay below the reserved ones.
     """
     rows, count = _block_args(master_seed, first_stream, rows, count)
     out = np.empty((rows, count), dtype=np.complex128)
@@ -238,13 +276,20 @@ def gaussian_block(master_seed: int, first_stream: int, rows: int,
         return out
     # 2 * count words per row, four per Philox counter
     blocks = np.arange(-(-count // 2))
+    bits = (_philox(SeedSpec(master_seed, first_stream))
+            if len(blocks) >= _ENGINE_MIN_COUNTERS else None)
     step = max(1, _CHUNK_COUNTERS // len(blocks))
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
-        words = _philox_words(master_seed,
-                              _streams(first_stream, np.arange(lo, hi)),
-                              blocks)
-        u = _uniforms(words.reshape(hi - lo, -1)[:, :2 * count])
+        if bits is None:
+            words = _philox_words(master_seed,
+                                  _streams(first_stream, np.arange(lo, hi)),
+                                  blocks).reshape(hi - lo, -1)
+        else:
+            words = _stream_words(bits, master_seed,
+                                  range(first_stream + lo, first_stream + hi),
+                                  2 * count)
+        u = _uniforms(words[:, :2 * count])
         out[lo:hi] = _box_muller(-np.log(u[:, 0::2]), u[:, 1::2])
     return out
 

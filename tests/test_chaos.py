@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import gibbs_dnls.chaos as chaos
+import gibbs_dnls.sampling as sampling
 from gibbs_dnls.chaos import (
     RateFit,
     TailFit,
@@ -273,6 +274,9 @@ def test_screened_conditional_tail_equals_the_unscreened_one(
 
 
 _PARTITION_LAMBDAS = [0.6, 0.8, 1.0, 1.2]
+#: a band whose blocks of 16 rows or more draw through numpy's Philox
+#: re-keyed per stream (sampling._ENGINE_MIN_COUNTERS), width 33
+_WIDE_BAND = 16
 
 
 def _partition_results():
@@ -280,6 +284,8 @@ def _partition_results():
         tail_survival(batch_l4_norm, 4, _PARTITION_LAMBDAS, 5000, 19),
         tail_survival(batch_l4_norm, 4, _PARTITION_LAMBDAS, 5000, 19,
                       kappa=1.5),
+        tail_survival(batch_l4_norm, _WIDE_BAND, [1.5, 2.0, 2.5, 3.0], 600,
+                      19),
         cauchy_rate([2, 4], 1000, 5),
     )
 
@@ -301,6 +307,12 @@ def test_block_partition_does_not_change_results(monkeypatch, cpus):
     # than the queue has slots, so its entries are runs of 2 spans and
     # the last run is short; `cpus` processes pull them from the queue
     monkeypatch.setattr(chaos, "_cpu_count", lambda: cpus)
+    assert _partition_results() == serial
+    # 17 rows per block at width 33 put the wide tail's engine in the
+    # workers (600 = 35*17 + 5)
+    assert sampling._ENGINE_MIN_COUNTERS <= _WIDE_BAND + 1
+    assert sampling._BLOCK_MIN_ROWS <= 17
+    monkeypatch.setattr(chaos, "_BLOCK_COEFFS", 33 * 17)
     assert _partition_results() == serial
     monkeypatch.setattr(chaos, "_BLOCK_COEFFS", 9 * 37)
     assert _partition_results() == serial

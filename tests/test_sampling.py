@@ -159,9 +159,10 @@ def test_philox_words_match_numpy_philox(master_seed, first_stream, rows, count)
             assert np.array_equal(words[i, j], bits.random_raw(4)), (i, j)
 
 
-# blocks of 16 rows and more go through the vectorized kernel
+# blocks of 16 rows and more go through the vectorized kernel below band
+# 15 and through numpy's Philox, re-keyed per stream, from band 15 up
 @pytest.mark.parametrize("rows", [1, 3, 15, 16, 49])
-@pytest.mark.parametrize("band", [0, 4, 32, 256])
+@pytest.mark.parametrize("band", [0, 4, 14, 15, 32, 64, 128, 256])
 def test_phi_block_both_paths_match_per_stream(rows, band):
     _assert_rows_match_streams(phi_block(2718, 11, rows, band), 2718, 11, band)
 
@@ -199,6 +200,92 @@ def test_phi_block_rows_not_a_multiple_of_the_chunk():
     count = 2 * step + 13
     assert count % step != 0
     _assert_rows_match_streams(phi_block(5, 3, count, band), 5, 3, band)
+
+
+#: the first band whose rows have _ENGINE_MIN_COUNTERS Philox counters:
+#: 2 band + 1 Gaussians take 4 band + 2 words, band + 1 counters
+ENGINE_BAND = sampling._ENGINE_MIN_COUNTERS - 1
+
+
+# the engine (numpy's Philox re-keyed per stream) and the kernel are two
+# implementations of the same words; streams above 2^63 and the seed
+# 2^64 - 1 go through the setter's conversion of Python ints to uint64
+@pytest.mark.parametrize("master_seed, first_stream", [
+    (2718, 11),
+    (TOP, 2 ** 63 + 1),
+    (2 ** 63 + 5, LAST_SAMPLE_STREAM - 299),    # ends on the last stream
+])
+@pytest.mark.parametrize("counters", [
+    sampling._ENGINE_MIN_COUNTERS - 1, sampling._ENGINE_MIN_COUNTERS, 129])
+def test_engine_words_match_the_kernel(master_seed, first_stream, counters):
+    rows = 300
+    want = sampling._philox_words(
+        master_seed, sampling._streams(first_stream, np.arange(rows)),
+        np.arange(counters)).reshape(rows, -1)
+    bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    streams = range(first_stream, first_stream + rows)
+    words = sampling._stream_words(bits, master_seed, streams, 4 * counters)
+    assert words.dtype == np.uint64
+    assert np.array_equal(words, want)
+    # an odd count of Gaussians leaves the last counter's 2 words spare
+    words = sampling._stream_words(bits, master_seed, streams,
+                                   4 * counters - 2)
+    assert np.array_equal(words, want[:, :-2])
+
+
+@pytest.mark.parametrize("master_seed, first_stream", [
+    (5, 3),
+    (TOP, 2 ** 63 + 7),
+    (2 ** 63 + 5, None),                        # ends on the last stream
+])
+@pytest.mark.parametrize("band", [ENGINE_BAND, 64])
+def test_gaussian_block_engine_matches_the_kernel_over_chunks(
+        monkeypatch, master_seed, first_stream, band):
+    count = 2 * band + 1
+    step = sampling._CHUNK_COUNTERS // (band + 1)
+    rows = 2 * step + 13                        # not a multiple of the chunk
+    if first_stream is None:
+        first_stream = LAST_SAMPLE_STREAM - rows + 1
+    engine = gaussian_block(master_seed, first_stream, rows, count)
+    monkeypatch.setattr(sampling, "_ENGINE_MIN_COUNTERS", count + 1)
+    kernel = gaussian_block(master_seed, first_stream, rows, count)
+    assert np.array_equal(_bits(engine), _bits(kernel))
+
+
+def _count_calls(monkeypatch, name, streams_at):
+    """Each call of sampling.<name> from now on appends the length of its
+    positional argument streams_at, its streams, to the list returned,
+    and then runs."""
+    calls = []
+    fn = getattr(sampling, name)
+
+    def counting(*args):
+        calls.append(len(args[streams_at]))
+        return fn(*args)
+
+    monkeypatch.setattr(sampling, name, counting)
+    return calls
+
+
+def test_gaussian_block_takes_the_engine_from_the_threshold(monkeypatch):
+    kernel = _count_calls(monkeypatch, "_philox_words", 1)
+    engine = _count_calls(monkeypatch, "_stream_words", 2)
+    # three chunks at both bands
+    rows = 2 * (sampling._CHUNK_COUNTERS // ENGINE_BAND) + 1
+    phi_block(3, 0, rows, ENGINE_BAND)
+    assert kernel == [] and len(engine) == 3 and sum(engine) == rows
+    engine.clear()
+    phi_block(3, 0, rows, ENGINE_BAND - 1)
+    assert engine == [] and len(kernel) == 3 and sum(kernel) == rows
+
+
+@pytest.mark.parametrize("band", [0, 4, ENGINE_BAND, 32, 64, 128])
+def test_phi_block_in_ball_never_takes_the_engine(monkeypatch, band):
+    engine = _count_calls(monkeypatch, "_stream_words", 2)
+    kernel = _count_calls(monkeypatch, "_philox_words", 1)
+    for radius in (0.5, 1.0, 1e3):
+        phi_block_in_ball(8, 0, 40, band, radius)
+    assert engine == [] and kernel
 
 
 @pytest.mark.parametrize("rows", [3, 16])
