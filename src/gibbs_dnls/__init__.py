@@ -49,7 +49,6 @@ from .chaos import (
 )
 from .flow import (
     FlowState,
-    IntegratorConfig,
     apply_K,
     evolve,
     gauge_transform,
@@ -103,7 +102,6 @@ __all__ = [
     "tail_survival",
     "y3_sum",
     "FlowState",
-    "IntegratorConfig",
     "apply_K",
     "evolve",
     "gauge_transform",

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observables import batch_f_quartic, batch_mass, batch_X
+from .observables import _finite_values, batch_f_quartic, batch_mass, batch_X
 from .spectral import _integer, _project, _real
 from .sampling import (
-    _BOOTSTRAP_RESAMPLES,
     _TABLE_INDEX_STREAM,
     _TABLE_VALUE_STREAM,
     SeedSpec,
@@ -136,7 +135,8 @@ def chaos_ratio(k: int, d: int, coeffs: dict, p: float, sample_count: int,
     entries in 1..d) of coeffs[idx] * g_{n_1} ... g_{n_k} with iid complex
     standard Gaussians g.  Returns (ratio, bound) with
     bound = sqrt(k+1) * (p-1)^{k/2}; the ratio can exceed the bound only
-    by Monte Carlo noise.
+    by Monte Carlo noise.  A table with a non-finite coefficient, or with
+    none but zeros (S = 0 has no ratio), is refused.
     """
     k = _integer("k", k, 1)
     d = _integer("d", d, 1)
@@ -144,13 +144,17 @@ def chaos_ratio(k: int, d: int, coeffs: dict, p: float, sample_count: int,
     if not coeffs:
         raise ValueError("empty coefficient table")
     p = _real("p", p, at_least=2)
-    for idx in coeffs:
+    for idx, c in coeffs.items():
+        if not np.isfinite(complex(c)):
+            raise ValueError(f"coefficient {c!r} of {idx} is not finite")
         if len(idx) != k:
             raise ValueError(f"multi-index {idx} does not have length {k}")
         if any(not 1 <= m <= d for m in idx):
             raise ValueError(f"multi-index {idx} outside 1..{d}")
         if any(a > b for a, b in zip(idx, idx[1:])):
             raise ValueError(f"multi-index {idx} is not non-decreasing")
+    if not any(coeffs.values()):
+        raise ValueError("every coefficient is zero: S = 0 has no L^p/L^2 ratio")
     g = sample_gaussian(SeedSpec(seed, 0), count * d).reshape(count, d)
     S = np.zeros(count, dtype=np.complex128)
     for idx, c in coeffs.items():
@@ -165,20 +169,23 @@ def chaos_ratio(k: int, d: int, coeffs: dict, p: float, sample_count: int,
     return lp / l2, bound
 
 
-def random_coeff_table(k: int, d: int, terms: int, seed: int) -> dict:
+#: multi-indices random_coeff_table draws per table
+_TABLE_TERMS = 8
+
+
+def random_coeff_table(k: int, d: int, seed: int) -> dict:
     """Deterministic random coefficient table for chaos_ratio.
 
-    Draws `terms` ordered multi-indices of length k with entries in 1..d
-    and complex Gaussian coefficients, both from reserved counter streams
-    of the master seed, so tables are reproducible and independent of the
-    evaluation samples.  Colliding indices accumulate.
+    Draws _TABLE_TERMS ordered multi-indices of length k with entries in
+    1..d and complex Gaussian coefficients, both from reserved counter
+    streams of the master seed, so tables are reproducible and
+    independent of the evaluation samples.  Colliding indices accumulate.
     """
     k = _integer("k", k, 1)
     d = _integer("d", d, 1)
-    terms = _integer("terms", terms, 1)
-    u = _raw_uniforms(SeedSpec(seed, _TABLE_INDEX_STREAM), terms * k)
-    digits = np.minimum(np.floor(u * d).astype(int) + 1, d).reshape(terms, k)
-    values = sample_gaussian(SeedSpec(seed, _TABLE_VALUE_STREAM), terms)
+    u = _raw_uniforms(SeedSpec(seed, _TABLE_INDEX_STREAM), _TABLE_TERMS * k)
+    digits = np.minimum(np.floor(u * d).astype(int) + 1, d).reshape(-1, k)
+    values = sample_gaussian(SeedSpec(seed, _TABLE_VALUE_STREAM), _TABLE_TERMS)
     table: dict = {}
     for row, val in zip(digits, values):
         idx = tuple(sorted(int(m) for m in row))
@@ -194,12 +201,12 @@ def _pair_sums(n: np.ndarray, a: np.ndarray) -> complex:
     return 2j * (2.0 * sna * sa - 2.0 * diag)
 
 
-def f_decompose(N: int, seed) -> tuple:
+def f_decompose(N: int, seed: int) -> tuple:
     """Split the quartic sum of one Gaussian draw into its chaos pieces.
 
-    For the draw phi_N(seed) with c_n = g_n/<n>, the full convolution sum
-    i * f_N splits over index quadruples (n_1, n_2, m_1, m_2) with
-    m_1 + m_2 = n_1 + n_2 into
+    For the draw sample_phi(N, SeedSpec(seed, 0)), c_n = g_n/<n>, the
+    full convolution sum i * f_N splits over index quadruples
+    (n_1, n_2, m_1, m_2) with m_1 + m_2 = n_1 + n_2 into
 
       S1: quadruples where {m_1, m_2} = {n_1, n_2} as multisets,
       S2: everything else (computed here as an explicit lattice sum,
@@ -215,9 +222,7 @@ def f_decompose(N: int, seed) -> tuple:
     Returns (S1, S2, X, Y1, Y2); S1 + S2 = i * f_N(draw).
     """
     N = _integer("N", N, 0)
-    if not isinstance(seed, SeedSpec):
-        seed = SeedSpec(seed, 0)
-    u = sample_phi(N, seed)
+    u = sample_phi(N, SeedSpec(seed, 0))
     c = u.coeffs
     n = np.arange(-N, N + 1, dtype=np.float64)
     a = c.real ** 2 + c.imag ** 2          # |c_n|^2
@@ -497,10 +502,10 @@ def cauchy_rate(bands, sample_count: int, seed: int,
     For each N the same Gaussian draw at band 2N is evaluated at both
     truncations (restriction Pi_N), the root mean square of the
     difference estimates the norm, and the log-log slope over the bands
-    is fitted with a bootstrap confidence interval: each of the
-    _BOOTSTRAP_RESAMPLES resamples of the sample indices, shared by all
-    bands, gives one slope.  mode selects the full functional or only
-    its diagonal X part.  The (band, block) spans of the squared
+    is fitted with a bootstrap confidence interval: each resample of the
+    sample indices (bootstrap_counts), shared by all bands, gives one
+    slope.  mode selects the full functional or only its diagonal X
+    part.  The (band, block) spans of the squared
     differences are pulled from one shared queue by one forked process
     per CPU (_map_blocks); the fits and the bootstrap run here.
     """
@@ -534,8 +539,7 @@ def cauchy_rate(bands, sample_count: int, seed: int,
     logb = np.log(np.asarray(bands, dtype=np.float64))
     slope = float(np.polyfit(logb, np.log(values), 1)[0])
 
-    counts = bootstrap_counts(seed, count, _BOOTSTRAP_RESAMPLES,
-                              np.arange(count))
+    counts = bootstrap_counts(seed, count, np.arange(count))
     # one column per resample: polyfit fits every column at once
     rms = np.sqrt([(counts * d2).sum(axis=1) / count for d2 in sq_diffs])
     slopes = np.polyfit(logb, np.log(rms), 1)[0]
@@ -585,7 +589,9 @@ def tail_survival(observable, N: int, lambdas, sample_count: int, seed: int,
     integers.  A cutoff radius kappa conditions on the L^2 ball: the
     rows of phi_block with batch_mass at most kappa are kept, drawn by
     phi_block_in_ball, which screens rows before building them.  theta
-    in {1/2, 1, 2} selects the candidate tail shape.
+    in {1/2, 1, 2} selects the candidate tail shape.  A value that is not
+    finite raises ValueError naming the observable (its __name__) and the
+    stream of the sample.
     """
     lambdas = np.asarray(sorted(_real("lambdas", x) for x in lambdas))
     if len(lambdas) < 2:
@@ -597,18 +603,21 @@ def tail_survival(observable, N: int, lambdas, sample_count: int, seed: int,
         kappa = _real("kappa", kappa, above=0)
     N = _integer("N", N, 0)
     count = _integer("sample_count", sample_count, 1)
+    name = getattr(observable, "__name__", repr(observable))
 
     def block(span):
         lo, hi = span
         if kappa is None:
             rows = phi_block(seed, lo, hi - lo, N)
+            streams = range(lo, hi)
         else:
-            rows = phi_block_in_ball(seed, lo, hi - lo, N, kappa)[1]
-            rows = rows[batch_mass(rows) <= kappa]
+            index, rows = phi_block_in_ball(seed, lo, hi - lo, N, kappa)
+            inside = batch_mass(rows) <= kappa
+            rows, streams = rows[inside], lo + index[inside]
             if rows.shape[0] == 0:
                 return 0, 0
         # one sort per block, then positions of the thresholds
-        vals = np.sort(observable(rows))
+        vals = np.sort(_finite_values(name, observable(rows), streams))
         above = len(vals) - np.searchsorted(vals, lambdas, side="right")
         return len(vals), above
 

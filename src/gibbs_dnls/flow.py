@@ -7,12 +7,12 @@ the variational derivatives of the two-field Hamiltonian
     H(u, v) = int u'v' + (3/4) i int v^2 (u^2)' + 1/2 int u^3 v^3.
 
 On the physical slice v = conj(u) this is the dynamics whose invariant
-measure the density module describes.  The right-hand side is built two
-ways: as the literal composition K(grad H) (the source of truth) and as
-the expanded single-equation form with its projection remainder
-(cross-validation only).  The integrator runs the composition on
-coefficient matrices, one field per row (batch_rhs_hamiltonian), so a
-whole ensemble moves through one RK4 loop; the FourierCoeffs versions
+measure observables.batch_density_G weighs.  The right-hand side is
+built two ways: as the literal composition K(grad H) (the source of
+truth) and as the expanded single-equation form with its projection
+remainder (cross-validation only).  The integrator runs the composition
+on coefficient matrices, one field per row (batch_rhs_hamiltonian), so
+a whole ensemble moves through one RK4 loop; the FourierCoeffs versions
 stay as the reference it is tested against.
 """
 
@@ -40,9 +40,9 @@ from .spectral import (
     project,
 )
 from .functionals import energy, gauge_F, mass
-from .observables import batch_density_G, batch_mass, batch_multiply
+from .observables import (_finite_values, batch_density_G, batch_mass,
+                          batch_multiply)
 from .sampling import (
-    _BOOTSTRAP_RESAMPLES,
     SeedSpec,
     _bootstrap_chunk,
     _bootstrap_starts,
@@ -53,7 +53,6 @@ from .chaos import _map_phases
 
 __all__ = [
     "FlowState",
-    "IntegratorConfig",
     "variational_derivatives",
     "apply_K",
     "rhs_hamiltonian",
@@ -72,26 +71,6 @@ class FlowState:
     u: FourierCoeffs
     t: float
     invariants_log: dict
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Fixed-step RK4 integrator settings.
-
-    max_drift bounds the allowed |mass(t) - mass(0)|; the run aborts when
-    the integrator error grows past it.  Both must be finite and positive
-    real numbers (spectral._real), and are kept as floats: an infinite
-    step takes no steps at all, and a NaN or negative bound would switch
-    the guard off or trip it at once.
-    """
-
-    step: float
-    max_drift: float = 1e-6
-
-    def __post_init__(self):
-        for name in ("step", "max_drift"):
-            object.__setattr__(self, name,
-                               _real(name, getattr(self, name), above=0))
 
 
 def variational_derivatives(u: FourierCoeffs, v: FourierCoeffs) -> tuple:
@@ -276,37 +255,44 @@ def _step_sizes(T: float, step: float) -> list:
     return [h] * n_full + ([rem] if abs(rem) > 1e-12 * max(1.0, abs(T)) else [])
 
 
-def _trajectory(rows: np.ndarray, steps: list, config: IntegratorConfig,
+def _trajectory(rows: np.ndarray, steps: list, max_drift: float,
                 streams=None):
     """Yield (t, rows) after each RK4 step of every row, one step per
     entry of steps (_step_sizes).
 
-    Checks finiteness and the mass drift of every row after every step.
+    Checks finiteness and the mass drift of every row, against max_drift,
+    after every step.
     """
     mass0 = batch_mass(rows)
     t = 0.0
     for h in steps:
         rows = _rk4(rows, h)
         t += h
-        _check(rows, t, mass0, config.max_drift, streams)
+        _check(rows, t, mass0, max_drift, streams)
         yield t, rows
 
 
-def evolve(u0: FourierCoeffs, N: int, T: float, config: IntegratorConfig) -> list:
-    """Fixed-step trajectory from 0 to T (T < 0 integrates backward).
+def evolve(u0: FourierCoeffs, N: int, T: float, step: float,
+           max_drift: float = 1e-6) -> list:
+    """Fixed-step RK4 trajectory from 0 to T (T < 0 integrates backward).
 
     Aborts with the offending time if the mass drifts further than
-    config.max_drift from its initial value after any step, the trailing
+    max_drift from its initial value after any step, the trailing
     fractional step (covering T not divisible by the step) included.
-    A T that is no finite real number is refused before anything is
-    computed.
+    step and max_drift must be finite and positive real numbers
+    (spectral._real): an infinite step takes no steps at all, and a NaN
+    or negative bound would switch the guard off or trip it at once.
+    These and a T that is no finite real number are refused before
+    anything is computed.
     """
-    steps = _step_sizes(T, config.step)
+    step = _real("step", step, above=0)
+    max_drift = _real("max_drift", max_drift, above=0)
+    steps = _step_sizes(T, step)
     N = _integer("N", N, 0)
     grid = QuadratureGrid.for_degree(6 * N)
     u0 = project(u0, N)
     traj = [FlowState(u0, 0.0, _log_invariants(u0, grid))]
-    for t, rows in _trajectory(u0.coeffs[None, :], steps, config):
+    for t, rows in _trajectory(u0.coeffs[None, :], steps, max_drift):
         u = FourierCoeffs(N, rows[0])
         traj.append(FlowState(u, t, _log_invariants(u, grid)))
     return traj
@@ -352,19 +338,6 @@ def _weighted_se(counts: np.ndarray, denom: np.ndarray,
     return float(np.std(reps, ddof=1)) if len(reps) > 1 else 0.0
 
 
-def _finite_values(name, vals, streams) -> np.ndarray:
-    """vals as float64; ValueError naming the observable if one is not finite.
-
-    streams[i] is the stream that value i was computed from.
-    """
-    vals = np.asarray(vals, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if len(bad):
-        raise ValueError(f"observable {name!r} is {vals[bad[0]]} on the "
-                         f"sample of stream {streams[bad[0]]}")
-    return vals
-
-
 def invariance_experiment(N: int, kappa: float, t: float, count: int,
                           seed: int, observables: dict,
                           step_size: float = 0.005) -> dict:
@@ -388,8 +361,9 @@ def invariance_experiment(N: int, kappa: float, t: float, count: int,
     phi_block_in_ball keeps in the kappa ball, and the rest weigh 0, as
     the density would give them.  This process then combines them,
     raises the errors below, and sends the live indices to the workers.
-    In phase 2 it runs the whole-ensemble flow, where its drift and
-    non-finite errors are raised and whose moved rows never leave it,
+    In phase 2 it runs the whole-ensemble flow, where its errors (a row
+    that goes non-finite or drifts in mass by more than 1e-5) are raised
+    and whose moved rows never leave it,
     while the workers draw the bootstrap's resample chunks; every
     process pulls chunks from one shared queue, as the tail and
     Cauchy-rate blocks do, until none is left, and sends them back as
@@ -407,9 +381,7 @@ def invariance_experiment(N: int, kappa: float, t: float, count: int,
     SeedSpec(seed, 0)                   # a Philox key word, before any fork
     kappa = _real("kappa", kappa, above=0)
     t = _real("t", t)
-    config = IntegratorConfig(step=_real("step_size", step_size, above=0),
-                              max_drift=1e-5)
-    steps = _step_sizes(t, config.step)
+    steps = _step_sizes(t, _real("step_size", step_size, above=0))
 
     def draw(shard, shards):                    # phase 1, on every process
         lo, hi = count * shard // shards, count * (shard + 1) // shards
@@ -434,17 +406,16 @@ def invariance_experiment(N: int, kappa: float, t: float, count: int,
         broadcast(live)                 # the workers start on the chunks
         start = np.concatenate([rows for _, rows in drawn])
         moved = start
-        for _, moved in _trajectory(start, steps, config, streams=live):
+        for _, moved in _trajectory(start, steps, 1e-5, streams=live):
             pass
         return w, total, ess, live, start, moved
 
     def chunk(live, lo):                        # phase 2, on every process
         # sent here as int32: no entry exceeds count < 2^31
-        return _bootstrap_chunk(seed, count, _BOOTSTRAP_RESAMPLES,
-                                live, lo).astype(np.int32)
+        return _bootstrap_chunk(seed, count, live, lo).astype(np.int32)
 
     (w, total, ess, live, start, moved), chunks = _map_phases(
-        draw, weigh_and_flow, chunk, _bootstrap_starts(_BOOTSTRAP_RESAMPLES))
+        draw, weigh_and_flow, chunk, _bootstrap_starts())
     counts = np.concatenate(chunks, dtype=np.int64)
     report = {
         "band": N,

@@ -4,9 +4,9 @@ Experiments are described by small JSON configs ({"experiment": name,
 "parameters": {...}}), validated against per-experiment schemas that
 reject unknown keys and list every violation at once, then dispatched
 to the library modules.  Each parameter is checked on its own; what a
-config cannot set (chaos batches and table size, the tail fit's r^2
-floor, the density-difference thresholds, the invariance observables)
-is a constant of its runner.  Each run produces a RunRecord: config echo,
+config cannot set (chaos batches, the tail fit's r^2 floor, the
+density-difference thresholds, the invariance observables) is a
+constant of its runner.  Each run produces a RunRecord: config echo,
 generator name, result payload, pass/fail verdicts, and CSV side tables
 whose bytes are deterministic for a given config.
 """
@@ -61,7 +61,7 @@ from .chaos import (
     random_coeff_table,
     tail_survival,
 )
-from .flow import IntegratorConfig, evolve, invariance_experiment
+from .flow import evolve, invariance_experiment
 
 __all__ = [
     "ConfigError",
@@ -193,10 +193,9 @@ _TAIL_OBSERVABLES = {
 }
 
 #: chaos runs: batches of count // batches samples, batch j under master
-#: seed seed + 1 + j, on a coefficient table of this many terms drawn
-#: from seed's reserved streams
+#: seed seed + 1 + j, on one coefficient table drawn from seed's
+#: reserved streams
 _CHAOS_BATCHES = 10
-_CHAOS_TERMS = 8
 
 #: thresholds e of the gn_lp table's fractions P(|G_2N - G_N| > e)
 _EPS_GRID = (0.001, 0.01, 0.1)
@@ -414,7 +413,7 @@ def _run_cauchy(p: dict):
 
 
 def _run_chaos(p: dict):
-    table = random_coeff_table(p["k"], p["d"], _CHAOS_TERMS, p["seed"])
+    table = random_coeff_table(p["k"], p["d"], p["seed"])
     per_batch = p["count"] // _CHAOS_BATCHES
     ratios = []
     bound = None
@@ -488,8 +487,7 @@ def _run_flow(p: dict):
     N = p["N"]
     draw = sample_phi(N, SeedSpec(p["u0_seed"], 0))
     u0 = draw.scale(p["u0_norm"] / mass(draw))
-    config = IntegratorConfig(step=p["h"], max_drift=p["max_drift"])
-    traj = evolve(u0, N, p["T"], config)
+    traj = evolve(u0, N, p["T"], p["h"], p["max_drift"])
     logs = [st.invariants_log for st in traj]
     mass0 = logs[0]["mass"]
     en0 = logs[0]["energy"]

@@ -51,6 +51,19 @@ def chi(x, kappa: float):
     return out if out.ndim else float(out)
 
 
+def _finite_values(name, vals, streams) -> np.ndarray:
+    """vals as float64; ValueError naming the observable if one is not finite.
+
+    streams[i] is the stream that value i was computed from.
+    """
+    vals = np.asarray(vals, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if len(bad):
+        raise ValueError(f"observable {name!r} is {vals[bad[0]]} on the "
+                         f"sample of stream {streams[bad[0]]}")
+    return vals
+
+
 #: largest exponent the density will feed to exp() before declaring a fault
 _EXP_CAP = 700.0
 

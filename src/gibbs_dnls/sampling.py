@@ -457,9 +457,9 @@ def phi_block_in_ball(master_seed: int, first_stream: int, rows: int,
     return np.concatenate(index), np.concatenate(coeffs)
 
 
-def bootstrap_counts(master_seed: int, count: int, resamples: int,
-                     live) -> np.ndarray:
-    """resamples x len(live) matrix: how often each live sample is drawn.
+def bootstrap_counts(master_seed: int, count: int, live) -> np.ndarray:
+    """_BOOTSTRAP_RESAMPLES x len(live) matrix: how often each live sample
+    is drawn.
 
     The one definition of the bootstrap: resample after resample, each
     of the count draws is sample min(floor(u * count), count - 1) for
@@ -472,24 +472,22 @@ def bootstrap_counts(master_seed: int, count: int, resamples: int,
     which can also draw any one chunk alone, in another process.
     """
     count = _integer("count", count, 1)
-    resamples = _integer("resamples", resamples, 1)
     live = np.asarray(live, dtype=np.int64)
     if live.size and not (0 <= live.min() and live.max() < count):
         raise ValueError(f"live indices must lie in 0 .. {count - 1}")
     if len(np.unique(live)) != live.size:
         raise ValueError("live indices must be distinct")
-    return np.concatenate([_bootstrap_chunk(master_seed, count, resamples,
-                                            live, lo)
-                           for lo in _bootstrap_starts(resamples)])
+    return np.concatenate([_bootstrap_chunk(master_seed, count, live, lo)
+                           for lo in _bootstrap_starts()])
 
 
-def _bootstrap_starts(resamples: int) -> range:
+def _bootstrap_starts() -> range:
     """The first resample of each chunk of bootstrap_counts' matrix."""
-    return range(0, resamples, _BOOTSTRAP_CHUNK)
+    return range(0, _BOOTSTRAP_RESAMPLES, _BOOTSTRAP_CHUNK)
 
 
-def _bootstrap_chunk(master_seed: int, count: int, resamples: int,
-                     live: np.ndarray, lo: int) -> np.ndarray:
+def _bootstrap_chunk(master_seed: int, count: int, live: np.ndarray,
+                     lo: int) -> np.ndarray:
     """Rows lo .. lo + _BOOTSTRAP_CHUNK - 1 of bootstrap_counts' matrix.
 
     Fewer rows where the matrix ends.  The draws come from a fresh
@@ -500,7 +498,7 @@ def _bootstrap_chunk(master_seed: int, count: int, resamples: int,
     that np.concatenate builds from the chunks: the resample sums run
     along its rows, and their bits depend on the layout.
     """
-    rows = min(_BOOTSTRAP_CHUNK, resamples - lo)
+    rows = min(_BOOTSTRAP_CHUNK, _BOOTSTRAP_RESAMPLES - lo)
     start = lo * count
     bits = _philox(SeedSpec(master_seed, RESERVED_STREAM))
     bits.advance(start // 4)            # four words per Philox counter

@@ -310,15 +310,13 @@ def pairing_bilinear(f: FourierCoeffs, g: FourierCoeffs) -> complex:
 
 
 def lp_norm(u: FourierCoeffs, p, grid: QuadratureGrid) -> float:
-    """L^p norm under the normalized measure; grid max for p = inf.
+    """L^p norm under the normalized measure, for finite p >= 1.
 
     For even integer p the node mean of |u|^p is exact provided
     grid.size > p * band (the integrand is a trig polynomial of degree
     p * band).  Too-coarse grids are rejected for even p; other p are
     grid approximations, as close as the grid is dense.
     """
-    if p == math.inf:
-        return float(np.max(np.abs(u.evaluate(grid.nodes))))
     p = _real("p", p, at_least=1)
     if p % 2 == 0 and grid.size <= p * u.band:
         raise ValueError(

@@ -52,7 +52,6 @@ from gibbs_dnls.chaos import (
     y3_sum,
 )
 from gibbs_dnls.flow import (
-    IntegratorConfig,
     apply_K,
     evolve,
     gauge_transform,
@@ -73,7 +72,7 @@ def reference_trajectory():
     """N=8 flow at amplitude 0.1 over T=1 with h=1e-3; shared by 10 and 12."""
     u0 = sample_phi(8, SeedSpec(3, 0))
     u0 = u0.scale(0.1 / mass(u0))
-    return evolve(u0, 8, 1.0, IntegratorConfig(step=1e-3))
+    return evolve(u0, 8, 1.0, 1e-3)
 
 
 # -- 1: spectral vs quadrature oracle ----------------------------------------
@@ -214,7 +213,7 @@ def _batched_ratio(k, d, table, p, batches, per_batch, seed0):
 def test_criterion_05_chaos_ratios(acceptance_report):
     margins = []
     for k in (1, 2, 3):
-        table = random_coeff_table(k, 16, 8, 550 + k)
+        table = random_coeff_table(k, 16, 550 + k)
         for p in (4.0, 6.0):
             mean, se = _batched_ratio(k, 16, table, p, 10, 10000, 700 + k)
             bound = math.sqrt(k + 1) * (p - 1.0) ** (k / 2.0)
@@ -416,15 +415,14 @@ def test_criterion_10_conservation(acceptance_report, reference_trajectory):
     hs = (2e-3, 1e-3, 5e-4)
     m_drifts, e_drifts = [], []
     for h in hs:
-        traj = evolve(u0, 8, 1.0, IntegratorConfig(step=h))
+        traj = evolve(u0, 8, 1.0, h)
         ls = [st.invariants_log for st in traj]
         m_drifts.append(max(abs(l["mass"] - ls[0]["mass"]) for l in ls))
         e_drifts.append(max(abs(l["energy"] - ls[0]["energy"]) for l in ls))
     slope_m = float(np.polyfit(np.log(hs), np.log(m_drifts), 1)[0])
     slope_e = float(np.polyfit(np.log(hs), np.log(e_drifts), 1)[0])
 
-    single = evolve(FourierCoeffs.from_pairs({1: 0.3}), 8, 1.0,
-                    IntegratorConfig(step=1e-3))
+    single = evolve(FourierCoeffs.from_pairs({1: 0.3}), 8, 1.0, 1e-3)
     mode_drift = max(abs(abs(st.u.coeff(1)) - 0.3) for st in single)
     pure = all(st.u.coeff(n) == 0
                for st in single for n in range(-8, 9) if n != 1)

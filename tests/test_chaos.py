@@ -71,6 +71,17 @@ def test_chaos_ratio_refuses_a_non_finite_p():
             chaos_ratio(1, 4, {(1,): 1.0}, p, 100, 1)
 
 
+def test_chaos_ratio_refuses_a_corrupt_table():
+    # a nan coefficient gave (nan, 2.449...), and a table of zeros raised
+    # ZeroDivisionError
+    for bad in (math.nan, complex(0.0, math.inf)):
+        with pytest.raises(ValueError, match=r"^coefficient .+ of \(2,\) "
+                                             r"is not finite$"):
+            chaos_ratio(1, 2, {(1,): 1.0, (2,): bad}, 4.0, 100, 1)
+    with pytest.raises(ValueError, match="^every coefficient is zero"):
+        chaos_ratio(1, 2, {(1,): 0.0, (2,): 0j}, 4.0, 100, 1)
+
+
 def _ratio_stats(k, d, table, p, seeds, count=50000):
     vals = [chaos_ratio(k, d, table, p, count, s)[0] for s in seeds]
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
@@ -101,17 +112,17 @@ def test_chaos_bound_value():
 
 
 def test_random_coeff_table():
-    t1 = random_coeff_table(2, 8, 12, 77)
-    t2 = random_coeff_table(2, 8, 12, 77)
+    t1 = random_coeff_table(2, 8, 77)
+    t2 = random_coeff_table(2, 8, 77)
     assert t1 == t2
-    assert 1 <= len(t1) <= 12
+    assert 1 <= len(t1) <= chaos._TABLE_TERMS == 8
     for idx in t1:
         assert len(idx) == 2
         assert all(1 <= m <= 8 for m in idx)
         assert idx[0] <= idx[1]
-    assert random_coeff_table(2, 8, 12, 78) != t1
+    assert random_coeff_table(2, 8, 78) != t1
     with pytest.raises(ValueError):
-        random_coeff_table(0, 8, 12, 1)
+        random_coeff_table(0, 8, 1)
 
 
 # --- quartic decomposition -------------------------------------------------
@@ -182,7 +193,8 @@ def test_cauchy_rate_fit_shape():
 def test_cauchy_rate_matches_index_bootstrap():
     # the fit rebuilt with a resample index matrix: each resample gathers
     # its squared differences by index and gets its own polyfit
-    bands, count, seed, resamples = [2, 4, 8], 300, 5, 200
+    bands, count, seed = [2, 4, 8], 300, 5
+    resamples = sampling._BOOTSTRAP_RESAMPLES
     fit = cauchy_rate(bands, count, seed)
     sq_diffs = []
     for j, N in enumerate(bands):
@@ -574,6 +586,27 @@ def test_tail_survival_errors():
         tail_survival(batch_mass, 2, [1.0], 2000, 3)
     with pytest.raises(ValueError):
         tail_survival(batch_mass, 2, [0.5, 1.0], 2000, 3, theta=3.0)
+
+
+@pytest.mark.parametrize("kappa", [None, 1.5])
+def test_tail_survival_refuses_non_finite_values(kappa):
+    # nan on every 7th row counted as an exceedance of every threshold:
+    # with nan from row 0, counts (4998, 4915, 4637, 4025) out of 5000
+    # instead of (4998, 4900, 4567, 3852)
+    def every_7th_nan(rows):
+        v = batch_mass(rows)
+        v[3::7] = np.nan
+        return v
+
+    streams = np.arange(5000)
+    if kappa is not None:          # the value's stream, not its row
+        streams = streams[batch_mass(phi_block(3, 0, 5000, 2)) <= kappa]
+        assert streams[3] != 3
+    with pytest.raises(ValueError, match=rf"^observable 'every_7th_nan' is "
+                                         rf"nan on the sample of stream "
+                                         rf"{streams[3]}$"):
+        tail_survival(every_7th_nan, 2, [0.5, 0.8, 1.0, 1.2], 5000, 3,
+                      kappa=kappa)
 
 
 def test_tail_survival_refuses_a_non_finite_threshold():

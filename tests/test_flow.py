@@ -17,7 +17,6 @@ from gibbs_dnls.spectral import (
 )
 from gibbs_dnls.functionals import hamiltonian_H2, mass
 from gibbs_dnls.flow import (
-    IntegratorConfig,
     apply_K,
     batch_rhs_hamiltonian,
     evolve,
@@ -188,25 +187,26 @@ def test_rhs_expanded_single_mode_correction_vanishes():
 
 # --- integration -----------------------------------------------------------
 
-def test_integrator_config_validation():
+def test_evolve_validates_step_and_max_drift():
     inf, nan = float("inf"), float("nan")
-    for kwargs in (
-        {"step": 0.0},
-        {"step": -1e-3},
-        {"step": inf},                      # 0 * inf: evolve takes no step
-        {"step": nan},
-        {"step": 1e-3, "max_drift": nan},   # the guard silently off
-        {"step": 1e-3, "max_drift": -1.0},  # trips at the first step
-        {"step": 1e-3, "max_drift": 0.0},
-        {"step": 1e-3, "max_drift": inf},
+    u0 = draw(41, 8, scale=0.1)
+    for step, max_drift, name in (
+        (0.0, 1e-6, "step"),
+        (-1e-3, 1e-6, "step"),
+        (inf, 1e-6, "step"),            # 0 * inf: evolve takes no step
+        (nan, 1e-6, "step"),
+        (1e-3, nan, "max_drift"),       # the guard silently off
+        (1e-3, -1.0, "max_drift"),      # trips at the first step
+        (1e-3, 0.0, "max_drift"),
+        (1e-3, inf, "max_drift"),
     ):
-        with pytest.raises(ValueError):
-            IntegratorConfig(**kwargs)
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            evolve(u0, 8, 0.1, step, max_drift)
 
 
 def test_evolve_zero_time():
     u0 = draw(41, 8, scale=0.1)
-    traj = evolve(u0, 8, 0.0, IntegratorConfig(step=1e-3))
+    traj = evolve(u0, 8, 0.0, 1e-3)
     assert len(traj) == 1
     assert traj[0].t == 0.0
     assert np.array_equal(traj[0].u.coeffs, project(u0, 8).coeffs)
@@ -214,14 +214,14 @@ def test_evolve_zero_time():
 
 def test_evolve_fractional_final_step():
     u0 = draw(41, 4, scale=0.1)
-    traj = evolve(u0, 4, 0.0505, IntegratorConfig(step=0.01))
+    traj = evolve(u0, 4, 0.0505, 0.01)
     assert traj[-1].t == pytest.approx(0.0505, abs=1e-15)
     assert len(traj) == 7  # 5 full steps, one fractional
 
 
 def test_evolve_conservation_short():
     u0 = draw(3, 8, scale=0.1)
-    traj = evolve(u0, 8, 0.1, IntegratorConfig(step=1e-3))
+    traj = evolve(u0, 8, 0.1, 1e-3)
     logs = [st.invariants_log for st in traj]
     mass_drift = max(abs(l["mass"] - logs[0]["mass"]) for l in logs)
     energy_drift = max(abs(l["energy"] - logs[0]["energy"]) for l in logs)
@@ -232,7 +232,7 @@ def test_evolve_conservation_short():
 def test_evolve_drift_abort_names_time():
     u0 = draw(3, 8, scale=0.5)
     with pytest.raises(RuntimeError, match="t ="):
-        evolve(u0, 8, 1.0, IntegratorConfig(step=1e-2, max_drift=1e-18))
+        evolve(u0, 8, 1.0, 1e-2, max_drift=1e-18)
 
 
 @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
@@ -247,28 +247,27 @@ def test_evolve_refuses_non_finite_time(T, monkeypatch):
     monkeypatch.setattr(flow, "project", None)
     monkeypatch.setattr(flow, "QuadratureGrid", None)
     with pytest.raises(ValueError, match=f"^T must be finite, got {T}$"):
-        evolve(draw(3, 8, scale=0.5), 8, T, IntegratorConfig(step=1e-2))
+        evolve(draw(3, 8, scale=0.5), 8, T, 1e-2)
 
 
 def test_evolve_fractional_step_checks_drift():
     # T below one step: the only step is the trailing fractional one
     u0 = draw(3, 8, scale=0.5)
     with pytest.raises(RuntimeError, match="t ="):
-        evolve(u0, 8, 0.005, IntegratorConfig(step=1e-2, max_drift=1e-18))
+        evolve(u0, 8, 0.005, 1e-2, max_drift=1e-18)
 
 
 def test_evolve_backward_returns():
     u0 = draw(3, 8, scale=0.1)
-    cfg = IntegratorConfig(step=1e-3)
-    fwd = evolve(u0, 8, 0.5, cfg)
-    back = evolve(fwd[-1].u, 8, -0.5, cfg)
+    fwd = evolve(u0, 8, 0.5, 1e-3)
+    back = evolve(fwd[-1].u, 8, -0.5, 1e-3)
     assert back[-1].t == pytest.approx(-0.5)
     gap = np.max(np.abs(back[-1].u.coeffs - project(u0, 8).coeffs))
     assert gap <= 1e-6
 
 
 def test_single_mode_invariant_manifold():
-    traj = evolve(E1.scale(0.3), 8, 1.0, IntegratorConfig(step=1e-3))
+    traj = evolve(E1.scale(0.3), 8, 1.0, 1e-3)
     final = traj[-1].u
     for n in range(-8, 9):
         if n != 1:
@@ -281,7 +280,7 @@ def test_single_mode_invariant_manifold():
 
 def test_gauge_identities():
     u0 = draw(3, 8, scale=0.3)
-    traj = evolve(u0, 8, 0.5, IntegratorConfig(step=1e-3, max_drift=1e-7))
+    traj = evolve(u0, 8, 0.5, 1e-3, max_drift=1e-7)
     vtraj = gauge_transform(traj)
     assert np.array_equal(vtraj[0].u.coeffs, traj[0].u.coeffs)
     for st, vt in zip(traj, vtraj):
@@ -414,7 +413,7 @@ def test_invariance_drift_names_stream():
     stream = int(str(exc.value).split()[-1])
     u0 = FourierCoeffs(4, phi_block(2046, stream, 1, 4)[0])
     with pytest.raises(RuntimeError, match=r"at t = 0\.04$"):
-        evolve(u0, 4, 0.05, IntegratorConfig(step=0.005, max_drift=1e-5))
+        evolve(u0, 4, 0.05, 0.005, max_drift=1e-5)
 
 
 _SMALL_RUN = (2, 1.2, 0.05, 3000, 91)
@@ -493,8 +492,7 @@ def test_invariance_without_fork_runs_every_chunk_here(monkeypatch):
 
     monkeypatch.setattr(flow, "_bootstrap_chunk", recording_chunk)
     assert invariance_experiment(*_SMALL_RUN, obs) == serial
-    assert pids == [os.getpid()] * len(
-        sampling._bootstrap_starts(flow._BOOTSTRAP_RESAMPLES))
+    assert pids == [os.getpid()] * len(sampling._bootstrap_starts())
     _no_child_left()
 
 

@@ -519,13 +519,15 @@ def test_field_second_moments():
     assert abs(np.mean(mass2) - SIGMA_4) <= 5.0 * se
 
 
-def _uniform_indices(master_seed, count, resamples):
+def _uniform_indices(master_seed, count):
     """The bootstrap's resample indices by the uniform formula:
-    floor(u * count) of the reserved stream's uniforms, drawn in one go."""
+    floor(u * count) of the reserved stream's uniforms, drawn in one go,
+    for sampling._BOOTSTRAP_RESAMPLES resamples."""
+    rows = sampling._BOOTSTRAP_RESAMPLES
     u = sampling._raw_uniforms(SeedSpec(master_seed, RESERVED_STREAM),
-                               resamples * count)
+                               rows * count)
     idx = np.minimum((u * count).astype(np.int64), count - 1)
-    return idx.reshape(resamples, count)
+    return idx.reshape(rows, count)
 
 
 def _tally(idx, live):
@@ -535,12 +537,13 @@ def _tally(idx, live):
                     dtype=np.int64).reshape(len(idx), len(live))
 
 
-def test_bootstrap_counts_match_uniform_formula():
+def test_bootstrap_counts_match_uniform_formula(monkeypatch):
     # one sample, and 20000 samples: the every-sample counts of cauchy_rate
     for count, resamples in ((1, 5), (20000, 3)):
+        monkeypatch.setattr(sampling, "_BOOTSTRAP_RESAMPLES", resamples)
         live = np.arange(count)
-        ref = _tally(_uniform_indices(55, count, resamples), live)
-        assert np.array_equal(bootstrap_counts(55, count, resamples, live), ref)
+        ref = _tally(_uniform_indices(55, count), live)
+        assert np.array_equal(bootstrap_counts(55, count, live), ref)
 
 
 _LIVE_SETS = {
@@ -553,9 +556,10 @@ _LIVE_SETS = {
 
 @pytest.mark.parametrize("resamples", [20, 37])
 @pytest.mark.parametrize("live", _LIVE_SETS.values(), ids=_LIVE_SETS.keys())
-def test_bootstrap_counts_match_indices(live, resamples):
-    ref = _tally(_uniform_indices(55, 300, resamples), live)
-    counts = bootstrap_counts(55, 300, resamples, live)
+def test_bootstrap_counts_match_indices(monkeypatch, live, resamples):
+    monkeypatch.setattr(sampling, "_BOOTSTRAP_RESAMPLES", resamples)
+    ref = _tally(_uniform_indices(55, 300), live)
+    counts = bootstrap_counts(55, 300, live)
     assert counts.dtype == np.int64
     assert np.array_equal(counts, ref)
 
@@ -564,9 +568,11 @@ def test_bootstrap_chunking_does_not_change_results(monkeypatch):
     live = _LIVE_SETS["sparse"]
 
     def results():
-        return (bootstrap_counts(55, 300, 37, _LIVE_SETS["all"]),
-                bootstrap_counts(55, 300, 37, live),
-                bootstrap_counts(55, 300, 22, live))
+        out = []
+        for resamples, lv in ((37, _LIVE_SETS["all"]), (37, live), (22, live)):
+            monkeypatch.setattr(sampling, "_BOOTSTRAP_RESAMPLES", resamples)
+            out.append(bootstrap_counts(55, 300, lv))
+        return out
 
     default = results()
     # 37 and 22 resamples end on a remainder chunk at the default size
@@ -582,18 +588,20 @@ def test_bootstrap_chunks_drawn_alone_match_the_serial_stream(
         monkeypatch, count, chunk):
     # chunk lo starts at word lo * count of the reserved stream: with
     # count % 4 = 0 .. 3 and chunks of 1 and 3 resamples, the start
-    # falls on every word of a Philox counter
+    # falls on every word of a Philox counter; 37 resamples end on a
+    # short chunk at 3 and at the default 4
+    monkeypatch.setattr(sampling, "_BOOTSTRAP_RESAMPLES", 37)
     if chunk:
         monkeypatch.setattr(sampling, "_BOOTSTRAP_CHUNK", chunk)
     step = sampling._BOOTSTRAP_CHUNK
     live = np.array(_LIVE_SETS["sparse"])
-    ref = _tally(_uniform_indices(55, count, 37), live)
-    starts = list(sampling._bootstrap_starts(37))
+    ref = _tally(_uniform_indices(55, count), live)
+    starts = list(sampling._bootstrap_starts())
     assert starts == list(range(0, 37, step))
     for lo in reversed(starts):          # each from a fresh engine
-        chunk_counts = sampling._bootstrap_chunk(55, count, 37, live, lo)
+        chunk_counts = sampling._bootstrap_chunk(55, count, live, lo)
         assert np.array_equal(chunk_counts, ref[lo:lo + step])
-    counts = bootstrap_counts(55, count, 37, live)
+    counts = bootstrap_counts(55, count, live)
     assert counts.flags.c_contiguous
     assert np.array_equal(counts, ref)
 
@@ -602,13 +610,13 @@ def test_bootstrap_chunks_drawn_alone_match_the_serial_stream(
 def test_bootstrap_counts_rejects_live_outside_the_samples(live):
     # -1 would count sample 299, and 300 would index past the tally
     with pytest.raises(ValueError, match="0 .. 299"):
-        bootstrap_counts(55, 300, 20, live)
+        bootstrap_counts(55, 300, live)
 
 
 def test_bootstrap_counts_rejects_repeated_live():
     # a repeat would give the same sample two columns
     with pytest.raises(ValueError, match="distinct"):
-        bootstrap_counts(55, 300, 20, [3, 7, 3])
+        bootstrap_counts(55, 300, [3, 7, 3])
 
 
 def test_bad_live_is_rejected_before_any_chunk_or_fork(monkeypatch):
@@ -619,20 +627,20 @@ def test_bad_live_is_rejected_before_any_chunk_or_fork(monkeypatch):
     monkeypatch.setattr(sampling, "_bootstrap_chunk", never)
     monkeypatch.setattr(os, "fork", never)
     with pytest.raises(ValueError, match="0 .. 299"):
-        bootstrap_counts(55, 300, 20, [-1, 2])
+        bootstrap_counts(55, 300, [-1, 2])
     with pytest.raises(ValueError, match="distinct"):
-        bootstrap_counts(55, 300, 20, [3, 7, 3])
+        bootstrap_counts(55, 300, [3, 7, 3])
 
 
 @pytest.mark.parametrize("live_count", [2, 60])
 def test_weighted_mean_se_matches_gather(live_count):
-    count, resamples = 80, 200
+    count, resamples = 80, sampling._BOOTSTRAP_RESAMPLES
     rng = np.random.default_rng(live_count)
     live = np.sort(rng.choice(count, live_count, replace=False))
     w = np.zeros(count)
     w[live] = rng.random(live_count) + 0.1
     vals = rng.normal(size=count)
-    idx = _uniform_indices(9, count, resamples)
+    idx = _uniform_indices(9, count)
     # the gather formula over every sample
     wh = w * vals
     denom = w[idx].sum(axis=1)
@@ -642,7 +650,7 @@ def test_weighted_mean_se_matches_gather(live_count):
     reps = wh[idx].sum(axis=1)[good] / denom[good]
     ref_se = np.std(reps, ddof=1)
 
-    counts = bootstrap_counts(9, count, resamples, live)
+    counts = bootstrap_counts(9, count, live)
     denom = (counts * w[live]).sum(axis=1)
     se = flow._weighted_se(counts, denom, w[live] * vals[live])
     assert se == pytest.approx(ref_se, rel=1e-13)
