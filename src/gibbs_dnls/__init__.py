@@ -9,7 +9,6 @@ checks) behind a config-driven command line tool.
 
 from .spectral import (
     FourierCoeffs,
-    QuadratureGrid,
     antiderivative,
     conjugate,
     derivative,
@@ -70,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FourierCoeffs",
-    "QuadratureGrid",
     "antiderivative",
     "conjugate",
     "derivative",

@@ -136,7 +136,10 @@ def chaos_ratio(k: int, d: int, coeffs: dict, p: float, sample_count: int,
     standard Gaussians g.  Returns (ratio, bound) with
     bound = sqrt(k+1) * (p-1)^{k/2}; the ratio can exceed the bound only
     by Monte Carlo noise.  A table with a non-finite coefficient, or with
-    none but zeros (S = 0 has no ratio), is refused.
+    none but zeros (S = 0 has no ratio), is refused, and so is one whose
+    scale puts the L^2 or L^p moment of S outside the normal float range,
+    where it is 0, inf or subnormal with its low digits lost: rescaling
+    the table would move the ratio's last bits.
     """
     k = _integer("k", k, 1)
     d = _integer("d", d, 1)
@@ -163,8 +166,16 @@ def chaos_ratio(k: int, d: int, coeffs: dict, p: float, sample_count: int,
             prod = prod * g[:, m - 1]
         S += complex(c) * prod
     absS = np.abs(S)
-    lp = float(np.mean(absS ** p) ** (1.0 / p))
-    l2 = float(np.sqrt(np.mean(absS ** 2)))
+    with np.errstate(over="ignore", under="ignore"):
+        mp, m2 = np.mean(absS ** p), np.mean(absS ** 2)
+    for norm, m in ((f"L^{p:g}", mp), ("L^2", m2)):
+        if not np.finfo(np.float64).tiny <= m < np.inf:
+            scale = max(abs(complex(c)) for c in coeffs.values())
+            raise ValueError(
+                f"the {norm} moment of S is {m} in floating point at table "
+                f"scale {scale:.3g} (largest |coefficient|)")
+    lp = float(mp ** (1.0 / p))
+    l2 = float(np.sqrt(m2))
     bound = float(np.sqrt(k + 1) * (p - 1.0) ** (k / 2.0))
     return lp / l2, bound
 

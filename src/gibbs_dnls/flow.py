@@ -13,7 +13,9 @@ truth) and as the expanded single-equation form with its projection
 remainder (cross-validation only).  The integrator runs the composition
 on coefficient matrices, one field per row (batch_rhs_hamiltonian), so
 a whole ensemble moves through one RK4 loop; the FourierCoeffs versions
-stay as the reference it is tested against.
+stay as the reference it is tested against.  Each recorded state logs
+mass, energy and F_u by the functionals themselves, which take their
+quadrature nodes from the band, so the flow builds no grid.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 
 from .spectral import (
     FourierCoeffs,
-    QuadratureGrid,
     _antiderivative,
     _band,
     _conjugate,
@@ -206,12 +207,8 @@ def rhs_expanded(u: FourierCoeffs, N: int) -> tuple:
     return rhs, R, discrepancy
 
 
-def _log_invariants(u: FourierCoeffs, grid: QuadratureGrid) -> dict:
-    return {
-        "mass": mass(u),
-        "energy": energy(u, grid),
-        "F_u": gauge_F(u, grid),
-    }
+def _log_invariants(u: FourierCoeffs) -> dict:
+    return {"mass": mass(u), "energy": energy(u), "F_u": gauge_F(u)}
 
 
 def _rk4(rows: np.ndarray, h: float) -> np.ndarray:
@@ -289,12 +286,11 @@ def evolve(u0: FourierCoeffs, N: int, T: float, step: float,
     max_drift = _real("max_drift", max_drift, above=0)
     steps = _step_sizes(T, step)
     N = _integer("N", N, 0)
-    grid = QuadratureGrid.for_degree(6 * N)
     u0 = project(u0, N)
-    traj = [FlowState(u0, 0.0, _log_invariants(u0, grid))]
+    traj = [FlowState(u0, 0.0, _log_invariants(u0))]
     for t, rows in _trajectory(u0.coeffs[None, :], steps, max_drift):
         u = FourierCoeffs(N, rows[0])
-        traj.append(FlowState(u, t, _log_invariants(u, grid)))
+        traj.append(FlowState(u, t, _log_invariants(u)))
     return traj
 
 
@@ -307,7 +303,6 @@ def gauge_transform(traj: list) -> list:
     """
     if not traj:
         return []
-    grid = QuadratureGrid.for_degree(6 * traj[0].u.band)
     out = []
     phase = 0.0
     prev = traj[0]
@@ -318,7 +313,7 @@ def gauge_transform(traj: list) -> list:
             )
             prev = st
         v = st.u.scale(np.exp(1j * phase)) if k > 0 else st.u
-        out.append(FlowState(v, st.t, _log_invariants(v, grid)))
+        out.append(FlowState(v, st.t, _log_invariants(v)))
     return out
 
 

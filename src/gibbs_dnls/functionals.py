@@ -5,7 +5,9 @@ measure-side objects (the quartic functional f, the density G) and the
 flow-side objects (mass, momentum, energy, the gauge phase rate) live
 together because the tests constantly play them against each other.
 mass, density_G and the kinetic term of energy call the observables
-kernels on one row; chi is re-exported from there.
+kernels on one row; chi is re-exported from there.  Every integral that
+is a node mean takes the nodes its integrand's degree needs from the
+fields' bands (spectral._nodes), so no caller chooses a grid.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from .observables import (
 )
 from .spectral import (
     FourierCoeffs,
-    QuadratureGrid,
     _integer,
+    _nodes,
     derivative,
     inner_product_hermitian,
     lp_norm,
@@ -47,13 +49,13 @@ def mass(u: FourierCoeffs) -> float:
     return float(batch_mass(u.coeffs[None, :])[0])
 
 
-def momentum(u: FourierCoeffs, grid: QuadratureGrid) -> float:
+def momentum(u: FourierCoeffs) -> float:
     """P(u) = 1/2 int |u|^4 - Im int conj(u) du/dx.
 
-    The quartic part is a grid mean (grid must resolve degree 4*band);
-    the derivative part is exact on the Fourier side.
+    The quartic part is a node mean on 4*band + 1 nodes (lp_norm); the
+    derivative part is exact on the Fourier side.
     """
-    quartic = lp_norm(u, 4, grid) ** 4
+    quartic = lp_norm(u, 4) ** 4
     # int conj(u) u' = <u', u>; its imaginary part is the momentum term
     deriv_term = inner_product_hermitian(derivative(u), u).imag
     return 0.5 * quartic - deriv_term
@@ -73,30 +75,33 @@ def f_quartic(u: FourierCoeffs, N: int) -> float:
     return float(np.sum(k * (w.real ** 2 + w.imag ** 2)))
 
 
-def f_quadrature_oracle(u: FourierCoeffs, N: int, grid: QuadratureGrid) -> float:
+def f_quadrature_oracle(u: FourierCoeffs, N: int) -> float:
     """Same functional through pointwise evaluation and node averaging.
 
     Squares u_N on the nodes (never as a convolution) and forms the
     derivative of the square as 2 u_N u_N', so the only shared machinery
-    with f_quartic is the coefficient-to-point transform.  Exact when
-    the grid resolves degree 4N.
+    with f_quartic is the coefficient-to-point transform.  The integrand
+    has degree 4N, and its mean over 4N + 1 nodes is exact.
     """
-    uN = project(u, _integer("N", N, 0))
-    vals = uN.evaluate(grid.nodes)
-    dvals = derivative(uN).evaluate(grid.nodes)
+    N = _integer("N", N, 0)
+    uN = project(u, N)
+    x = _nodes(4 * N)
+    vals = uN.evaluate(x)
+    dvals = derivative(uN).evaluate(x)
     w = vals * vals
     dw = 2.0 * vals * dvals
     return float(np.mean(np.conj(w) * dw).imag)
 
 
-def energy(u: FourierCoeffs, grid: QuadratureGrid) -> float:
+def energy(u: FourierCoeffs) -> float:
     """H(u) = int |u'|^2 - (3/4) f(u) + 1/2 int |u|^6.
 
     Kinetic term by Parseval, quartic term in spectral closed form at
-    the field's own band, sextic term by grid mean (needs degree 6*band).
+    the field's own band, sextic term by the node mean on 6*band + 1
+    nodes (lp_norm).
     """
     kinetic = float(batch_h1_seminorm_sq(u.coeffs[None, :])[0])
-    sextic = lp_norm(u, 6, grid) ** 6
+    sextic = lp_norm(u, 6) ** 6
     return kinetic - 0.75 * f_quartic(u, u.band) + 0.5 * sextic
 
 
@@ -106,32 +111,28 @@ def density_G(u: FourierCoeffs, kappa: float) -> float:
     return float(batch_density_G(u.coeffs[None, :], kappa)[0])
 
 
-def gauge_F(u: FourierCoeffs, grid: QuadratureGrid) -> float:
+def gauge_F(u: FourierCoeffs) -> float:
     """F(u) = 2 Im int u d(conj u)/dx + (3/2) int |u|^4.
 
     The phase rate of the gauge change that removes the first-order
     term from the evolution; constant along the flow it is paired with.
+    The quartic part is a node mean on 4*band + 1 nodes (lp_norm).
     """
-    quartic = lp_norm(u, 4, grid) ** 4
+    quartic = lp_norm(u, 4) ** 4
     # int u conj(u') = <u, u'>
     deriv_term = inner_product_hermitian(u, derivative(u)).imag
     return 2.0 * deriv_term + 1.5 * quartic
 
 
-def hamiltonian_H2(u: FourierCoeffs, v: FourierCoeffs,
-                   grid: QuadratureGrid) -> complex:
+def hamiltonian_H2(u: FourierCoeffs, v: FourierCoeffs) -> complex:
     """Two-field Hamiltonian int u'v' + (3/4) i int v^2 (u^2)' + 1/2 int u^3 v^3.
 
     Complex for generic (u, v); real up to roundoff on the physical
     slice v = conjugate(u), where it reduces to energy(u).  Evaluated
-    entirely on the grid, which must resolve degree 6*max(band).
+    entirely as node means on 6*max(band) + 1 nodes, which integrate its
+    degree-6*max(band) integrands exactly.
     """
-    deg = 6 * max(u.band, v.band)
-    if grid.size <= deg:
-        raise ValueError(
-            f"grid with {grid.size} nodes cannot integrate degree {deg} exactly"
-        )
-    x = grid.nodes
+    x = _nodes(6 * max(u.band, v.band))
     U = u.evaluate(x)
     V = v.evaluate(x)
     dU = derivative(u).evaluate(x)

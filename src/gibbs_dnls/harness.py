@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import (FourierCoeffs, QuadratureGrid, _integer, _modes,
-                       _project, _real)
+from .spectral import FourierCoeffs, _integer, _modes, _project, _real
 from .functionals import (
     density_G,
     energy,
@@ -363,8 +362,6 @@ def _run_sample(p: dict):
 
 def _run_functionals(p: dict):
     N = p["N"]
-    grid4 = QuadratureGrid.for_degree(4 * N)
-    grid6 = QuadratureGrid.for_degree(6 * N)
     block = phi_block(p["seed"], 0, p["count"], N)
     rows = []
     worst = 0.0
@@ -372,12 +369,12 @@ def _run_functionals(p: dict):
     for i, coeffs in enumerate(block):
         u = FourierCoeffs(N, coeffs)
         fm = mass(u)
-        pm = momentum(u, grid4)
+        pm = momentum(u)
         fq = f_quartic(u, N)
-        en = energy(u, grid6)
+        en = energy(u)
         gn = density_G(u, p["kappa"])
-        fu = gauge_F(u, grid4)
-        oracle = f_quadrature_oracle(u, N, grid4)
+        fu = gauge_F(u)
+        oracle = f_quadrature_oracle(u, N)
         denom = max(abs(fq), abs(oracle))
         worst = max(worst, abs(fq - oracle) / denom if denom else 0.0)
         sums += (fm, pm, fq, en, gn, fu)

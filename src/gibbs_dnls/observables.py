@@ -3,9 +3,9 @@
 Monte Carlo runs at 10^5..10^6 samples cannot afford one FourierCoeffs
 object per draw, so every observable here maps a coefficient matrix (one
 sample per row, columns n = -band..band) to one value per row.  The
-layout itself (mode grid, derivative, point evaluation) is spectral's
-array operators; from the package this module imports those and
-QuadratureGrid only.  functionals calls its kernels on a batch of one
+layout itself (mode grid, derivative, point evaluation, the node rule)
+is spectral's array operators; from the package this module imports
+those only.  functionals calls its kernels on a batch of one
 row, except where f_quartic and spectral.lp_norm stay the references
 batch_f_quartic and batch_quartic_integral are tested against (the
 functionals golden pins their last bits).
@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .spectral import (QuadratureGrid, _band, _derivative, _evaluate, _integer,
-                       _modes, _real)
+from .spectral import (_band, _derivative, _evaluate, _integer, _modes,
+                       _nodes, _real)
 
 __all__ = [
     "chi",
@@ -52,11 +52,16 @@ def chi(x, kappa: float):
 
 
 def _finite_values(name, vals, streams) -> np.ndarray:
-    """vals as float64; ValueError naming the observable if one is not finite.
+    """vals as float64; ValueError naming the observable unless it gave
+    one finite value per sample.
 
     streams[i] is the stream that value i was computed from.
     """
     vals = np.asarray(vals, dtype=np.float64)
+    if vals.shape != (len(streams),):
+        raise ValueError(f"observable {name!r} gave values of shape "
+                         f"{vals.shape} for {len(streams)} samples, not one "
+                         f"value per sample")
     bad = np.flatnonzero(~np.isfinite(vals))
     if len(bad):
         raise ValueError(f"observable {name!r} is {vals[bad[0]]} on the "
@@ -229,7 +234,7 @@ def batch_grid_sup_dsq(rows: np.ndarray) -> np.ndarray:
     true sup).
     """
     dw = _derivative(batch_square(rows))
-    x = QuadratureGrid(8 * rows.shape[1]).nodes
+    x = _nodes(8 * rows.shape[1] - 1)
     return np.max(np.abs(_evaluate(dw, x)), axis=1)
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "FourierCoeffs",
-    "QuadratureGrid",
     "project",
     "derivative",
     "antiderivative",
@@ -131,6 +130,18 @@ def _evaluate(a: np.ndarray, x) -> np.ndarray:
     return a @ np.exp(1j * np.outer(_modes(a), x))
 
 
+def _nodes(degree: int) -> np.ndarray:
+    """The degree + 1 equispaced nodes x_j = 2pi j / (degree + 1) on [0, 2pi).
+
+    The node mean of e^{ikx} is exactly [k == 0] for |k| <= degree, so
+    the plain node mean integrates every trigonometric polynomial of the
+    given degree exactly.  The one quadrature rule of the package: each
+    integral derives its degree from the bands of its fields.
+    """
+    size = degree + 1
+    return 2.0 * np.pi * np.arange(size) / size
+
+
 class FourierCoeffs:
     """Immutable coefficient vector of a trigonometric polynomial.
 
@@ -229,35 +240,6 @@ class FourierCoeffs:
         return f"FourierCoeffs(band={self.band}, nonzero={nz})"
 
 
-class QuadratureGrid:
-    """Equispaced nodes x_j = 2pi j / M on [0, 2pi).
-
-    Node averaging integrates e^{ikx} to exactly 0 for 0 < |k| < M and
-    exactly 1 for k = 0, so trigonometric polynomials of degree < M are
-    integrated exactly by the plain node mean.
-    """
-
-    __slots__ = ("size", "nodes")
-
-    def __init__(self, size: int):
-        size = _integer("size", size, 1)
-        object.__setattr__(self, "size", size)
-        nodes = 2.0 * np.pi * np.arange(size) / size
-        nodes.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadratureGrid is immutable")
-
-    @classmethod
-    def for_degree(cls, degree: int) -> "QuadratureGrid":
-        """Smallest grid integrating trig polynomials of the given degree exactly."""
-        return cls(_integer("degree", degree, 0) + 1)
-
-    def __repr__(self):
-        return f"QuadratureGrid(size={self.size})"
-
-
 # -- operators -------------------------------------------------------------
 
 
@@ -309,19 +291,15 @@ def pairing_bilinear(f: FourierCoeffs, g: FourierCoeffs) -> complex:
     return complex(np.sum(a * b[::-1]))
 
 
-def lp_norm(u: FourierCoeffs, p, grid: QuadratureGrid) -> float:
-    """L^p norm under the normalized measure, for finite p >= 1.
+def lp_norm(u: FourierCoeffs, p) -> float:
+    """L^p norm under the normalized measure, for even p >= 2.
 
-    For even integer p the node mean of |u|^p is exact provided
-    grid.size > p * band (the integrand is a trig polynomial of degree
-    p * band).  Too-coarse grids are rejected for even p; other p are
-    grid approximations, as close as the grid is dense.
+    |u|^p is then a trigonometric polynomial of degree p * band, which
+    the node mean on p * band + 1 nodes integrates exactly.  Any other p
+    is refused: its norm would be only as close as some grid is dense.
     """
-    p = _real("p", p, at_least=1)
-    if p % 2 == 0 and grid.size <= p * u.band:
-        raise ValueError(
-            f"grid with {grid.size} nodes is too coarse for exact L^{p:g} "
-            f"norm at band {u.band}; need more than {p * u.band:g}"
-        )
-    vals = np.abs(u.evaluate(grid.nodes))
+    p = _real("p", p, at_least=2)
+    if p % 2:
+        raise ValueError(f"p must be an even number, got {p!r}")
+    vals = np.abs(u.evaluate(_nodes(round(p) * u.band)))
     return float(np.mean(vals ** p) ** (1.0 / p))

@@ -18,7 +18,6 @@ import pytest
 
 from gibbs_dnls.spectral import (
     FourierCoeffs,
-    QuadratureGrid,
     antiderivative,
     conjugate,
     derivative,
@@ -80,11 +79,10 @@ def reference_trajectory():
 def test_criterion_01_oracle_agreement(acceptance_report):
     worst = 0.0
     for N in (4, 16, 64):
-        grid = QuadratureGrid.for_degree(4 * N)
         for s in range(100):
             u = sample_phi(N, SeedSpec(1001 + N, s))
             worst = max(worst, rel_gap(f_quartic(u, N),
-                                       f_quadrature_oracle(u, N, grid)))
+                                       f_quadrature_oracle(u, N)))
     acceptance_report("01", worst <= 1e-10,
                       f"quartic functional vs quadrature oracle, 100 draws "
                       f"per N in (4,16,64): max rel gap {worst:.2e} <= 1e-10")
@@ -366,7 +364,6 @@ def test_criterion_09_structure(acceptance_report):
         bwd = pairing_bilinear(m1, w1) + pairing_bilinear(m2, w2)
         worst_skew = max(worst_skew,
                          abs(fwd + bwd) / max(abs(fwd), abs(bwd), 1e-30))
-    grid = QuadratureGrid.for_degree(64)
     eps = 1e-6
     worst_fd = 0.0
     for s in range(3):
@@ -375,22 +372,22 @@ def test_criterion_09_structure(acceptance_report):
         du, dv = variational_derivatives(u, v)
         for n in range(-4, 5):
             e_n = FourierCoeffs.from_pairs({n: 1.0})
-            fd = (hamiltonian_H2(u + e_n.scale(eps), v, grid)
-                  - hamiltonian_H2(u - e_n.scale(eps), v, grid)) / (2 * eps)
+            fd = (hamiltonian_H2(u + e_n.scale(eps), v)
+                  - hamiltonian_H2(u - e_n.scale(eps), v)) / (2 * eps)
             worst_fd = max(worst_fd,
                            abs(fd - du.coeff(-n)) / max(1.0, abs(du.coeff(-n))))
-            fd = (hamiltonian_H2(u, v + e_n.scale(eps), grid)
-                  - hamiltonian_H2(u, v - e_n.scale(eps), grid)) / (2 * eps)
+            fd = (hamiltonian_H2(u, v + e_n.scale(eps))
+                  - hamiltonian_H2(u, v - e_n.scale(eps))) / (2 * eps)
             worst_fd = max(worst_fd,
                            abs(fd - dv.coeff(-n)) / max(1.0, abs(dv.coeff(-n))))
     worst_imag = 0.0
     worst_energy = 0.0
     for s in range(20):
         u = sample_phi(4, SeedSpec(970 + s, 0))
-        h2 = hamiltonian_H2(u, conjugate(u), grid)
+        h2 = hamiltonian_H2(u, conjugate(u))
         scale = max(1.0, abs(h2))
         worst_imag = max(worst_imag, abs(h2.imag) / scale)
-        worst_energy = max(worst_energy, abs(h2.real - energy(u, grid)) / scale)
+        worst_energy = max(worst_energy, abs(h2.real - energy(u)) / scale)
     ok = worst_skew <= 1e-10 and worst_fd <= 1e-6 and \
         worst_imag <= 1e-11 and worst_energy <= 1e-10
     acceptance_report("09", ok,

@@ -51,7 +51,7 @@ from gibbs_dnls.sampling import (
     sample_gaussian,
     sample_phi,
 )
-from gibbs_dnls.spectral import FourierCoeffs, QuadratureGrid, lp_norm, project
+from gibbs_dnls.spectral import FourierCoeffs, lp_norm, project
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gibbs_dnls"
 
@@ -87,10 +87,8 @@ CASES = [
     ("FourierCoeffs", "band", lambda v: FourierCoeffs(v, np.zeros(5)), 2, -1),
     ("FourierCoeffs.coeff", "n", lambda v: U.coeff(v), 1, None),
     ("project", "M", lambda v: project(U, v), 2, -1),
-    ("QuadratureGrid", "size", lambda v: QuadratureGrid(v), 4, 0),
     ("f_quartic", "N", lambda v: f_quartic(U, v), 2, -1),
-    ("f_quadrature_oracle", "N",
-     lambda v: f_quadrature_oracle(U, v, QuadratureGrid(9)), 2, -1),
+    ("f_quadrature_oracle", "N", lambda v: f_quadrature_oracle(U, v), 2, -1),
     ("batch_re_coeff", "n",
      lambda v: batch_re_coeff(phi_block(1, 0, 3, 2), v), 1, None),
     ("chaos_ratio", "k", lambda v: chaos_ratio(v, 2, TABLE, 4, 100, 1), 1, 0),
@@ -173,8 +171,8 @@ REAL_CASES = [
           ("step_size",
            lambda v: invariance_experiment(2, 1.2, 0.01, 2000, 91, {}, v),
            0.005, (math.inf, 0.0)))],
-    ("lp_norm", "p", lambda v: lp_norm(U, v, QuadratureGrid(9)), 4.0,
-     (math.inf, -math.inf, 0.5)),
+    ("lp_norm", "p", lambda v: lp_norm(U, v), 4.0,
+     (math.inf, -math.inf, 0.5, 3.0)),
     ("ball_probability", "radius", lambda v: ball_probability(2, v), 0.8,
      (math.inf, -0.1)),
     ("phi_block_in_ball", "radius",

@@ -5,6 +5,7 @@ import decimal
 import math
 import os
 import pickle
+import re
 import select
 import subprocess
 import sys
@@ -80,6 +81,22 @@ def test_chaos_ratio_refuses_a_corrupt_table():
             chaos_ratio(1, 2, {(1,): 1.0, (2,): bad}, 4.0, 100, 1)
     with pytest.raises(ValueError, match="^every coefficient is zero"):
         chaos_ratio(1, 2, {(1,): 0.0, (2,): 0j}, 4.0, 100, 1)
+    # scales 1e-300 and 1e-170 raised ZeroDivisionError, 1e160 and 1e200
+    # gave (nan, 2.449...) with overflow warnings, and 1e-80, where the
+    # L^4 moment is subnormal, gave 1.17926 for the 1.17927 of scale 1;
+    # the message names the moment that left the normal float range and
+    # the table's scale
+    cases = [(4.0, 1e-300, "0.0"), (4.0, 1e-170, "0.0"),
+             (4.0, 1e160, "inf"), (4.0, 1e200, "inf"), (6.0, 1e-60, "0.0"),
+             (4.0, 1e-80, r"[0-9.]+e-3[0-2][0-9]")]
+    for p, c, moment in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=(
+                    rf"^the L\^{p:g} moment of S is {moment} in floating "
+                    rf"point at table scale {re.escape(f'{c:.3g}')} "
+                    rf"\(largest")):
+                chaos_ratio(1, 2, {(1,): c, (2,): 0.5j * c}, p, 100, 1)
 
 
 def _ratio_stats(k, d, table, p, seeds, count=50000):
@@ -586,6 +603,25 @@ def test_tail_survival_errors():
         tail_survival(batch_mass, 2, [1.0], 2000, 3)
     with pytest.raises(ValueError):
         tail_survival(batch_mass, 2, [0.5, 1.0], 2000, 3, theta=3.0)
+
+
+@pytest.mark.parametrize("kappa", [None, 1.5])
+def test_tail_survival_refuses_a_value_count_off_the_rows(kappa):
+    # values for half the rows gave a fit with total=2500 out of 5000
+    def first_half(rows):
+        return batch_mass(rows)[:len(rows) // 2]
+
+    with pytest.raises(ValueError, match=r"^observable 'first_half' gave "
+                                         r"values of shape \((\d+),\) for "
+                                         r"(\d+) samples, not one value per "
+                                         r"sample$") as exc:
+        tail_survival(first_half, 2, [0.5, 0.8, 1.0, 1.2], 5000, 3,
+                      kappa=kappa)
+    got, want = map(int, re.search(r"\((\d+),\) for (\d+)",
+                                   str(exc.value)).groups())
+    assert got == want // 2
+    if kappa is None:
+        assert want == 5000
 
 
 @pytest.mark.parametrize("kappa", [None, 1.5])

@@ -1,5 +1,6 @@
 """Hamiltonian structure, integrator conservation, gauge identities."""
 
+import json
 import math
 import os
 import time
@@ -10,12 +11,11 @@ import pytest
 from gibbs_dnls import chaos, flow, sampling
 from gibbs_dnls.spectral import (
     FourierCoeffs,
-    QuadratureGrid,
     conjugate,
     pairing_bilinear,
     project,
 )
-from gibbs_dnls.functionals import hamiltonian_H2, mass
+from gibbs_dnls.functionals import energy, gauge_F, hamiltonian_H2, mass
 from gibbs_dnls.flow import (
     apply_K,
     batch_rhs_hamiltonian,
@@ -26,6 +26,7 @@ from gibbs_dnls.flow import (
     rhs_hamiltonian,
     variational_derivatives,
 )
+from gibbs_dnls.harness import parse_config, run
 from gibbs_dnls.observables import (
     batch_density_G,
     batch_mass,
@@ -64,18 +65,17 @@ def test_variational_matches_finite_differences():
     # coefficient of dH/du under the bilinear pairing
     u = draw(21, 4)
     v = conjugate(draw(22, 4))
-    grid = QuadratureGrid.for_degree(64)
     du, dv = variational_derivatives(u, v)
     eps = 1e-6
     for n in (-3, 0, 2):
         e_n = FourierCoeffs.from_pairs({n: 1.0})
-        plus = hamiltonian_H2(u + e_n.scale(eps), v, grid)
-        minus = hamiltonian_H2(u - e_n.scale(eps), v, grid)
+        plus = hamiltonian_H2(u + e_n.scale(eps), v)
+        minus = hamiltonian_H2(u - e_n.scale(eps), v)
         fd = (plus - minus) / (2.0 * eps)
         want = du.coeff(-n)
         assert abs(fd - want) <= 1e-6 * max(1.0, abs(want))
-        plus = hamiltonian_H2(u, v + e_n.scale(eps), grid)
-        minus = hamiltonian_H2(u, v - e_n.scale(eps), grid)
+        plus = hamiltonian_H2(u, v + e_n.scale(eps))
+        minus = hamiltonian_H2(u, v - e_n.scale(eps))
         fd = (plus - minus) / (2.0 * eps)
         want = dv.coeff(-n)
         assert abs(fd - want) <= 1e-6 * max(1.0, abs(want))
@@ -212,6 +212,23 @@ def test_evolve_zero_time():
     assert np.array_equal(traj[0].u.coeffs, project(u0, 8).coeffs)
 
 
+def test_logged_invariants_are_the_functionals():
+    # one rule for each logged invariant: the bits of mass, energy and
+    # gauge_F, and of the functionals experiment's table, for fields
+    # whose F_u on 6N + 1 nodes differs from F_u on 4N + 1 nodes in the
+    # last bits (rows 1, 2, 3, 5, 6, 7 and 8)
+    config = {"experiment": "functionals",
+              "parameters": {"N": 4, "count": 10, "seed": 7, "kappa": 1.0}}
+    table = run(parse_config(json.dumps(config))).tables["functionals.csv"]
+    for line, coeffs in zip(table.splitlines()[1:], phi_block(7, 0, 10, 4)):
+        u = FourierCoeffs(4, coeffs)
+        (start,) = evolve(u, 4, 0.0, 1e-3)
+        want = {"mass": mass(u), "energy": energy(u), "F_u": gauge_F(u)}
+        assert start.invariants_log == flow._log_invariants(u) == want
+        _, m, _, _, e, _, f = map(float, line.split(","))
+        assert want == {"mass": m, "energy": e, "F_u": f}
+
+
 def test_evolve_fractional_final_step():
     u0 = draw(41, 4, scale=0.1)
     traj = evolve(u0, 4, 0.0505, 0.01)
@@ -243,9 +260,9 @@ def test_step_sizes_reject_non_finite_time(T):
 
 @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
 def test_evolve_refuses_non_finite_time(T, monkeypatch):
-    # refused before the projection, the grid or any step
+    # refused before the projection, the logged invariants or any step
     monkeypatch.setattr(flow, "project", None)
-    monkeypatch.setattr(flow, "QuadratureGrid", None)
+    monkeypatch.setattr(flow, "_log_invariants", None)
     with pytest.raises(ValueError, match=f"^T must be finite, got {T}$"):
         evolve(draw(3, 8, scale=0.5), 8, T, 1e-2)
 
@@ -340,6 +357,15 @@ def test_invariance_refuses_non_finite_time(t, monkeypatch):
     with pytest.raises(ValueError, match=f"^t must be finite, got {t}$"):
         invariance_experiment(2, 1.2, t, 3000,
                               91, {"m": batch_mass})
+
+
+def test_invariance_refuses_a_value_count_off_the_rows():
+    # a scalar was broadcast over the 450 live rows: delta 0, se 0, pass
+    with pytest.raises(ValueError, match=r"^observable 's' gave values of "
+                                         r"shape \(\) for 450 samples, not "
+                                         r"one value per sample$"):
+        invariance_experiment(2, 1.2, 0.01, 2000, 91,
+                              {"s": lambda rows: np.float64(1.0)})
 
 
 def test_invariance_rejects_non_finite_values():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gibbs_dnls.spectral import FourierCoeffs, QuadratureGrid, conjugate, project
+from gibbs_dnls.spectral import FourierCoeffs, conjugate, project
 from gibbs_dnls.functionals import (
     chi,
     density_G,
@@ -22,8 +22,6 @@ from gibbs_dnls.sampling import SeedSpec, sample_phi
 E1 = FourierCoeffs.from_pairs({1: 1.0})
 EM1 = FourierCoeffs.from_pairs({-1: 1.0})
 ONE = FourierCoeffs.from_pairs({0: 1.0})
-G4 = QuadratureGrid.for_degree(16)
-G6 = QuadratureGrid.for_degree(24)
 
 
 def reflect(u):
@@ -55,12 +53,11 @@ def test_f_quartic_truncates_first():
 
 
 def test_f_oracle_agreement():
-    grid = QuadratureGrid.for_degree(32)
     worst = 0.0
     for s in range(20):
         u = sample_phi(8, SeedSpec(300 + s, 0))
         a = f_quartic(u, 8)
-        b = f_quadrature_oracle(u, 8, grid)
+        b = f_quadrature_oracle(u, 8)
         worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
     assert worst <= 1e-11
 
@@ -79,18 +76,18 @@ def test_f_symmetries():
 
 
 def test_momentum_closed_forms():
-    assert momentum(E1, G4) == pytest.approx(-0.5)
+    assert momentum(E1) == pytest.approx(-0.5)
     c0 = FourierCoeffs.from_pairs({0: 0.7})
-    assert momentum(c0, G4) == pytest.approx(0.5 * 0.7 ** 4)
+    assert momentum(c0) == pytest.approx(0.5 * 0.7 ** 4)
     u = sample_phi(4, SeedSpec(42, 0))
-    assert momentum(u.scale(np.exp(1.1j)), G4) == pytest.approx(momentum(u, G4))
+    assert momentum(u.scale(np.exp(1.1j))) == pytest.approx(momentum(u))
 
 
 def test_energy_closed_forms():
     # for e^{ix}: |u'|^2 = 1, f = 2, |u|^6 = 1 -> 1 - 3/2 + 1/2 = 0
-    assert energy(E1, G6) == pytest.approx(0.0, abs=1e-14)
+    assert energy(E1) == pytest.approx(0.0, abs=1e-14)
     c0 = FourierCoeffs.from_pairs({0: 0.7})
-    assert energy(c0, G6) == pytest.approx(0.5 * 0.7 ** 6)
+    assert energy(c0) == pytest.approx(0.5 * 0.7 ** 6)
 
 
 def test_chi_linear():
@@ -141,26 +138,20 @@ def test_density_overflow_diagnostic():
 
 
 def test_gauge_F_closed_forms():
-    assert gauge_F(E1, G4) == pytest.approx(-0.5)
-    assert gauge_F(ONE, G4) == pytest.approx(1.5)
+    assert gauge_F(E1) == pytest.approx(-0.5)
+    assert gauge_F(ONE) == pytest.approx(1.5)
     u = sample_phi(4, SeedSpec(43, 0))
-    assert gauge_F(u.scale(np.exp(0.3j)), G4) == pytest.approx(gauge_F(u, G4))
+    assert gauge_F(u.scale(np.exp(0.3j))) == pytest.approx(gauge_F(u))
 
 
 def test_h2_zero_example():
-    assert hamiltonian_H2(E1, EM1, G6) == pytest.approx(0.0, abs=1e-14)
+    assert hamiltonian_H2(E1, EM1) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_h2_matches_energy():
-    grid = QuadratureGrid.for_degree(48)
     for s in range(10):
         u = sample_phi(4, SeedSpec(500 + s, 0))
-        h2 = hamiltonian_H2(u, conjugate(u), grid)
+        h2 = hamiltonian_H2(u, conjugate(u))
         scale = max(1.0, abs(h2))
         assert abs(h2.imag) <= 1e-11 * scale
-        assert abs(h2.real - energy(u, grid)) <= 1e-10 * scale
-
-
-def test_h2_grid_guard():
-    with pytest.raises(ValueError):
-        hamiltonian_H2(E1, EM1, QuadratureGrid(4))
+        assert abs(h2.real - energy(u)) <= 1e-10 * scale

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gibbs_dnls.spectral import (
-    FourierCoeffs, QuadratureGrid, _modes, _project, lp_norm, multiply)
+    FourierCoeffs, _modes, _project, lp_norm, multiply)
 from gibbs_dnls.functionals import (
     chi,
     f_quadrature_oracle,
@@ -183,9 +183,8 @@ def test_batch_X_is_diagonal_part():
 
 
 def test_batch_l4_norm():
-    grid = QuadratureGrid.for_degree(4 * BAND)
     got = batch_l4_norm(ROWS)
-    want = [lp_norm(row_field(j), 4, grid) for j in range(40)]
+    want = [lp_norm(row_field(j), 4) for j in range(40)]
     assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
@@ -211,15 +210,13 @@ def test_batch_grid_sup_dsq():
 
 
 def test_batch_density_matches_scalar():
-    # reference composition through the quadrature oracle and grid norms;
+    # reference composition through the quadrature oracle and node norms;
     # it shares only the cutoff chi with batch_density_G
     kappa = 2.0
-    grid4 = QuadratureGrid.for_degree(4 * BAND)
-    grid6 = QuadratureGrid.for_degree(6 * BAND)
     got = batch_density_G(ROWS, kappa)
     want = [chi(np.linalg.norm(ROWS[j]), kappa) * np.exp(
-        0.75 * f_quadrature_oracle(row_field(j), BAND, grid4)
-        - 0.5 * lp_norm(row_field(j), 6, grid6) ** 6) for j in range(40)]
+        0.75 * f_quadrature_oracle(row_field(j), BAND)
+        - 0.5 * lp_norm(row_field(j), 6) ** 6) for j in range(40)]
     assert np.allclose(got, want, rtol=1e-11, atol=0)
     # some weight must be positive at this kappa, some zero
     assert np.any(got > 0) and np.any(got == 0)

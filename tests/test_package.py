@@ -1,5 +1,6 @@
 """The package namespace and the dependency floor it declares."""
 
+import importlib
 import os
 import re
 import subprocess
@@ -7,10 +8,13 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import gibbs_dnls
 
 REPO = Path(__file__).resolve().parent.parent
+LAYERS = sorted(p.stem for p in (REPO / "src" / "gibbs_dnls").glob("*.py")
+                if not p.stem.startswith("__"))
 
 
 def test_package_all_resolves_without_duplicates():
@@ -18,6 +22,17 @@ def test_package_all_resolves_without_duplicates():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(gibbs_dnls, name), name
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_layer_all_resolves_without_duplicates(layer):
+    # perfbench/tracer.py wraps every name a layer lists, so a stale entry
+    # would fail a benchmark run as well as this test
+    module = importlib.import_module(f"gibbs_dnls.{layer}")
+    names = module.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(module, name), name
 
 
 def test_star_import_binds_every_name():

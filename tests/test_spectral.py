@@ -6,7 +6,7 @@ import pytest
 from gibbs_dnls import spectral
 from gibbs_dnls.spectral import (
     FourierCoeffs,
-    QuadratureGrid,
+    _nodes,
     antiderivative,
     conjugate,
     derivative,
@@ -161,7 +161,7 @@ def test_multiply_matches_grid(rng):
     u = random_field(rng, 4)
     v = random_field(rng, 3)
     w = multiply(u, v)
-    x = QuadratureGrid(64).nodes
+    x = _nodes(63)
     gap = np.max(np.abs(w.evaluate(x) - u.evaluate(x) * v.evaluate(x)))
     assert gap <= 1e-12
 
@@ -184,28 +184,30 @@ def test_inner_product_and_pairing():
 
 
 def test_lp_norms():
-    g = QuadratureGrid.for_degree(8)
-    assert lp_norm(E1, 2, g) == pytest.approx(1.0)
+    assert lp_norm(E1, 2) == pytest.approx(1.0)
     # |e^{ix}| = 1 so every L^p norm is 1
-    assert lp_norm(E1, 4, g) == pytest.approx(1.0)
+    assert lp_norm(E1, 4) == pytest.approx(1.0)
     # |1+e^{ix}|^4 integrates to 6 under the normalized measure
     u = FourierCoeffs.from_pairs({0: 1.0, 1: 1.0})
-    assert lp_norm(u, 4, g) == pytest.approx(6.0 ** 0.25)
+    assert lp_norm(u, 4) == pytest.approx(6.0 ** 0.25)
 
 
 def test_lp_norm_refuses_a_nan_p():
     # nan passed the p >= 1 check and then failed in int(p)
-    with pytest.raises(ValueError, match="^p must be finite and at least 1, "
+    with pytest.raises(ValueError, match="^p must be finite and at least 2, "
                                          "got nan$"):
-        lp_norm(E1, float("nan"), QuadratureGrid.for_degree(4))
+        lp_norm(E1, float("nan"))
 
 
 def test_lp_norm_exactness_guard():
-    g = QuadratureGrid(4)  # too small for degree-4 integrand at band 1
-    with pytest.raises(ValueError):
-        lp_norm(E1, 4, g)
-    with pytest.raises(ValueError):
-        lp_norm(E1, 0.5, QuadratureGrid.for_degree(4))
+    # only an even p has a polynomial |u|^p, which the nodes integrate
+    # exactly; any other p is refused
+    with pytest.raises(ValueError, match="^p must be finite and at least 2"):
+        lp_norm(E1, 0.5)
+    for p in (3, 2.5, 5.0):
+        with pytest.raises(ValueError, match=f"^p must be an even number, "
+                                             f"got {float(p)!r}$"):
+            lp_norm(E1, p)
 
 
 def _integral(u):
@@ -246,8 +248,12 @@ def test_antiderivative_square_identity(rng):
 
 
 def test_grid_sizes():
-    assert QuadratureGrid.for_degree(4).size == 5
-    g = QuadratureGrid.for_degree(2)
+    assert len(_nodes(4)) == 5
     # trapezoid-free exactness: mean of e^{ix} over 3 nodes is 0
-    vals = E1.evaluate(g.nodes)
+    vals = E1.evaluate(_nodes(2))
     assert abs(np.mean(vals)) <= 1e-15
+    # degree d + 1 is the first mode the d + 1 nodes alias onto 1
+    x = _nodes(6)
+    for k in range(-6, 7):
+        assert abs(np.mean(np.exp(1j * k * x)) - (k == 0)) <= 1e-15
+    assert np.mean(np.exp(7j * x)) == pytest.approx(1.0)
